@@ -234,98 +234,99 @@ def solve_pop(prob: PopProblem, opts: DriverOptions | None = None) -> HierarchyR
     even_kind = kind.name == "homogenized_even"
     homog_like = kind.name in ("homogenized", "homogenized_even", "power_x0")
 
-    for k in range(k_lo, k_hi + 1):
-        rec, rel, sol = _solve_order(prob, kind, k, opts)
-        records.append(rec)
-        usable = sol is not None and (sol.status is sdp.SdpStatus.OPTIMAL
-                                       or sol.moment_converged)
-        bound_k = rec.f_k if rec.f_k is not None else (
-            rec.f_k_prime if usable else None)
-        if bound_k is not None and (best_bound is None or bound_k > best_bound):
-            best_bound = bound_k
-        if not usable:
-            continue
-        try:
-            cert = relax.sos_certificate_from_dual(rel, sol)
-            rec.certificate_residual = cert.residual
-        except ValueError:
-            pass
-        if not homog_like and kind.name != "standard":
-            continue  # denominator bounds come without atoms
-
-        atoms = _attempt_extraction(rec, rel, sol, prob, opts)
-        if atoms is None:
-            rec.flat_t = None
-            rec.flat_gap = None
-            continue
-        if kind.name == "standard":
-            # no x0 coordinate: every atom is a direct minimizer candidate
-            atom_set = extract.AtomSet(
-                atoms=atoms, regular=[(a.point, a.weight) for a in atoms],
-                at_infinity=[], flagged=[], d=0)
-        else:
-            atom_set = extract.classify(atoms, rel.normalizer_power,
-                                        tau_tol=opts.tau_tol,
-                                        flip_negative=even_kind)
-        if even_kind:
-            atom_set.regular = _merge_close(atom_set.regular)
-        bound = rec.f_k_prime if rec.f_k_prime is not None else rec.f_k
-        clean = sol.status is sdp.SdpStatus.OPTIMAL
-        verified = bool(atom_set.regular) and not atom_set.flagged \
-            and abs(atom_set.regular_weight - 1.0) < 1e-4
-        minimizers = []
-        reg_reports = []
-        for u, _nu in atom_set.regular:
-            if not verified:
-                break
-            val = _verify_minimizer(prob, u, bound, opts)
-            if val is None:
-                verified = False
-                rec.notes = "an extracted point failed feasibility or value checks"
-                break
+    with sdp._one_blas_thread():
+        for k in range(k_lo, k_hi + 1):
+            rec, rel, sol = _solve_order(prob, kind, k, opts)
+            records.append(rec)
+            usable = sol is not None and (sol.status is sdp.SdpStatus.OPTIMAL
+                                           or sol.moment_converged)
+            bound_k = rec.f_k if rec.f_k is not None else (
+                rec.f_k_prime if usable else None)
+            if bound_k is not None and (best_bound is None or bound_k > best_bound):
+                best_bound = bound_k
+            if not usable:
+                continue
             try:
-                rep = optcond.check_regular(prob, u,
-                                            active_tol=opts.optcond_active_tol,
-                                            fooc_tol=opts.optcond_fooc_tol)
+                cert = relax.sos_certificate_from_dual(rel, sol)
+                rec.certificate_residual = cert.residual
             except ValueError:
-                rep = None
-            # a stalled solve only earns its atoms if they are critical points
-            if not clean and (rep is None or not rep.fooc_ok):
-                verified = False
-                rec.notes = ("extracted point is not a first-order critical "
-                             "point; treating the rank condition as spurious")
-                break
-            minimizers.append((u, val))
-            reg_reports.append(rep)
-        if not verified:
-            rec.flat_t = None
-            rec.flat_gap = None
-            continue
+                pass
+            if not homog_like and kind.name != "standard":
+                continue  # denominator bounds come without atoms
 
-        rec.atom_set = atom_set
-        rec.minimizers = minimizers
-        rec.minimizers_at_infinity = [v for v, _nu in atom_set.at_infinity]
-        f_min_est = best_bound if best_bound is not None else bound
-        all_pass = True
-        for rep in reg_reports:
-            if rep is None:
-                rec.notes = "optcond check rejected an extracted point"
-                all_pass = False
+            atoms = _attempt_extraction(rec, rel, sol, prob, opts)
+            if atoms is None:
+                rec.flat_t = None
+                rec.flat_gap = None
+                continue
+            if kind.name == "standard":
+                # no x0 coordinate: every atom is a direct minimizer candidate
+                atom_set = extract.AtomSet(
+                    atoms=atoms, regular=[(a.point, a.weight) for a in atoms],
+                    at_infinity=[], flagged=[], d=0)
             else:
-                rec.optcond.append(rep)
-                all_pass = all_pass and rep.passed
-        for v, _nu in atom_set.at_infinity:
-            checker = optcond.check_at_infinity_even if even_kind \
-                else optcond.check_at_infinity
-            try:
-                rec.optcond.append(checker(prob, v, f_min_est, tol=1e-4,
-                                           fooc_tol=opts.optcond_fooc_tol))
-            except ValueError as exc:
-                rec.notes = (rec.notes + f" infinity check rejected: {exc}").strip()
-        if all_pass or not opts.verify:
-            converged = True
-            convergence_order = k
-            break
+                atom_set = extract.classify(atoms, rel.normalizer_power,
+                                            tau_tol=opts.tau_tol,
+                                            flip_negative=even_kind)
+            if even_kind:
+                atom_set.regular = _merge_close(atom_set.regular)
+            bound = rec.f_k_prime if rec.f_k_prime is not None else rec.f_k
+            clean = sol.status is sdp.SdpStatus.OPTIMAL
+            verified = bool(atom_set.regular) and not atom_set.flagged \
+                and abs(atom_set.regular_weight - 1.0) < 1e-4
+            minimizers = []
+            reg_reports = []
+            for u, _nu in atom_set.regular:
+                if not verified:
+                    break
+                val = _verify_minimizer(prob, u, bound, opts)
+                if val is None:
+                    verified = False
+                    rec.notes = "an extracted point failed feasibility or value checks"
+                    break
+                try:
+                    rep = optcond.check_regular(prob, u,
+                                                active_tol=opts.optcond_active_tol,
+                                                fooc_tol=opts.optcond_fooc_tol)
+                except ValueError:
+                    rep = None
+                # a stalled solve only earns its atoms if they are critical points
+                if not clean and (rep is None or not rep.fooc_ok):
+                    verified = False
+                    rec.notes = ("extracted point is not a first-order critical "
+                                 "point; treating the rank condition as spurious")
+                    break
+                minimizers.append((u, val))
+                reg_reports.append(rep)
+            if not verified:
+                rec.flat_t = None
+                rec.flat_gap = None
+                continue
+
+            rec.atom_set = atom_set
+            rec.minimizers = minimizers
+            rec.minimizers_at_infinity = [v for v, _nu in atom_set.at_infinity]
+            f_min_est = best_bound if best_bound is not None else bound
+            all_pass = True
+            for rep in reg_reports:
+                if rep is None:
+                    rec.notes = "optcond check rejected an extracted point"
+                    all_pass = False
+                else:
+                    rec.optcond.append(rep)
+                    all_pass = all_pass and rep.passed
+            for v, _nu in atom_set.at_infinity:
+                checker = optcond.check_at_infinity_even if even_kind \
+                    else optcond.check_at_infinity
+                try:
+                    rec.optcond.append(checker(prob, v, f_min_est, tol=1e-4,
+                                               fooc_tol=opts.optcond_fooc_tol))
+                except ValueError as exc:
+                    rec.notes = (rec.notes + f" infinity check rejected: {exc}").strip()
+            if all_pass or not opts.verify:
+                converged = True
+                convergence_order = k
+                break
 
     if converged:
         diagnosis = f"converged at order {convergence_order} with verified minimizers"
@@ -390,36 +391,37 @@ def minimizers_at_infinity(prob: PopProblem, k: int,
     """
     opts = opts or DriverOptions()
     sph = sphere_restriction(prob)
-    rec, rel, sol = _solve_order(sph, relax.STANDARD, k, opts)
-    report = InfinityReport(k=k, status=rec.status, bound=rec.f_k_prime,
-                            cert_bound=rec.f_k, points=[], values=[],
-                            flat_t=None, flat_gap=None, optcond=[],
-                            notes=rec.notes or rec.solver_message)
-    if sol is None or not (sol.status is sdp.SdpStatus.OPTIMAL
-                           or sol.moment_converged):
+    with sdp._one_blas_thread():
+        rec, rel, sol = _solve_order(sph, relax.STANDARD, k, opts)
+        report = InfinityReport(k=k, status=rec.status, bound=rec.f_k_prime,
+                                cert_bound=rec.f_k, points=[], values=[],
+                                flat_t=None, flat_gap=None, optcond=[],
+                                notes=rec.notes or rec.solver_message)
+        if sol is None or not (sol.status is sdp.SdpStatus.OPTIMAL
+                               or sol.moment_converged):
+            return report
+        atoms = _attempt_extraction(rec, rel, sol, sph, opts)
+        report.flat_t, report.flat_gap = rec.flat_t, rec.flat_gap
+        if atoms is None:
+            report.notes = (report.notes + " no atoms extracted").strip()
+            return report
+        f_top = sph.objective
+        for atom in atoms:
+            v = atom.point / np.linalg.norm(atom.point)
+            val = f_top.eval(v)
+            if filter_zero and abs(val) > opts.infinity_value_tol:
+                continue
+            if sph.feasibility_violation(v) > opts.atom_feas_tol:
+                continue
+            report.points.append(v)
+            report.values.append(val)
+            try:
+                report.optcond.append(optcond.check_at_infinity(
+                    prob, v, report.bound or 0.0, tol=1e-4,
+                    fooc_tol=opts.optcond_fooc_tol))
+            except ValueError:
+                pass
         return report
-    atoms = _attempt_extraction(rec, rel, sol, sph, opts)
-    report.flat_t, report.flat_gap = rec.flat_t, rec.flat_gap
-    if atoms is None:
-        report.notes = (report.notes + " no atoms extracted").strip()
-        return report
-    f_top = sph.objective
-    for atom in atoms:
-        v = atom.point / np.linalg.norm(atom.point)
-        val = f_top.eval(v)
-        if filter_zero and abs(val) > opts.infinity_value_tol:
-            continue
-        if sph.feasibility_violation(v) > opts.atom_feas_tol:
-            continue
-        report.points.append(v)
-        report.values.append(val)
-        try:
-            report.optcond.append(optcond.check_at_infinity(
-                prob, v, report.bound or 0.0, tol=1e-4,
-                fooc_tol=opts.optcond_fooc_tol))
-        except ValueError:
-            pass
-    return report
 
 
 def positivity_at_infinity_probe(prob: PopProblem, k: int,
@@ -430,7 +432,8 @@ def positivity_at_infinity_probe(prob: PopProblem, k: int,
     along every feasible escape direction (hence is coercive there)."""
     opts = opts or DriverOptions()
     sph = sphere_restriction(prob)
-    rec, _rel, _sol = _solve_order(sph, relax.STANDARD, k, opts)
+    with sdp._one_blas_thread():
+        rec, _rel, _sol = _solve_order(sph, relax.STANDARD, k, opts)
     if rec.status == sdp.SdpStatus.PRIMAL_INFEASIBLE.value:
         return {"bound": None, "verdict": True,
                 "diagnosis": "no feasible directions at infinity; "

@@ -224,10 +224,6 @@ class Polynomial:
         return Polynomial(self.nvars,
                           {m: c for m, c in self.terms.items() if sum(m) == target})
 
-    def is_homogeneous(self) -> bool:
-        degs = {sum(m) for m in self.terms}
-        return len(degs) <= 1
-
     # -- calculus --------------------------------------------------------
 
     def __call__(self, point) -> float:

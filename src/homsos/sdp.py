@@ -23,13 +23,19 @@ reported in the original y coordinates with duals lifted back accordingly.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import enum
+import functools
+import logging
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+
+_log = logging.getLogger(__name__)
 
 
 class SdpStatus(enum.Enum):
@@ -125,9 +131,57 @@ class SdpSolution:
     moment_converged: bool = False
     history: list = field(default_factory=list)
 
-    @property
-    def y_star(self):
-        return self.y
+
+@functools.cache
+def _openblas_thread_controls():
+    """(get, set) thread-count functions of every OpenBLAS library loaded in
+    this process; empty where none is found (another BLAS, or no /proc)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.lower()
+                            and line.split()[-1].startswith("/")})
+    except OSError:
+        return ()
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        names = [(f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
+                 for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", "")]
+        for get_name, set_name in names:
+            get_threads = getattr(lib, get_name, None)
+            set_threads = getattr(lib, set_name, None)
+            if get_threads is not None and set_threads is not None:
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                controls.append((get_threads, set_threads))
+                break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with every loaded OpenBLAS library on one thread and
+    restore each library's thread count on exit.
+
+    The solver's BLAS calls are too small for threads to pay, and where numpy
+    and scipy each load their own OpenBLAS the idle threads of the two pools
+    compete with the working one.  The setting is process-wide while the
+    body runs; concurrent bodies in several threads each restore the counts
+    they saw on entry.
+    """
+    controls = _openblas_thread_controls()
+    saved = [get_threads() for get_threads, _ in controls]
+    try:
+        for _, set_threads in controls:
+            set_threads(1)
+        yield
+    finally:
+        for (_, set_threads), count in zip(controls, saved):
+            set_threads(count)
 
 
 def _sym(mat: np.ndarray) -> np.ndarray:
@@ -220,7 +274,8 @@ def _reduce(inst: SdpInstance, feas_tol: float):
         glin = np.asarray(pen.coeffs @ nullmap).reshape(s, s, mz).transpose(2, 0, 1)
         glin = 0.5 * (glin + glin.transpose(0, 2, 1))
         stacked = np.concatenate([g0[None], glin], axis=0).reshape(-1, s)
-        sv = scipy.linalg.svdvals(stacked)
+        # U is as large as stacked and unused: keep no reference to it
+        sv, vt = scipy.linalg.svd(stacked, full_matrices=False)[1:]
         if sv.size == 0 or sv[0] <= 1e-13:
             dropped.append(j)
             continue
@@ -228,7 +283,6 @@ def _reduce(inst: SdpInstance, feas_tol: float):
         if rank == s:
             basis = np.eye(s)
         else:
-            _, _, vt = scipy.linalg.svd(stacked, full_matrices=False)
             basis = vt[:rank].T
             g0 = _sym(basis.T @ g0 @ basis)
             glin = np.matmul(np.matmul(basis.T, glin), basis)
@@ -341,8 +395,8 @@ def _ipm(red: _Reduced, opts: SolveOptions):
                         "mom_obj": red.cy0 - dobj,
                         "rp": rp_rel, "rd": rd_rel, "gap": relgap})
         if opts.verbose:
-            print(f"  it {it:3d} mu {mu:9.2e} gap {relgap:9.2e} "
-                  f"rp {rp_rel:9.2e} rd {rd_rel:9.2e}")
+            _log.info("it %3d mu %9.2e gap %9.2e rp %9.2e rd %9.2e",
+                      it, mu, relgap, rp_rel, rd_rel)
 
         znorm = np.linalg.norm(z)
         mu_rel = mu / (1.0 + abs(pobj) + abs(dobj))
@@ -463,64 +517,82 @@ def _ipm(red: _Reduced, opts: SolveOptions):
     return status, message, xs, z, zs, it, history, mom_ok
 
 
-def solve(inst: SdpInstance, opts: SolveOptions | None = None) -> SdpSolution:
-    """Solve the instance; see the module docstring for the method."""
+def solve(inst: SdpInstance, opts: SolveOptions | None = None,
+          _reduction: list | None = None) -> SdpSolution:
+    """Solve the instance; see the module docstring for the method.
+
+    ``_reduction`` lets ``solve_with_restarts`` preprocess once for all its
+    attempts: an empty list is filled with the validated reduction of
+    ``inst``, and a filled one is used instead of validating and reducing.
+    """
     opts = opts or SolveOptions()
-    inst.validate()
-    red = _reduce(inst, opts.feas_tol)
-    if isinstance(red, SdpSolution):
-        return red
+    with _one_blas_thread():
+        if _reduction:
+            red = _reduction[0]
+        else:
+            inst.validate()
+            red = _reduce(inst, opts.feas_tol)
+            if _reduction is not None:
+                _reduction.append(red)
+        if isinstance(red, SdpSolution):
+            return red
 
-    status, message, xs, z, zs, iters, history, mom_ok = _ipm(red, opts)
+        status, message, xs, z, zs, iters, history, mom_ok = _ipm(red, opts)
 
-    y = red.y0 + red.nullmap @ z
-    pencil_values = [_sym(pen.evaluate(y)) for pen in inst.pencils]
-    pencil_duals = [np.zeros((pen.size, pen.size)) for pen in inst.pencils]
-    for blk, x in zip(red.blocks, xs):
-        pencil_duals[blk.orig] = _sym(blk.basis @ x @ blk.basis.T)
+        y = red.y0 + red.nullmap @ z
+        pencil_values = [_sym(pen.evaluate(y)) for pen in inst.pencils]
+        pencil_duals = [np.zeros((pen.size, pen.size)) for pen in inst.pencils]
+        for blk, x in zip(red.blocks, xs):
+            pencil_duals[blk.orig] = _sym(blk.basis @ x @ blk.basis.T)
 
-    grad = inst.c.copy()
-    for pen, dual in zip(inst.pencils, pencil_duals):
-        grad -= np.asarray(pen.coeffs.T @ dual.reshape(-1)).reshape(-1)
-    if inst.A.shape[0]:
-        eq_duals, *_ = np.linalg.lstsq(inst.A.T, grad, rcond=None)
-    else:
-        eq_duals = np.zeros(0)
+        grad = inst.c.copy()
+        for pen, dual in zip(inst.pencils, pencil_duals):
+            grad -= np.asarray(pen.coeffs.T @ dual.reshape(-1)).reshape(-1)
+        if inst.A.shape[0]:
+            eq_duals, *_ = np.linalg.lstsq(inst.A.T, grad, rcond=None)
+        else:
+            eq_duals = np.zeros(0)
 
-    primal_obj = float(inst.c @ y)
-    cert = history[-1]["cert_obj"] if history else primal_obj
-    return SdpSolution(
-        status=status, y=y, pencil_values=pencil_values,
-        pencil_duals=pencil_duals, eq_duals=eq_duals,
-        primal_obj=primal_obj, dual_obj=float(cert),
-        gap=float(history[-1]["gap"]) if history else 0.0,
-        primal_infeas=float(history[-1]["rd"]) if history else 0.0,
-        dual_infeas=float(history[-1]["rp"]) if history else 0.0,
-        iterations=iters, message=message,
-        moment_converged=bool(mom_ok or status is SdpStatus.OPTIMAL),
-        history=history)
+        primal_obj = float(inst.c @ y)
+        cert = history[-1]["cert_obj"] if history else primal_obj
+        return SdpSolution(
+            status=status, y=y, pencil_values=pencil_values,
+            pencil_duals=pencil_duals, eq_duals=eq_duals,
+            primal_obj=primal_obj, dual_obj=float(cert),
+            gap=float(history[-1]["gap"]) if history else 0.0,
+            primal_infeas=float(history[-1]["rd"]) if history else 0.0,
+            dual_infeas=float(history[-1]["rp"]) if history else 0.0,
+            iterations=iters, message=message,
+            moment_converged=bool(mom_ok or status is SdpStatus.OPTIMAL),
+            history=history)
 
 
 def solve_with_restarts(inst: SdpInstance, opts: SolveOptions | None = None) -> SdpSolution:
     """Retry with jittered initial scaling and a tighter step fraction on
-    numerical trouble; at most 3 attempts, deterministic for a fixed seed."""
+    numerical trouble; at most 3 attempts, deterministic for a fixed seed.
+
+    A restart changes only the starting point and the step fraction, so the
+    instance is validated and reduced once, by the first attempt."""
     opts = opts or SolveOptions()
     rng = np.random.default_rng(opts.seed)
     fracs = [opts.step_frac, 0.95, 0.9]
+    reduction = []
     best = None
-    for attempt in range(3):
-        if attempt == 0:
-            cur = opts
-        else:
-            cur = replace(opts, init_scale=opts.init_scale * 10.0 ** rng.uniform(-1.0, 1.0),
-                          step_frac=fracs[attempt])
-        sol = solve(inst, cur)
-        if attempt:
-            sol.message = (sol.message + f" (attempt {attempt + 1})").strip()
-        if best is None or _solution_rank(sol) < _solution_rank(best):
-            best = sol
-        if sol.status is not SdpStatus.NUMERICAL_TROUBLE:
-            return sol
+    with _one_blas_thread():
+        for attempt in range(3):
+            if attempt == 0:
+                cur = opts
+            else:
+                cur = replace(opts,
+                              init_scale=opts.init_scale * 10.0 ** rng.uniform(-1.0, 1.0),
+                              step_frac=fracs[attempt])
+            sol = solve(inst, cur, _reduction=reduction)
+            if attempt:
+                sol.message = (sol.message + f" (attempt {attempt + 1})").strip()
+            if best is None or _solution_rank(sol) < _solution_rank(best):
+                best = sol
+            if sol.status is not SdpStatus.NUMERICAL_TROUBLE:
+                return sol
     return best
 
 

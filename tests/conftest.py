@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from homsos.poly import Polynomial, PopProblem
-from homsos import driver
+from homsos import driver, sdp
 
 
 def _vars(n):
@@ -126,6 +126,22 @@ def hierarchy_reports():
     for name, (prob, kw) in runs.items():
         out[name] = (prob, driver.solve_pop(prob, driver.DriverOptions(**kw)))
     return out
+
+
+@pytest.fixture
+def blas_threads():
+    """Put every loaded OpenBLAS library on two threads for the test and
+    return a reader of their thread counts; skip where no OpenBLAS thread
+    control is found."""
+    controls = sdp._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS thread control found")
+    saved = [get_threads() for get_threads, _ in controls]
+    for _, set_threads in controls:
+        set_threads(2)
+    yield lambda: [get_threads() for get_threads, _ in controls]
+    for (_, set_threads), count in zip(controls, saved):
+        set_threads(count)
 
 
 def converged_record(report):

@@ -22,6 +22,18 @@ def test_min_square_bound_exact_at_order_one():
     assert rep.best_bound == pytest.approx(0.0, abs=1e-6)
 
 
+def test_driver_entry_points_restore_blas_threads(blas_threads):
+    before = blas_threads()
+    a = Polynomial.variable(1, 0)
+    prob = PopProblem(1, a**2)
+    driver.solve_pop(prob, driver.DriverOptions(k_min=1, k_max=1))
+    assert blas_threads() == before
+    driver.minimizers_at_infinity(prob, 1)
+    assert blas_threads() == before
+    driver.positivity_at_infinity_probe(prob, 1)
+    assert blas_threads() == before
+
+
 def test_default_k_min_and_rank_gap():
     prob = cubic_unbounded()
     assert driver.default_k_min(prob, relax.HOMOGENIZED) == 2

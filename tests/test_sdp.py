@@ -153,14 +153,79 @@ def test_determinism_fixed_seed():
     assert a.primal_obj == b.primal_obj
 
 
-def test_rank_deficient_equalities_rejected():
+def rank_deficient_instance():
     mats = [np.eye(2), np.diag([1.0, -1.0])]
-    inst = sdp.SdpInstance(c=np.array([1.0, 0.0]),
+    return sdp.SdpInstance(c=np.array([1.0, 0.0]),
                            A=np.array([[1.0, 1.0], [2.0, 2.0]]),
                            b=np.array([1.0, 2.0]),
                            pencils=[dense_pencil("m", mats)])
+
+
+def test_rank_deficient_equalities_rejected():
     with pytest.raises(ValueError, match="rank deficient"):
-        sdp.solve(inst)
+        sdp.solve(rank_deficient_instance())
+
+
+def test_solves_restore_blas_threads(blas_threads):
+    before = blas_threads()
+    inst = random_strictly_feasible(np.random.default_rng(2))
+    sdp.solve(inst)
+    assert blas_threads() == before
+    sdp.solve_with_restarts(inst)
+    assert blas_threads() == before
+    for solve in (sdp.solve, sdp.solve_with_restarts):
+        with pytest.raises(ValueError, match="rank deficient"):
+            solve(rank_deficient_instance())
+        assert blas_threads() == before
+
+
+def test_ipm_runs_on_one_blas_thread(blas_threads, monkeypatch):
+    seen = []
+    ipm = sdp._ipm
+
+    def probe(red, opts):
+        seen.append(blas_threads())
+        return ipm(red, opts)
+
+    monkeypatch.setattr(sdp, "_ipm", probe)
+    sdp.solve(random_strictly_feasible(np.random.default_rng(2)))
+    sdp.solve_with_restarts(random_strictly_feasible(np.random.default_rng(3)))
+    assert len(seen) == 2
+    assert all(counts == [1] * len(counts) for counts in seen)
+
+
+def test_restarts_validate_and_reduce_once(monkeypatch):
+    rel = relax.assemble(relax.HOMOGENIZED, unattained_quartic(), 2)
+    inst, _ = relax.to_sdp_instance(rel)
+    solve, reduce, validate = sdp.solve, sdp._reduce, sdp.SdpInstance.validate
+    calls = {"reduce": 0, "validate": 0}
+    attempts = []
+
+    def counted_reduce(*args):
+        calls["reduce"] += 1
+        return reduce(*args)
+
+    def counted_validate(self, *args):
+        calls["validate"] += 1
+        return validate(self, *args)
+
+    def recorded_solve(inst, opts, **kwargs):
+        sol = solve(inst, opts, **kwargs)
+        attempts.append((opts, sol))
+        return sol
+
+    monkeypatch.setattr(sdp, "_reduce", counted_reduce)
+    monkeypatch.setattr(sdp.SdpInstance, "validate", counted_validate)
+    monkeypatch.setattr(sdp, "solve", recorded_solve)
+    sdp.solve_with_restarts(inst)
+    assert len(attempts) == 3
+    assert calls == {"reduce": 1, "validate": 1}
+    # a shared reduction gives every attempt the numbers of a fresh solve
+    for opts, sol in attempts:
+        fresh = solve(inst, opts)
+        assert fresh.status is sol.status
+        assert np.array_equal(fresh.y, sol.y)
+        assert fresh.dual_obj == sol.dual_obj
 
 
 def test_asymmetric_pencil_rejected():
