@@ -7,7 +7,12 @@ Solves
                 S_j(y) psd  for each pencil  (S_j affine symmetric in y)
 
 with a Mehrotra predictor-corrector path-following method using the HKM
-scaling direction and a dense Cholesky of the Schur complement.
+scaling direction.  Each iteration factors every X and Z block once,
+X = Lx Lx^T and Z = Lz Lz^T, and those factors serve the whole iteration:
+Z^{-1} = Q Q^T with Q = Lz^{-T}, the step lengths, and the Schur complement,
+formed as the Gram matrix of the flattened Lx^T A_l Q (one SYRK per block;
+Toh, Todd & Tutuncu, SDPT3, 1999) and solved by a dense Cholesky.  The
+factors of the accepted step are those of the next iterate.
 
 Moment relaxations over varieties (for instance the sphere) are never
 strictly feasible in y-space: the equality rows force common null vectors
@@ -189,26 +194,44 @@ def _sym(mat: np.ndarray) -> np.ndarray:
 
 
 def _backtrack_pd(mats, dirs, alpha):
-    """Shrink alpha until every mat + alpha*dir admits a Cholesky factor."""
+    """Shrink alpha until every ``_sym(mat + alpha*dir)`` admits a Cholesky
+    factor.  Returns alpha with those matrices and their lower factors, or
+    None when 40 shrinks do not reach a positive definite point."""
     for _ in range(40):
+        new, factors = [], []
         try:
             for mat, d_mat in zip(mats, dirs):
-                np.linalg.cholesky(_sym(mat + alpha * d_mat))
-            return alpha
+                new.append(_sym(mat + alpha * d_mat))
+                factors.append(np.linalg.cholesky(new[-1]))
+            return alpha, new, factors
         except np.linalg.LinAlgError:
             alpha *= 0.7
     return None
 
 
-def _max_step(s_mat: np.ndarray, d_mat: np.ndarray) -> float:
-    """Largest a with s_mat + a*d_mat psd, for s_mat pd."""
-    chol = np.linalg.cholesky(s_mat)
+def _max_step(chol: np.ndarray, d_mat: np.ndarray) -> float:
+    """Largest a with L L^T + a*d_mat psd, for the lower Cholesky factor L
+    of a pd matrix."""
     tmp = scipy.linalg.solve_triangular(chol, d_mat, lower=True)
     tmp = scipy.linalg.solve_triangular(chol, tmp.T, lower=True)
     lam = scipy.linalg.eigvalsh(_sym(tmp))[0]
     if lam >= -1e-14:
         return np.inf
     return -1.0 / lam
+
+
+def _schur(astk, lxs, qs) -> np.ndarray:
+    """HKM Schur complement M[l,l'] = sum_j tr(A_l X_j A_l' Z_j^{-1}).
+
+    With X_j = Lx Lx^T and Z_j^{-1} = Q Q^T the term of block j is
+    <Lx^T A_l Q, Lx^T A_l' Q>, so M is the Gram matrix of the flattened
+    B_l = Lx^T A_l Q: one SYRK per block, symmetric by construction."""
+    mz = astk[0].shape[0]
+    schur = np.zeros((mz, mz))
+    for a_s, lx, q in zip(astk, lxs, qs):
+        b = np.matmul(np.matmul(lx.T, a_s), q).reshape(mz, -1)
+        schur += b @ b.T
+    return schur
 
 
 @dataclass
@@ -273,9 +296,16 @@ def _reduce(inst: SdpInstance, feas_tol: float):
         g0 = _sym(pen.evaluate(y0))
         glin = np.asarray(pen.coeffs @ nullmap).reshape(s, s, mz).transpose(2, 0, 1)
         glin = 0.5 * (glin + glin.transpose(0, 2, 1))
-        stacked = np.concatenate([g0[None], glin], axis=0).reshape(-1, s)
-        # U is as large as stacked and unused: keep no reference to it
-        sv, vt = scipy.linalg.svd(stacked, full_matrices=False)[1:]
+        # The tall stack [g0; glin] has the singular values and row space
+        # of its s x s QR factor R, whose SVD gives the rank and the basis
+        # without forming left singular vectors.  Fortran order lets the QR
+        # run in place; mode="raw" returns R as s x s ("r" returns all rows).
+        stacked = np.empty(((mz + 1) * s, s), order="F")
+        stacked[:s] = g0
+        stacked[s:] = glin.reshape(-1, s)
+        tri = scipy.linalg.qr(stacked, mode="raw", overwrite_a=True)[1]
+        del stacked
+        sv, vt = scipy.linalg.svd(tri)[1:]
         if sv.size == 0 or sv[0] <= 1e-13:
             dropped.append(j)
             continue
@@ -344,6 +374,14 @@ def _ipm(red: _Reduced, opts: SolveOptions):
     Internally the certificate side is ``min <C, X> s.t. <A_l, X> = b_l`` with
     A_l = -G_l, C = G0, b = -chat; the moment side is its dual (z, Z) with
     Z = G0 + sum z_l G_l.
+
+    Every block of X and Z is factored once per iterate, by the
+    ``_backtrack_pd`` call that accepts it (by Cholesky for the start).
+    The factors give Z^{-1} = Q Q^T with Q = Lz^{-T}, the Schur complement
+    M = B B^T with rows B_l = flat(Lx^T A_l Q) (``_schur``), and the
+    predictor and corrector step lengths (``_max_step``).  Each iteration
+    that takes a step adds the accepted step lengths ``ap``, ``ad`` and the
+    centering parameter ``sigma`` to its ``history`` record.
     """
     blocks = red.blocks
     mz = red.chat.size
@@ -364,6 +402,9 @@ def _ipm(red: _Reduced, opts: SolveOptions):
         xs.append(opts.init_scale * xi * np.eye(s))
         zs.append(opts.init_scale * eta * np.eye(s))
     z = np.zeros(mz)
+    # lower Cholesky factors of the current X and Z blocks
+    lxs = [np.linalg.cholesky(x) for x in xs]
+    lzs = [np.linalg.cholesky(w) for w in zs]
 
     bnorm = 1.0 + np.linalg.norm(bvec)
     cnorm = 1.0 + math.sqrt(sum(np.linalg.norm(c) ** 2 for c in cmats))
@@ -443,15 +484,11 @@ def _ipm(red: _Reduced, opts: SolveOptions):
             break
 
         try:
-            zinvs = [_sym(np.linalg.inv(z_mat)) for z_mat in zs]
-            # Schur complement M[l,l'] = sum_j tr(A_l X A_l' Zinv)
-            schur = np.zeros((mz, mz))
-            wmats = []
-            for a_s, a_f, x, zi in zip(astk, aflat, xs, zinvs):
-                w = np.matmul(x, np.matmul(a_s, zi))
-                wmats.append(w)
-                schur += a_f @ w.transpose(0, 2, 1).reshape(mz, -1).T
-            schur = _sym(schur)
+            # Z^{-1} = Q Q^T with Q = Lz^{-T}
+            qs = [scipy.linalg.solve_triangular(lz, np.eye(s), lower=True).T
+                  for lz, s in zip(lzs, sizes)]
+            zinvs = [q @ q.T for q in qs]
+            schur = _schur(astk, lxs, qs)
             chol = None
             scale = np.trace(schur) / mz if mz else 1.0
             for jit in (0.0, 1e-13, 1e-10, 1e-7):
@@ -482,8 +519,8 @@ def _ipm(red: _Reduced, opts: SolveOptions):
             # predictor
             rcs_aff = [-x for x in xs]
             dz_aff, dx_aff, dzm_aff = solve_direction(rcs_aff)
-            ap_aff = min((_max_step(x, dx) for x, dx in zip(xs, dx_aff)), default=np.inf)
-            ad_aff = min((_max_step(w, dw) for w, dw in zip(zs, dzm_aff)), default=np.inf)
+            ap_aff = min((_max_step(lx, dx) for lx, dx in zip(lxs, dx_aff)), default=np.inf)
+            ad_aff = min((_max_step(lz, dw) for lz, dw in zip(lzs, dzm_aff)), default=np.inf)
             ap_aff, ad_aff = min(1.0, ap_aff), min(1.0, ad_aff)
             mu_aff = sum(np.tensordot(x + ap_aff * dx, w + ad_aff * dw)
                          for x, dx, w, dw in zip(xs, dx_aff, zs, dzm_aff)) / sdim
@@ -493,25 +530,26 @@ def _ipm(red: _Reduced, opts: SolveOptions):
             rcs = [sigma * mu * zi - x - dx @ dw @ zi
                    for x, zi, dx, dw in zip(xs, zinvs, dx_aff, dzm_aff)]
             dz, dxm, dzm = solve_direction(rcs)
-            ap = min((_max_step(x, dx) for x, dx in zip(xs, dxm)), default=np.inf)
-            ad = min((_max_step(w, dw) for w, dw in zip(zs, dzm)), default=np.inf)
+            ap = min((_max_step(lx, dx) for lx, dx in zip(lxs, dxm)), default=np.inf)
+            ad = min((_max_step(lz, dw) for lz, dw in zip(lzs, dzm)), default=np.inf)
         except np.linalg.LinAlgError as exc:
             tostatus(SdpStatus.NUMERICAL_TROUBLE, f"factorization failed: {exc}")
             break
         ap = min(1.0, opts.step_frac * ap)
         ad = min(1.0, opts.step_frac * ad)
-        # roundoff can defeat the fraction-to-boundary step; backtrack to pd
-        ap = _backtrack_pd(xs, dxm, ap)
-        ad = _backtrack_pd(zs, dzm, ad)
-        if ap is None or ad is None:
+        # roundoff can defeat the fraction-to-boundary step; backtrack to pd.
+        # The accepted factors are the next iteration's.
+        xstep = _backtrack_pd(xs, dxm, ap)
+        zstep = _backtrack_pd(zs, dzm, ad)
+        if xstep is None or zstep is None:
             tostatus(SdpStatus.NUMERICAL_TROUBLE, "no positive definite step")
             break
+        (ap, xs, lxs), (ad, zs, lzs) = xstep, zstep
+        history[-1].update(ap=ap, ad=ad, sigma=sigma)
         if max(ap, ad) < 1e-3:
             stall += 1
         else:
             stall = 0
-        xs = [_sym(x + ap * dx) for x, dx in zip(xs, dxm)]
-        zs = [_sym(w + ad * dw) for w, dw in zip(zs, dzm)]
         z = z + ad * dz
 
     return status, message, xs, z, zs, it, history, mom_ok

@@ -4,8 +4,9 @@ import pytest
 from homsos.poly import Polynomial, PopProblem
 from homsos import driver, relax
 
-from conftest import (biquadratic_escape, cubic_unbounded, match_points,
-                      sextic_on_line, unattained_quartic)
+from conftest import (biquadratic_escape, choi_like_cubic, cubic_unbounded,
+                      match_points, product_quartic, sextic_on_line,
+                      unattained_quartic)
 
 
 def test_min_square_bound_exact_at_order_one():
@@ -313,3 +314,33 @@ def test_bad_order_range_rejected():
     with pytest.raises(ValueError, match="k_max"):
         driver.solve_pop(cubic_unbounded(),
                          driver.DriverOptions(k_min=3, k_max=2))
+
+
+@pytest.mark.parametrize("make, k", [(choi_like_cubic, 2), (product_quartic, 3),
+                                     (cubic_unbounded, 3)])
+def test_affine_objective_map_moves_bound(make, k):
+    # f -> 2 f + 3 maps every bound b to 2 b + 3 and leaves statuses alone
+    prob = make()
+    mapped = PopProblem(prob.nvars, 2.0 * prob.objective + 3.0,
+                        prob.equalities, prob.inequalities)
+    opts = driver.DriverOptions(k_min=k, k_max=k)
+    rep, rep_mapped = driver.solve_pop(prob, opts), driver.solve_pop(mapped, opts)
+    assert [r.status for r in rep_mapped.records] == [r.status for r in rep.records]
+    bound = rep.best_bound
+    assert bound is not None
+    assert rep_mapped.best_bound == pytest.approx(2.0 * bound + 3.0, rel=0.0,
+                                                  abs=1e-6 * (1.0 + abs(bound)))
+
+
+def test_variable_swap_swaps_minimizer():
+    a, b = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    # cubic_unbounded with x1 and x2 exchanged
+    swapped = PopProblem(2, b + a, (), (b**3 + a + 1, a**3 - b + 1))
+    opts = driver.DriverOptions(k_min=3, k_max=3)
+    rep, rep_swapped = driver.solve_pop(cubic_unbounded(), opts), driver.solve_pop(swapped, opts)
+    assert rep.converged and rep_swapped.converged
+    assert rep_swapped.best_bound == pytest.approx(
+        rep.best_bound, rel=0.0, abs=1e-6 * (1.0 + abs(rep.best_bound)))
+    (pt, _), = rep.records[-1].minimizers
+    (pt_swapped, _), = rep_swapped.records[-1].minimizers
+    assert np.allclose(pt_swapped, pt[::-1], atol=1e-5)

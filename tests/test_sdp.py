@@ -6,7 +6,7 @@ from homsos import sdp
 from homsos.poly import Polynomial, PopProblem
 from homsos import relax
 
-from conftest import unattained_quartic
+from conftest import cubic_unbounded, unattained_quartic
 
 
 def dense_pencil(label, mats, const=None):
@@ -350,3 +350,102 @@ def test_medium_scale_random_instance():
     stat, comp, feas = kkt_residuals(inst, sol)
     scale = 1.0 + abs(sol.primal_obj)
     assert stat < 1e-6 * scale and feas < 1e-7 * scale
+
+
+def random_pd(rng, s):
+    g = rng.standard_normal((s, s))
+    return g @ g.T + 0.5 * np.eye(s)
+
+
+def random_sym(rng, s):
+    g = rng.standard_normal((s, s))
+    return 0.5 * (g + g.T)
+
+
+def test_schur_matches_trace_definition():
+    rng = np.random.default_rng(11)
+    mz = 7
+    pencils = [dense_pencil(f"p{j}", [random_sym(rng, s) for _ in range(mz)],
+                            random_pd(rng, s)) for j, s in enumerate((5, 3))]
+    inst = sdp.SdpInstance(c=rng.standard_normal(mz), A=np.zeros((0, mz)),
+                           b=np.zeros(0), pencils=pencils)
+    red = sdp._reduce(inst, 1e-8)
+    assert red.chat.size == mz and len(red.blocks) == 2
+    astk = [-blk.glin for blk in red.blocks]
+    xs = [random_pd(rng, blk.g0.shape[0]) for blk in red.blocks]
+    zs = [random_pd(rng, blk.g0.shape[0]) for blk in red.blocks]
+    ref = np.zeros((mz, mz))
+    for a_s, x, z_mat in zip(astk, xs, zs):
+        zinv = np.linalg.inv(z_mat)
+        for l in range(mz):
+            for k in range(mz):
+                ref[l, k] += np.trace(a_s[l] @ x @ a_s[k] @ zinv)
+    lxs = [np.linalg.cholesky(x) for x in xs]
+    qs = [scipy.linalg.solve_triangular(np.linalg.cholesky(z_mat), np.eye(len(z_mat)),
+                                        lower=True).T for z_mat in zs]
+    schur = sdp._schur(astk, lxs, qs)
+    assert np.array_equal(schur, schur.T)
+    assert np.max(np.abs(schur - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_max_step_is_generalized_eigenvalue():
+    rng = np.random.default_rng(12)
+    for s in (1, 4, 9):
+        mat = random_pd(rng, s)
+        chol = np.linalg.cholesky(mat)
+        d_mat = random_sym(rng, s) - 2.0 * np.eye(s)
+        lam = scipy.linalg.eigh(d_mat, chol @ chol.T, eigvals_only=True)[0]
+        assert sdp._max_step(chol, d_mat) == pytest.approx(-1.0 / lam, rel=1e-10)
+        assert sdp._max_step(chol, random_pd(rng, s)) == np.inf
+
+
+def test_backtrack_returns_factor_of_accepted_point():
+    rng = np.random.default_rng(13)
+    mats = [random_pd(rng, 4), random_pd(rng, 2)]
+    # the first direction leaves the cone at alpha = 1/3
+    dirs = [-3.0 * mats[0], random_sym(rng, 2)]
+    alpha, new, factors = sdp._backtrack_pd(mats, dirs, 1.0)
+    assert alpha == pytest.approx(0.7 ** 4)
+    for mat, d_mat, point, chol in zip(mats, dirs, new, factors):
+        assert np.array_equal(point, sdp._sym(mat + alpha * d_mat))
+        assert np.array_equal(chol, np.tril(chol))
+        assert np.allclose(chol @ chol.T, point, rtol=0.0,
+                           atol=1e-13 * np.max(np.abs(point)))
+    assert sdp._backtrack_pd([np.eye(2)], [-np.eye(2)], 1e9) is None
+
+
+def test_history_records_step_lengths_and_centering():
+    sol = sdp.solve(random_strictly_feasible(np.random.default_rng(4)))
+    assert sol.status is sdp.SdpStatus.OPTIMAL
+    steps = [rec for rec in sol.history if "ap" in rec]
+    # every iteration but the converged last one takes a step
+    assert len(steps) == sol.iterations == len(sol.history) - 1
+    for rec in steps:
+        assert 0.0 < rec["ap"] <= 1.0
+        assert 0.0 < rec["ad"] <= 1.0
+        assert 0.0 < rec["sigma"] <= 1.0
+
+
+def test_reduce_compression_matches_tall_svd():
+    rel = relax.assemble(relax.HOMOGENIZED, cubic_unbounded(), 3)
+    inst, _ = relax.to_sdp_instance(rel)
+    red = sdp._reduce(inst, 1e-8)
+    # reference: the rank and row space of the tall stack [g0; glin] by SVD
+    y0 = np.linalg.lstsq(inst.A, inst.b, rcond=None)[0]
+    nullmap = scipy.linalg.null_space(inst.A)
+    compressed = 0
+    for blk in red.blocks:
+        pen = inst.pencils[blk.orig]
+        s = pen.size
+        g0 = sdp._sym(pen.evaluate(y0))
+        glin = np.asarray(pen.coeffs @ nullmap).reshape(s, s, -1).transpose(2, 0, 1)
+        glin = 0.5 * (glin + glin.transpose(0, 2, 1))
+        stacked = np.concatenate([g0[None], glin]).reshape(-1, s)
+        sv, vt = scipy.linalg.svd(stacked, full_matrices=False)[1:]
+        rank = int(np.sum(sv > 1e-9 * sv[0]))
+        assert blk.basis.shape == (s, rank)
+        compressed += rank < s
+        if rank < s:
+            assert np.allclose(blk.basis @ blk.basis.T, vt[:rank].T @ vt[:rank],
+                               atol=1e-10)
+    assert compressed
