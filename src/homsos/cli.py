@@ -267,7 +267,7 @@ def _build_argparser():
     return ap
 
 
-def _echo(prob, varnames, relations):
+def _echo(prob, varnames):
     cons = [c.to_string(varnames) + " == 0" for c in prob.equalities]
     cons += [c.to_string(varnames) + " >= 0" for c in prob.inequalities]
     return {"vars": list(varnames),
@@ -312,7 +312,7 @@ def run(argv, out=None, err=None) -> int:
         else:
             with open(args.problem) as fh:
                 text = fh.read()
-        prob, varnames, relations = parse_problem(text)
+        prob, varnames, _ = parse_problem(text)
     except (OSError, ProblemParseError) as exc:
         print(f"error: {exc}", file=err)
         return 2
@@ -328,30 +328,12 @@ def run(argv, out=None, err=None) -> int:
     if args.infinity:
         k = k_single or k_max or driver.default_k_min(
             driver.sphere_restriction(prob), relax.STANDARD)
-        inf_report = driver.minimizers_at_infinity(prob, k, opts)
-        rec = {"k": inf_report.k, "kind": "standard(sphere)",
-               "status": inf_report.status, "f_k": inf_report.cert_bound,
-               "f_k_prime": inf_report.bound, "flat_t": inf_report.flat_t,
-               "flat_gap": inf_report.flat_gap, "minimizers": [],
-               "minimizers_at_infinity": [
-                   {"point": [float(v) for v in p]} for p in inf_report.points],
-               "optcond": [r.to_dict() for r in inf_report.optcond],
-               "certificate_residual": None,
-               "solver_message": inf_report.notes, "notes": ""}
-        ok = inf_report.status == "optimal"
-        report = {"problem_echo": _echo(prob, varnames, relations),
-                  "records": [rec],
-                  "final": {"best_bound": inf_report.bound,
-                            "converged": ok and bool(inf_report.points),
-                            "convergence_order": inf_report.k if ok else None,
-                            "diagnosis": "minimizers-at-infinity solve"}}
-        code = 0 if ok else 3
+        result = driver.minimizers_at_infinity(prob, k, opts)
     else:
-        hierarchy = driver.solve_pop(prob, opts)
-        report = {"problem_echo": _echo(prob, varnames, relations)}
-        report.update(hierarchy.to_dict())
-        solved = any(r.status == "optimal" for r in hierarchy.records)
-        code = 0 if solved else 3
+        result = driver.solve_pop(prob, opts)
+    report = {"problem_echo": _echo(prob, varnames)}
+    report.update(result.to_dict())
+    code = 0 if any(r.status == "optimal" for r in result.records) else 3
 
     if args.pretty:
         _pretty_report(report, out)

@@ -19,6 +19,11 @@ UNATTAINED_DIAGNOSIS = (
     "optimum likely unattained (no flat truncation at any solved order); "
     "run the minimizers-at-infinity solve")
 
+VALUE_TOL = 1e-4           # |f(u) - bound| of a minimizer, relative
+INFINITY_VALUE_TOL = 1e-4  # |f_top(v)| of a minimizer at infinity
+OPTCOND_ACTIVE_TOL = 1e-4  # activity and first-order tests of optcond
+OPTCOND_FOOC_TOL = 1e-4
+
 
 @dataclass
 class DriverOptions:
@@ -26,25 +31,16 @@ class DriverOptions:
     k_min: int | None = None
     k_max: int | None = None
     gap_tol: float = 1e-8
-    feas_tol: float = 1e-8
-    max_iter: int = 200
     rank_tol: float = 1e-6
     extract_tol: float = 1e-5
     tau_tol: float = 1e-4
     atom_feas_tol: float = 1e-4
-    value_tol: float = 1e-4
-    infinity_value_tol: float = 1e-4
-    optcond_active_tol: float = 1e-4
-    optcond_fooc_tol: float = 1e-4
     verify: bool = True
     seed: int = 0
     dump_sdpa: str | None = None
-    verbose: bool = False
 
     def sdp_options(self) -> sdp.SolveOptions:
-        return sdp.SolveOptions(gap_tol=self.gap_tol, feas_tol=self.feas_tol,
-                                max_iter=self.max_iter, seed=self.seed,
-                                verbose=self.verbose)
+        return sdp.SolveOptions(gap_tol=self.gap_tol, seed=self.seed)
 
 
 @dataclass
@@ -110,13 +106,10 @@ class HierarchyReport:
 
 
 def default_k_min(prob: PopProblem, kind: relax.HierarchyKind) -> int:
-    degs = [prob.objective.degree()]
-    degs += [c.degree() for c in prob.equalities]
-    degs += [c.degree() for c in prob.inequalities]
-    k = max(math.ceil(d / 2) for d in degs)
-    if kind.name == "power_x0":
-        k = max(k, math.ceil((2 * kind.power + prob.objective.degree()) / 2))
-    return max(k, 1)
+    """Smallest order that holds every constraint and, for the lifted
+    kinds, the normalizer x0^(2 power + d)."""
+    return max(rank_gap(prob),
+               math.ceil((2 * kind.power + prob.objective.degree()) / 2))
 
 
 def rank_gap(prob: PopProblem) -> int:
@@ -150,11 +143,9 @@ def _solve_order(prob, kind, k, opts):
     rec.status = sol.status.value
     rec.solver_message = sol.message
     if sol.y is not None and np.isfinite(sol.primal_obj) \
-            and sol.primal_infeas is not None and np.isfinite(sol.primal_infeas) \
             and sol.primal_infeas <= 1e-6:
         rec.f_k_prime = float(sol.primal_obj)
-    if np.isfinite(sol.dual_obj) and sol.dual_infeas is not None \
-            and np.isfinite(sol.dual_infeas) and sol.dual_infeas <= 1e-6:
+    if np.isfinite(sol.dual_obj) and sol.dual_infeas <= 1e-6:
         rec.f_k = float(sol.dual_obj)
     return rec, rel, sol
 
@@ -180,7 +171,7 @@ def _attempt_extraction(rec, rel, sol, prob, opts):
     rec.flat_t = flat_t
     rec.flat_gap = used_gap
     # the atomic rebuild can only be as accurate as the moment solve
-    err = max(v if v is not None and np.isfinite(v) else 0.0
+    err = max(v if np.isfinite(v) else 0.0
               for v in (sol.gap, sol.primal_infeas, sol.dual_infeas))
     rebuild_tol = max(opts.extract_tol, min(1e-2, 100.0 * err))
     try:
@@ -211,7 +202,7 @@ def _verify_minimizer(prob, u, bound, opts):
     if prob.feasibility_violation(u) > opts.atom_feas_tol * tolscale:
         return None
     val = prob.objective.eval(u)
-    if abs(val - bound) > max(opts.value_tol * tolscale, 10 * opts.gap_tol):
+    if abs(val - bound) > max(VALUE_TOL * tolscale, 10 * opts.gap_tol):
         return None
     return val
 
@@ -231,8 +222,6 @@ def solve_pop(prob: PopProblem, opts: DriverOptions | None = None) -> HierarchyR
     best_bound = None
     converged = False
     convergence_order = None
-    even_kind = kind.name == "homogenized_even"
-    homog_like = kind.name in ("homogenized", "homogenized_even", "power_x0")
 
     with sdp._one_blas_thread():
         for k in range(k_lo, k_hi + 1):
@@ -251,24 +240,24 @@ def solve_pop(prob: PopProblem, opts: DriverOptions | None = None) -> HierarchyR
                 rec.certificate_residual = cert.residual
             except ValueError:
                 pass
-            if not homog_like and kind.name != "standard":
-                continue  # denominator bounds come without atoms
+            if not kind.extracts:
+                continue
 
             atoms = _attempt_extraction(rec, rel, sol, prob, opts)
             if atoms is None:
                 rec.flat_t = None
                 rec.flat_gap = None
                 continue
-            if kind.name == "standard":
+            if kind.has_x0:
+                atom_set = extract.classify(atoms, rel.normalizer_power,
+                                            tau_tol=opts.tau_tol,
+                                            flip_negative=kind.even)
+            else:
                 # no x0 coordinate: every atom is a direct minimizer candidate
                 atom_set = extract.AtomSet(
                     atoms=atoms, regular=[(a.point, a.weight) for a in atoms],
                     at_infinity=[], flagged=[], d=0)
-            else:
-                atom_set = extract.classify(atoms, rel.normalizer_power,
-                                            tau_tol=opts.tau_tol,
-                                            flip_negative=even_kind)
-            if even_kind:
+            if kind.even:
                 atom_set.regular = _merge_close(atom_set.regular)
             bound = rec.f_k_prime if rec.f_k_prime is not None else rec.f_k
             clean = sol.status is sdp.SdpStatus.OPTIMAL
@@ -286,8 +275,8 @@ def solve_pop(prob: PopProblem, opts: DriverOptions | None = None) -> HierarchyR
                     break
                 try:
                     rep = optcond.check_regular(prob, u,
-                                                active_tol=opts.optcond_active_tol,
-                                                fooc_tol=opts.optcond_fooc_tol)
+                                                active_tol=OPTCOND_ACTIVE_TOL,
+                                                fooc_tol=OPTCOND_FOOC_TOL)
                 except ValueError:
                     rep = None
                 # a stalled solve only earns its atoms if they are critical points
@@ -316,11 +305,11 @@ def solve_pop(prob: PopProblem, opts: DriverOptions | None = None) -> HierarchyR
                     rec.optcond.append(rep)
                     all_pass = all_pass and rep.passed
             for v, _nu in atom_set.at_infinity:
-                checker = optcond.check_at_infinity_even if even_kind \
+                checker = optcond.check_at_infinity_even if kind.even \
                     else optcond.check_at_infinity
                 try:
                     rec.optcond.append(checker(prob, v, f_min_est, tol=1e-4,
-                                               fooc_tol=opts.optcond_fooc_tol))
+                                               fooc_tol=OPTCOND_FOOC_TOL))
                 except ValueError as exc:
                     rec.notes = (rec.notes + f" infinity check rejected: {exc}").strip()
             if all_pass or not opts.verify:
@@ -353,75 +342,72 @@ def sphere_restriction(prob: PopProblem) -> PopProblem:
 
 
 @dataclass
-class InfinityReport:
-    k: int
-    status: str
-    bound: float | None            # moment-side optimum of the sphere problem
-    cert_bound: float | None
-    points: list                   # unit vectors, candidate minimizers at infinity
-    values: list                   # top-degree objective values at the points
-    flat_t: int | None
-    flat_gap: int | None
-    optcond: list
-    notes: str = ""
+class InfinityReport(HierarchyReport):
+    """Report of the minimizers-at-infinity solve: one record of kind
+    ``standard(sphere)`` whose ``minimizers_at_infinity`` are the unit
+    vectors found, and ``values``, the top-degree objective at each.
 
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "status": self.status,
-            "bound": None if self.bound is None else float(self.bound),
-            "cert_bound": None if self.cert_bound is None else float(self.cert_bound),
-            "points": [[float(v) for v in p] for p in self.points],
-            "values": [float(v) for v in self.values],
-            "flat_t": self.flat_t,
-            "flat_gap": self.flat_gap,
-            "optcond": [r.to_dict() for r in self.optcond],
-            "notes": self.notes,
-        }
+    Both ``bound`` and ``best_bound`` hold the moment-side value ``f_k_prime``
+    of the sphere problem, not a certified lower bound; this differs from
+    ``OrderRecord.bound`` and from the ``best_bound`` of ``solve_pop``, which
+    take the certificate-side ``f_k`` first."""
+
+    values: list = field(default_factory=list)
+
+    @property
+    def bound(self):
+        """Moment-side optimum ``f_k_prime`` of the sphere problem (not the
+        certified ``f_k`` that ``records[0].bound`` prefers)."""
+        return self.records[0].f_k_prime
+
+    @property
+    def status(self) -> str:
+        return self.records[0].status
+
+    @property
+    def points(self) -> list:
+        return self.records[0].minimizers_at_infinity
 
 
 def minimizers_at_infinity(prob: PopProblem, k: int,
-                           opts: DriverOptions | None = None,
-                           filter_zero: bool = True) -> InfinityReport:
+                           opts: DriverOptions | None = None) -> InfinityReport:
     """Solve the sphere-restricted top-degree problem and extract its atoms.
 
     When the original optimum is finite, minimizers at infinity are exactly
-    the sphere points with vanishing top-degree objective; with
-    ``filter_zero`` the extracted points are filtered accordingly.
+    the sphere points with vanishing top-degree objective, so the extracted
+    points are filtered accordingly.
     """
     opts = opts or DriverOptions()
     sph = sphere_restriction(prob)
+    values = []
     with sdp._one_blas_thread():
         rec, rel, sol = _solve_order(sph, relax.STANDARD, k, opts)
-        report = InfinityReport(k=k, status=rec.status, bound=rec.f_k_prime,
-                                cert_bound=rec.f_k, points=[], values=[],
-                                flat_t=None, flat_gap=None, optcond=[],
-                                notes=rec.notes or rec.solver_message)
-        if sol is None or not (sol.status is sdp.SdpStatus.OPTIMAL
-                               or sol.moment_converged):
-            return report
-        atoms = _attempt_extraction(rec, rel, sol, sph, opts)
-        report.flat_t, report.flat_gap = rec.flat_t, rec.flat_gap
-        if atoms is None:
-            report.notes = (report.notes + " no atoms extracted").strip()
-            return report
-        f_top = sph.objective
-        for atom in atoms:
-            v = atom.point / np.linalg.norm(atom.point)
-            val = f_top.eval(v)
-            if filter_zero and abs(val) > opts.infinity_value_tol:
-                continue
-            if sph.feasibility_violation(v) > opts.atom_feas_tol:
-                continue
-            report.points.append(v)
-            report.values.append(val)
-            try:
-                report.optcond.append(optcond.check_at_infinity(
-                    prob, v, report.bound or 0.0, tol=1e-4,
-                    fooc_tol=opts.optcond_fooc_tol))
-            except ValueError:
-                pass
-        return report
+        rec.kind = "standard(sphere)"
+        if sol is not None and (sol.status is sdp.SdpStatus.OPTIMAL
+                                or sol.moment_converged):
+            atoms = _attempt_extraction(rec, rel, sol, sph, opts)
+            if atoms is None:
+                rec.notes = (rec.notes + " no atoms extracted").strip()
+            for atom in atoms or ():
+                v = atom.point / np.linalg.norm(atom.point)
+                val = sph.objective.eval(v)
+                if abs(val) > INFINITY_VALUE_TOL:
+                    continue
+                if sph.feasibility_violation(v) > opts.atom_feas_tol:
+                    continue
+                rec.minimizers_at_infinity.append(v)
+                values.append(val)
+                try:
+                    rec.optcond.append(optcond.check_at_infinity(
+                        prob, v, rec.f_k_prime or 0.0, tol=1e-4,
+                        fooc_tol=OPTCOND_FOOC_TOL))
+                except ValueError:
+                    pass
+    ok = rec.status == sdp.SdpStatus.OPTIMAL.value
+    return InfinityReport(records=[rec], best_bound=rec.f_k_prime,
+                          converged=ok and bool(rec.minimizers_at_infinity),
+                          convergence_order=k if ok else None,
+                          diagnosis="minimizers-at-infinity solve", values=values)
 
 
 def positivity_at_infinity_probe(prob: PopProblem, k: int,
@@ -438,7 +424,7 @@ def positivity_at_infinity_probe(prob: PopProblem, k: int,
         return {"bound": None, "verdict": True,
                 "diagnosis": "no feasible directions at infinity; "
                              "positivity holds vacuously"}
-    bound = rec.f_k if rec.f_k is not None else rec.f_k_prime
+    bound = rec.bound
     if bound is None:
         return {"bound": None, "verdict": False,
                 "diagnosis": f"solver failed ({rec.status}); verdict unavailable"}

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .poly import Polynomial, PopProblem, sphere_equation
+from .poly import Polynomial, PopProblem, build_homogenized
 
 
 @dataclass
@@ -323,13 +323,10 @@ def check_at_infinity_even(prob: PopProblem, point, f_min_estimate: float,
 def homogenized_nlp(prob: PopProblem, f_min_estimate: float) -> PopProblem:
     """The sphere-lifted nonlinear program in (x0, x) whose regular
     minimizers correspond to minimizers of the original problem."""
-    n1 = prob.nvars + 1
-    d = prob.objective.degree()
-    obj = prob.objective.homogenize() - f_min_estimate * Polynomial.monomial(
-        n1, (d,) + (0,) * (n1 - 1))
-    eqs = [c.homogenize() for c in prob.equalities] + [sphere_equation(n1)]
-    ineqs = [c.homogenize() for c in prob.inequalities] + [Polynomial.variable(n1, 0)]
-    return PopProblem(n1, obj, tuple(eqs), tuple(ineqs))
+    lift = build_homogenized(prob)
+    x0_d = Polynomial.monomial(lift.nvars, (prob.objective.degree(),) + (0,) * prob.nvars)
+    return PopProblem(lift.nvars, lift.objective - f_min_estimate * x0_d,
+                      lift.equalities, lift.inequalities)
 
 
 def equivalence_probe(prob: PopProblem, point, **kwargs):

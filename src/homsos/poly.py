@@ -353,3 +353,30 @@ def sum_of_squares_norm(nvars: int) -> Polynomial:
 def sphere_equation(nvars: int) -> Polynomial:
     """||x||^2 - 1."""
     return sum_of_squares_norm(nvars) - 1.0
+
+
+def build_homogenized(prob: PopProblem, even_variant: bool = False) -> PopProblem:
+    """Lift the problem to the unit sphere in (x0, x) coordinates.
+
+    The lifted problem has nvars+1 variables with x0 first and the
+    homogenized objective and constraints.  Its equalities end with the
+    sphere equation |x~|^2 - 1; unless ``even_variant``, its inequalities
+    end with the polynomial x0.
+    """
+    if even_variant:
+        bad = []
+        if prob.objective.degree() % 2 == 1:
+            bad.append("objective")
+        bad += [f"inequality {j}" for j, c in enumerate(prob.inequalities)
+                if c.degree() % 2 == 1]
+        if bad:
+            raise ValueError(
+                "even variant requires even degrees for the objective and all "
+                "inequalities; odd: " + ", ".join(bad))
+    n1 = prob.nvars + 1
+    eqs = [c.homogenize() for c in prob.equalities]
+    eqs.append(sphere_equation(n1))
+    ineqs = [c.homogenize() for c in prob.inequalities]
+    if not even_variant:
+        ineqs.append(Polynomial.variable(n1, 0))
+    return PopProblem(n1, prob.objective.homogenize(), tuple(eqs), tuple(ineqs))

@@ -31,8 +31,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .poly import (Polynomial, PopProblem, basis_index, monomial_basis,
-                   sphere_equation, sum_of_squares_norm)
+from .poly import (Polynomial, PopProblem, basis_index, build_homogenized,
+                   monomial_basis, sum_of_squares_norm)
 from . import sdp
 
 
@@ -46,10 +46,26 @@ class InfeasibleRelaxationError(ValueError):
 
 @dataclass(frozen=True)
 class HierarchyKind:
-    """Identifier of one member family of the relaxation hierarchy."""
+    """One member family of the relaxation hierarchy.  Its capabilities are
+    read-only properties derived from ``name``: ``has_x0`` (the data lift to
+    the sphere in (x0, x), theta = x0^(2 power) f~, nu = x0^(2 power + d)),
+    ``even`` (the lift drops x0 >= 0; atoms come in antipodal pairs) and
+    ``extracts`` (flat truncations yield minimizer candidates)."""
 
     name: str
     power: int = 0  # x0 exponent parameter, used by power_x0 only
+
+    @property
+    def has_x0(self) -> bool:
+        return self.name in ("homogenized", "homogenized_even", "power_x0")
+
+    @property
+    def even(self) -> bool:
+        return self.name == "homogenized_even"
+
+    @property
+    def extracts(self) -> bool:
+        return self.name != "denominator"
 
     def __str__(self):
         if self.name == "power_x0":
@@ -66,61 +82,10 @@ STANDARD = HierarchyKind("standard")
 def power_x0(ell: int) -> HierarchyKind:
     if ell < 0:
         raise ValueError("power must be nonnegative")
-    return HierarchyKind("power_x0", ell)
+    return HierarchyKind("power_x0", power=ell)
 
 
-@dataclass(frozen=True)
-class HomogenizedProblem:
-    """Problem data lifted to the unit sphere in (x0, x) coordinates.
-
-    ``base`` lives in nvars+1 variables with x0 first.  Its equalities end
-    with the sphere equation |x~|^2 - 1; when ``includes_x0_constraint`` the
-    inequalities end with the polynomial x0.
-    """
-
-    base: PopProblem
-    objective_degree: int
-    includes_x0_constraint: bool
-
-
-def build_homogenized(prob: PopProblem, even_variant: bool = False) -> HomogenizedProblem:
-    """Homogenize all problem data and append the sphere (and x0) constraints."""
-    if even_variant:
-        bad = []
-        if prob.objective.degree() % 2 == 1:
-            bad.append("objective")
-        bad += [f"inequality {j}" for j, c in enumerate(prob.inequalities)
-                if c.degree() % 2 == 1]
-        if bad:
-            raise ValueError(
-                "even variant requires even degrees for the objective and all "
-                "inequalities; odd: " + ", ".join(bad))
-    n1 = prob.nvars + 1
-    d = prob.objective.degree()
-    eqs = [c.homogenize() for c in prob.equalities]
-    eqs.append(sphere_equation(n1))
-    ineqs = [c.homogenize() for c in prob.inequalities]
-    if not even_variant:
-        ineqs.append(Polynomial.variable(n1, 0))
-    base = PopProblem(n1, prob.objective.homogenize(), tuple(eqs), tuple(ineqs))
-    return HomogenizedProblem(base, d, not even_variant)
-
-
-@dataclass
-class Pencil:
-    """Symmetric matrix pencil y -> mat(coeffs @ y) of a localizing matrix."""
-
-    label: str
-    poly: Polynomial
-    basis: tuple  # monomials indexing rows/columns
-    size: int
-    coeffs: scipy.sparse.csr_matrix  # (size*size, tms_dim)
-
-    def evaluate(self, y: np.ndarray) -> np.ndarray:
-        return np.asarray(self.coeffs @ y).reshape(self.size, self.size)
-
-
-def localizing_pencil(p: Polynomial, k: int, label: str = "") -> Pencil:
+def localizing_pencil(p: Polynomial, k: int, label: str = "") -> sdp.SdpPencil:
     """Pencil of the localizing matrix of p at order k: entry (a, b) is the
     functional y -> sum_g p_g y_{g + a + b} over basis monomials of degree
     <= k - ceil(deg(p)/2).  p = 1 yields the moment matrix."""
@@ -141,7 +106,8 @@ def localizing_pencil(p: Polynomial, k: int, label: str = "") -> Pencil:
                 data.append(c)
     coeffs = scipy.sparse.csr_matrix(
         (data, (ri, ci)), shape=(s * s, len(idx)))
-    return Pencil(label or f"loc[{p.to_string()}]", p, rows_basis, s, coeffs)
+    return sdp.SdpPencil(label or f"loc[{p.to_string()}]", s, coeffs,
+                         basis=rows_basis)
 
 
 @dataclass
@@ -152,63 +118,48 @@ class MomentRelaxation:
     nvars: int          # variables of the tms space (n or n+1)
     order: int
     tms_dim: int
-    basis: tuple
     objective_vector: np.ndarray
-    objective_poly: Polynomial
     normalizer_vector: np.ndarray
-    normalizer_poly: Polynomial
-    normalizer_power: int | None   # x0 exponent of nu for homogenized kinds
+    normalizer_power: int | None   # x0 exponent of nu for the lifted kinds
     eq_A: np.ndarray               # rows: <p x^g, y> = 0, then <nu, y> = 1
     eq_b: np.ndarray
     eq_row_meta: list              # ("eq", i, gamma) or ("normalizer", None, None)
-    psd_pencils: list              # moment pencil first
-    source: PopProblem
-    hom: HomogenizedProblem | None = None
-
-    @property
-    def moment_pencil(self) -> Pencil:
-        return self.psd_pencils[0]
+    psd_pencils: list              # sdp.SdpPencil, moment pencil first
 
 
 def _relaxed_space(kind: HierarchyKind, prob: PopProblem, k: int):
-    """Resolve (theta, nu, equalities, inequalities, nvars, hom, nu_power)."""
+    """Resolve (theta, nu, equalities, inequalities, nvars, nu_power)."""
     d = prob.objective.degree()
-    if kind.name in ("homogenized", "homogenized_even", "power_x0"):
-        hp = build_homogenized(prob, even_variant=(kind.name == "homogenized_even"))
-        n1 = hp.base.nvars
-        theta = hp.base.objective
-        nu_pow = d
-        if kind.name == "power_x0":
-            ell = kind.power
-            theta = theta * Polynomial.monomial(n1, (2 * ell,) + (0,) * (n1 - 1))
-            nu_pow = 2 * ell + d
-        nu = Polynomial.monomial(n1, (nu_pow,) + (0,) * (n1 - 1))
-        return theta, nu, hp.base.equalities, hp.base.inequalities, n1, hp, nu_pow
+    if kind.has_x0:
+        lift = build_homogenized(prob, even_variant=kind.even)
+        x0 = Polynomial.variable(lift.nvars, 0)
+        nu_pow = 2 * kind.power + d
+        return (lift.objective * x0 ** (2 * kind.power), x0 ** nu_pow,
+                lift.equalities, lift.inequalities, lift.nvars, nu_pow)
     if kind.name == "denominator":
         m = k - math.ceil(d / 2)
         if m < 0:
             raise OrderTooSmallError(f"order {k} below ceil(deg(f)/2)")
         den = (1.0 + sum_of_squares_norm(prob.nvars)) ** m
         return (den * prob.objective, den, prob.equalities, prob.inequalities,
-                prob.nvars, None, None)
+                prob.nvars, None)
     if kind.name == "standard":
         one = Polynomial.constant(prob.nvars, 1.0)
         return (prob.objective, one, prob.equalities, prob.inequalities,
-                prob.nvars, None, None)
+                prob.nvars, None)
     raise ValueError(f"unknown hierarchy kind {kind.name!r}")
 
 
 def assemble(kind: HierarchyKind, prob: PopProblem, k: int) -> MomentRelaxation:
     """Assemble the order-k moment relaxation of the given kind."""
-    theta, nu, eqs, ineqs, nv, hom, nu_pow = _relaxed_space(kind, prob, k)
+    theta, nu, eqs, ineqs, nv, nu_pow = _relaxed_space(kind, prob, k)
     two_k = 2 * k
     for p in (theta, nu, *eqs, *ineqs):
         if p.degree() > two_k:
             raise OrderTooSmallError(
                 f"order {k} too small: degree {p.degree()} exceeds 2k = {two_k}")
-    basis = monomial_basis(nv, two_k)
     idx = basis_index(nv, two_k)
-    dim = len(basis)
+    dim = len(idx)
 
     pencils = [localizing_pencil(Polynomial.constant(nv, 1.0), k, label="moment")]
     for j, q in enumerate(ineqs):
@@ -234,11 +185,10 @@ def assemble(kind: HierarchyKind, prob: PopProblem, k: int) -> MomentRelaxation:
     eq_b[-1] = 1.0
 
     return MomentRelaxation(
-        kind=kind, nvars=nv, order=k, tms_dim=dim, basis=basis,
-        objective_vector=theta.coefficient_vector(two_k), objective_poly=theta,
-        normalizer_vector=nu_vec, normalizer_poly=nu, normalizer_power=nu_pow,
-        eq_A=eq_A, eq_b=eq_b, eq_row_meta=meta, psd_pencils=pencils,
-        source=prob, hom=hom)
+        kind=kind, nvars=nv, order=k, tms_dim=dim,
+        objective_vector=theta.coefficient_vector(two_k),
+        normalizer_vector=nu_vec, normalizer_power=nu_pow,
+        eq_A=eq_A, eq_b=eq_b, eq_row_meta=meta, psd_pencils=pencils)
 
 
 def _independent_rows(rows: np.ndarray, tol: float) -> list:
@@ -280,10 +230,8 @@ def to_sdp_instance(rel: MomentRelaxation, row_tol: float = 1e-10):
     kept_all = kept + [rel.eq_A.shape[0] - 1]
     A = scaled[kept_all]
     b = rel.eq_b[kept_all] / norms[kept_all]
-    pencils = [sdp.SdpPencil(label=p.label, size=p.size, coeffs=p.coeffs)
-               for p in rel.psd_pencils]
     inst = sdp.SdpInstance(c=rel.objective_vector.copy(), A=A, b=b,
-                           pencils=pencils)
+                           pencils=rel.psd_pencils)
     return inst, kept_all
 
 

@@ -59,6 +59,7 @@ class SdpPencil:
     size: int
     coeffs: object                 # (size*size, m) array or scipy sparse
     const: np.ndarray | None = None
+    basis: tuple = ()  # monomials indexing the rows of a localizing matrix
 
     def evaluate(self, y: np.ndarray) -> np.ndarray:
         s = self.size
@@ -116,11 +117,14 @@ class SolveOptions:
     init_scale: float = 1.0
     seed: int = 0
     norm_cap: float = 1e8
-    verbose: bool = False
 
 
 @dataclass
 class SdpSolution:
+    """Outcome of a solve in the y-form: "primal" is the moment problem in y
+    (``primal_obj = c . y``), "dual" the certificate (``dual_obj``, with
+    Gram matrices ``pencil_duals`` and multipliers ``eq_duals``)."""
+
     status: SdpStatus
     y: np.ndarray | None
     pencil_values: list | None
@@ -435,9 +439,8 @@ def _ipm(red: _Reduced, opts: SolveOptions):
         history.append({"mu": mu, "cert_obj": red.cy0 - pobj,
                         "mom_obj": red.cy0 - dobj,
                         "rp": rp_rel, "rd": rd_rel, "gap": relgap})
-        if opts.verbose:
-            _log.info("it %3d mu %9.2e gap %9.2e rp %9.2e rd %9.2e",
-                      it, mu, relgap, rp_rel, rd_rel)
+        _log.debug("it %3d mu %9.2e gap %9.2e rp %9.2e rd %9.2e",
+                   it, mu, relgap, rp_rel, rd_rel)
 
         znorm = np.linalg.norm(z)
         mu_rel = mu / (1.0 + abs(pobj) + abs(dobj))

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from homsos import cli
+from homsos import cli, driver
 from homsos.cli import ProblemParseError, format_problem, parse_problem
 from homsos.poly import Polynomial, PopProblem
 
@@ -183,6 +183,20 @@ def test_run_infinity_mode(tmp_path):
     pts = [m["point"] for m in rep["records"][0]["minimizers_at_infinity"]]
     assert len(pts) == 4
     assert abs(rep["final"]["best_bound"]) < 1e-6
+
+
+def test_infinity_record_follows_order_schema(tmp_path):
+    path = tmp_path / "p.pop"
+    path.write_text("vars: x1 x2\nminimize: x2^2 + (2*x2^2 + 2*x1*x2 + 1)^2\n")
+    _, out, _ = run_cli([str(path), "--infinity", "--order", "3"])
+    _, out_h, _ = run_cli([str(path), "--order", "3"])
+    rep, rep_h = json.loads(out), json.loads(out_h)
+    rec, = rep["records"]
+    assert set(rec) == set(driver.OrderRecord(k=3, kind="", status="", f_k=None,
+                                              f_k_prime=None).to_dict())
+    assert rec["kind"] == "standard(sphere)"
+    assert set(rep["final"]) == set(rep_h["final"])
+    assert rep["final"]["diagnosis"] == "minimizers-at-infinity solve"
 
 
 def test_kind_flag_parsing(tmp_path):

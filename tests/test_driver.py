@@ -40,6 +40,8 @@ def test_default_k_min_and_rank_gap():
     assert driver.default_k_min(prob, relax.HOMOGENIZED) == 2
     assert driver.rank_gap(prob) == 2
     assert driver.default_k_min(prob, relax.power_x0(2)) == 3
+    assert driver.default_k_min(prob, relax.power_x0(0)) == \
+        driver.default_k_min(prob, relax.HOMOGENIZED)
 
 
 def test_sphere_restriction_structure():
@@ -66,6 +68,19 @@ def test_minimizers_at_infinity_biquadratic():
     assert match_points(rep.points, [(1, 0), (-1, 0), (s, -s), (-s, s)], 1e-3)
     assert len(rep.points) == 4
     assert all(abs(v) < 1e-6 for v in rep.values)
+
+
+def test_infinity_report_round_trips_json():
+    import json
+    rep = driver.minimizers_at_infinity(biquadratic_escape(), 3)
+    blob = rep.to_dict()
+    back = json.loads(json.dumps(blob))
+    assert back == blob
+    rec, = back["records"]
+    assert rec["kind"] == "standard(sphere)"
+    assert len(rec["minimizers_at_infinity"]) == len(rep.points) == 4
+    assert back["final"]["best_bound"] == rep.bound
+    assert back["final"]["converged"] is True
 
 
 def test_minimizers_at_infinity_empty_when_coercive():

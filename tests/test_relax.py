@@ -16,11 +16,9 @@ def lift_point(point, nvars, k):
 
 
 def test_build_homogenized_cubic_example():
-    hp = relax.build_homogenized(cubic_unbounded())
-    base = hp.base
+    base = relax.build_homogenized(cubic_unbounded())
     assert base.nvars == 3
-    assert hp.objective_degree == 1
-    assert hp.includes_x0_constraint
+    assert base.objective.terms == {(0, 1, 0): 1.0, (0, 0, 1): 1.0}
     # equalities end with the sphere, inequalities end with x0
     assert base.equalities[-1].terms == {(2, 0, 0): 1.0, (0, 2, 0): 1.0,
                                          (0, 0, 2): 1.0, (0, 0, 0): -1.0}
@@ -33,17 +31,17 @@ def test_build_homogenized_cubic_example():
 
 def test_build_homogenized_unconstrained():
     a = Polynomial.variable(1, 0)
-    hp = relax.build_homogenized(PopProblem(1, a**2))
-    assert len(hp.base.equalities) == 1
-    assert [c.terms for c in hp.base.inequalities] == [{(1, 0): 1.0}]
+    lift = relax.build_homogenized(PopProblem(1, a**2))
+    assert len(lift.equalities) == 1
+    assert [c.terms for c in lift.inequalities] == [{(1, 0): 1.0}]
 
 
 def test_build_homogenized_even_variant():
     a, b = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
-    hp = relax.build_homogenized(PopProblem(2, a**4 + b**2, (), (a**2 - 1,)),
-                                 even_variant=True)
-    assert not hp.includes_x0_constraint
-    assert len(hp.base.inequalities) == 1  # no x0 appended
+    lift = relax.build_homogenized(PopProblem(2, a**4 + b**2, (), (a**2 - 1,)),
+                                   even_variant=True)
+    assert len(lift.inequalities) == 1  # no x0 appended
+    assert lift.inequalities[0].terms == {(0, 2, 0): 1.0, (2, 0, 0): -1.0}
 
 
 def test_even_variant_rejects_odd_degrees():
@@ -252,3 +250,36 @@ def test_certificate_gamma_cubic_example():
     assert cert.residual < 1e-5
     for _label, _basis, gram in cert.grams:
         assert np.linalg.eigvalsh(gram)[0] >= -1e-7
+
+
+@pytest.mark.parametrize("kind, has_x0, even, extracts", [
+    (relax.HOMOGENIZED, True, False, True),
+    (relax.HOMOGENIZED_EVEN, True, True, True),
+    (relax.power_x0(2), True, False, True),
+    (relax.DENOMINATOR, False, False, False),
+    (relax.STANDARD, False, False, True),
+])
+def test_kind_capabilities(kind, has_x0, even, extracts):
+    assert (kind.has_x0, kind.even, kind.extracts) == (has_x0, even, extracts)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_power_zero_assembles_homogenized(k):
+    prob = cubic_unbounded()
+    r0 = relax.assemble(relax.power_x0(0), prob, k)
+    rh = relax.assemble(relax.HOMOGENIZED, prob, k)
+    assert np.array_equal(r0.objective_vector, rh.objective_vector)
+    assert np.array_equal(r0.normalizer_vector, rh.normalizer_vector)
+    assert np.array_equal(r0.eq_A, rh.eq_A)
+    assert r0.normalizer_power == rh.normalizer_power == 1
+    assert len(r0.psd_pencils) == len(rh.psd_pencils)
+    for p0, ph in zip(r0.psd_pencils, rh.psd_pencils):
+        assert p0.basis == ph.basis
+        assert (p0.coeffs != ph.coeffs).nnz == 0
+
+
+def test_to_sdp_instance_passes_pencils_through():
+    rel = relax.assemble(relax.HOMOGENIZED, cubic_unbounded(), 2)
+    inst, _ = relax.to_sdp_instance(rel)
+    assert all(p is q for p, q in zip(inst.pencils, rel.psd_pencils))
+    assert len(inst.pencils) == len(rel.psd_pencils)
