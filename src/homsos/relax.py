@@ -265,7 +265,7 @@ def sos_certificate_from_dual(rel: MomentRelaxation, sol) -> SosCertificate:
         grams.append((pen.label, pen.basis, Z))
 
     gamma = 0.0
-    multipliers = {}
+    shifts = {}  # equality index -> {shift g: coefficient}
     for dual, row_id in zip(sol.eq_duals, kept):
         coef = dual / norms[row_id]  # dual of the unit-scaled row
         kind_, i, g = rel.eq_row_meta[row_id]
@@ -273,7 +273,8 @@ def sos_certificate_from_dual(rel: MomentRelaxation, sol) -> SosCertificate:
         if kind_ == "normalizer":
             gamma = coef
         else:
-            phi = multipliers.get(i, Polynomial.zero(rel.nvars))
-            multipliers[i] = phi + Polynomial.monomial(rel.nvars, g, coef)
+            terms = shifts.setdefault(i, {})
+            terms[g] = terms.get(g, 0.0) + coef
+    multipliers = {i: Polynomial(rel.nvars, terms) for i, terms in shifts.items()}
     return SosCertificate(gamma=gamma, grams=grams, multipliers=multipliers,
                           residual=float(np.max(np.abs(resid))))

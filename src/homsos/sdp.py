@@ -14,13 +14,25 @@ formed as the Gram matrix of the flattened Lx^T A_l Q (one SYRK per block;
 Toh, Todd & Tutuncu, SDPT3, 1999) and solved by a dense Cholesky.  The
 factors of the accepted step are those of the next iterate.
 
+On small blocks an iteration costs more in Python calls than in flops, so
+its per-block linear algebra calls LAPACK directly (``_solve_lower``,
+``_eigvalsh``, ``_cho_factor``, ``_cho_solve``): each makes the dtrtrs,
+dsyevr, dpotrf or dpotrs call that scipy.linalg's ``solve_triangular``,
+``eigvalsh``, ``cho_factor`` or ``cho_solve`` makes, with the same arguments,
+and so returns the same bits.  What those wrappers validated is checked once
+per array, after it was last written: a NaN or an inf raises the same
+ValueError as scipy's ``check_finite``.  Contractions with the pencil stack
+are the single ``np.dot`` that ``np.tensordot`` would make.
+
 Moment relaxations over varieties (for instance the sphere) are never
 strictly feasible in y-space: the equality rows force common null vectors
 on every pencil.  The solver therefore preprocesses the instance by
 
-  1. eliminating ``A y = b`` through an orthonormal null-space basis, and
+  1. eliminating ``A y = b`` through an orthonormal null-space basis,
   2. compressing each pencil onto the orthogonal complement of the null
-     space its matrices share on that affine subspace,
+     space its matrices share on that affine subspace, and
+  3. dropping the directions of the subspace that no pencil sees (a Gram
+     matrix eigensolve settles full coverage when it can, else an SVD),
 
 which restores strict feasibility for well-posed instances.  Solutions are
 reported in the original y coordinates with duals lifted back accordingly.
@@ -39,6 +51,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+from scipy.linalg import lapack
 
 _log = logging.getLogger(__name__)
 
@@ -213,15 +226,97 @@ def _backtrack_pd(mats, dirs, alpha):
     return None
 
 
+def _finite(a: np.ndarray) -> np.ndarray:
+    """``a``, after raising the ValueError of scipy's ``check_finite`` if it
+    holds a NaN or an inf."""
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return a
+
+
+# The helpers below make the LAPACK call their scipy.linalg counterpart makes
+# for float64 input, with the same arguments, so they return the same bits;
+# they skip the wrappers' validation, which costs more than the call itself
+# on small blocks.  Their callers check finiteness with ``_finite``.
+
+def _solve_lower(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``solve_triangular(chol, b, lower=True)`` for a nonempty lower
+    triangular ``chol``."""
+    if chol.flags.f_contiguous:
+        x, info = lapack.dtrtrs(chol, b, lower=1)
+    else:  # dtrtrs reads Fortran order: solve with the transpose instead
+        x, info = lapack.dtrtrs(chol.T, b, lower=0, trans=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    return x
+
+
+@functools.cache
+def _syevr_work(n: int) -> tuple:
+    """The (lwork, liwork) that ``eigvalsh`` passes to dsyevr at order n."""
+    query = lapack.get_lapack_funcs("syevr_lwork", dtype=np.float64)
+    return lapack._compute_lwork(query, n=n, lower=True)
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """``eigvalsh(a)`` for a nonempty symmetric ``a``: ascending eigenvalues,
+    read from the lower triangle."""
+    lwork, liwork = _syevr_work(a.shape[0])
+    w, _, _, _, info = lapack.dsyevr(a, compute_v=0, lower=1, lwork=lwork, liwork=liwork)
+    if info:
+        raise np.linalg.LinAlgError("Internal Error.")
+    return w
+
+
+def _cho_factor(a: np.ndarray) -> np.ndarray:
+    """``cho_factor(a, lower=True)[0]``: the lower factor, with ``a``'s upper
+    triangle left in place."""
+    chol, info = lapack.dpotrf(a, lower=1, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f'LAPACK reported an illegal value in {-info}-th argument '
+                         'on entry to "POTRF".')
+    return chol
+
+
+def _cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``cho_solve((chol, True), b)``."""
+    x, info = lapack.dpotrs(chol, b, lower=1)
+    if info:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    return x
+
+
 def _max_step(chol: np.ndarray, d_mat: np.ndarray) -> float:
     """Largest a with L L^T + a*d_mat psd, for the lower Cholesky factor L
-    of a pd matrix."""
-    tmp = scipy.linalg.solve_triangular(chol, d_mat, lower=True)
-    tmp = scipy.linalg.solve_triangular(chol, tmp.T, lower=True)
-    lam = scipy.linalg.eigvalsh(_sym(tmp))[0]
+    of a pd matrix.  L must be finite (``_ipm`` checks each factor once per
+    iterate); a NaN or inf in ``d_mat`` or in the scaled direction raises
+    ValueError, as scipy's checks did (a non-finite first solve leaves the
+    second one non-finite)."""
+    tmp = _solve_lower(chol, _finite(d_mat))
+    tmp = _finite(_sym(_solve_lower(chol, tmp.T)))
+    lam = _eigvalsh(tmp)[0]
     if lam >= -1e-14:
         return np.inf
     return -1.0 / lam
+
+
+def _shift_diagonal(mat: np.ndarray, shift) -> np.ndarray:
+    """``mat + shift * np.eye(len(mat))`` entry for entry, signed zeros
+    included, without forming the identity."""
+    out = mat + shift * 0.0
+    np.fill_diagonal(out, mat.diagonal() + shift)
+    return out
+
+
+def _inner(a: np.ndarray, b: np.ndarray):
+    """Frobenius product <a, b>, as the single ``np.dot`` of a row and a
+    column that ``np.tensordot(a, b)`` makes."""
+    return np.dot(a.reshape(1, -1), b.reshape(-1, 1))[0, 0]
 
 
 def _schur(astk, lxs, qs) -> np.ndarray:
@@ -338,6 +433,8 @@ def _reduce(inst: SdpInstance, feas_tol: float):
 
     # Directions of z unseen by any pencil make the problem linear there.
     flat = np.concatenate([blk.glin.reshape(mz, -1) for blk in blocks], axis=1)
+    if _gram_full_rank(flat):
+        return red
     sv = scipy.linalg.svdvals(flat) if mz else np.array([])
     rank = int(np.sum(sv > 1e-11 * max(1.0, sv[0]))) if sv.size else 0
     if rank < mz:
@@ -357,6 +454,23 @@ def _reduce(inst: SdpInstance, feas_tol: float):
         if red.chat.size == 0:
             return _finish_trivial(inst, red)
     return red
+
+
+def _gram_full_rank(flat: np.ndarray) -> bool:
+    """True when the eigenvalues of G = flat flat^T prove that the rows of
+    ``flat`` pass the singular-value rank test of ``_reduce``
+    (sigma_min > 1e-11 max(1, sigma_max)); False when they leave it open.
+
+    G and its eigenvalues are each off by at most e = 2 (k + rows) eps tr(G)
+    in the 2-norm, k being the column count, so lambda_min - e >
+    1e-20 max(1, lambda_max + e) gives sigma_min > 1e-10 max(1, sigma_max):
+    ten times the threshold, which rounding in the SVD cannot undo.  One
+    SYRK and a symmetric eigensolve cost far less than the SVD of a wide
+    ``flat``."""
+    gram = flat @ flat.T
+    lam = scipy.linalg.eigvalsh(gram)
+    err = 2 * (flat.shape[1] + flat.shape[0]) * np.finfo(float).eps * np.trace(gram)
+    return bool(lam[0] - err > 1e-20 * max(1.0, lam[-1] + err))
 
 
 def _finish_trivial(inst: SdpInstance, red: _Reduced) -> SdpSolution:
@@ -395,6 +509,7 @@ def _ipm(red: _Reduced, opts: SolveOptions):
     cmats = [blk.g0 for blk in blocks]
     sizes = [blk.g0.shape[0] for blk in blocks]
     sdim = sum(sizes)
+    eyes = [np.eye(s) for s in sizes]
 
     xs, zs = [], []
     for c_mat, a_f, s in zip(cmats, aflat, sizes):
@@ -427,11 +542,11 @@ def _ipm(red: _Reduced, opts: SolveOptions):
         rp = bvec.copy()
         for a_f, x in zip(aflat, xs):
             rp -= a_f @ x.reshape(-1)
-        rds = []
-        for a_s, c_mat, z_mat in zip(astk, cmats, zs):
-            rds.append(c_mat - np.tensordot(z, a_s, axes=1) - z_mat)
-        mu = sum(np.tensordot(x, w) for x, w in zip(xs, zs)) / sdim
-        pobj = sum(np.tensordot(c_mat, x) for c_mat, x in zip(cmats, xs))
+        zrow = z.reshape(1, mz)
+        rds = [c_mat - np.dot(zrow, a_f).reshape(c_mat.shape) - z_mat
+               for a_f, c_mat, z_mat in zip(aflat, cmats, zs)]
+        mu = sum(_inner(x, w) for x, w in zip(xs, zs)) / sdim
+        pobj = sum(_inner(c_mat, x) for c_mat, x in zip(cmats, xs))
         dobj = float(bvec @ z)
         rp_rel = np.linalg.norm(rp) / bnorm
         rd_rel = math.sqrt(sum(np.linalg.norm(r) ** 2 for r in rds)) / cnorm
@@ -487,17 +602,17 @@ def _ipm(red: _Reduced, opts: SolveOptions):
             break
 
         try:
-            # Z^{-1} = Q Q^T with Q = Lz^{-T}
-            qs = [scipy.linalg.solve_triangular(lz, np.eye(s), lower=True).T
-                  for lz, s in zip(lzs, sizes)]
+            # Z^{-1} = Q Q^T with Q = Lz^{-T}.  Each factor is checked once,
+            # at its first LAPACK call: here for Lz, before the predictor's
+            # step lengths for Lx.
+            qs = [_solve_lower(_finite(lz), eye).T for lz, eye in zip(lzs, eyes)]
             zinvs = [q @ q.T for q in qs]
             schur = _schur(astk, lxs, qs)
             chol = None
             scale = np.trace(schur) / mz if mz else 1.0
             for jit in (0.0, 1e-13, 1e-10, 1e-7):
                 try:
-                    chol = scipy.linalg.cho_factor(
-                        schur + jit * scale * np.eye(mz), lower=True)
+                    chol = _cho_factor(_finite(_shift_diagonal(schur, jit * scale)))
                     break
                 except np.linalg.LinAlgError:
                     continue
@@ -505,15 +620,17 @@ def _ipm(red: _Reduced, opts: SolveOptions):
                 tostatus(SdpStatus.NUMERICAL_TROUBLE,
                          "Schur complement not positive definite")
                 break
+            _finite(chol)  # potrf can pass a NaN pivot into the factor
 
             def solve_direction(rcs):
                 rhs = rp.copy()
                 for a_f, rc, x, rd, zi in zip(aflat, rcs, xs, rds, zinvs):
                     rhs -= a_f @ (rc - x @ rd @ zi).reshape(-1)
-                dz = scipy.linalg.cho_solve(chol, rhs)
+                dz = _cho_solve(chol, _finite(rhs))
+                dzrow = dz.reshape(1, mz)
                 dzmats, dxmats = [], []
-                for a_s, rc, rd, x, zi in zip(astk, rcs, rds, xs, zinvs):
-                    dzm = rd - np.tensordot(dz, a_s, axes=1)
+                for a_f, rc, rd, x, zi in zip(aflat, rcs, rds, xs, zinvs):
+                    dzm = rd - np.dot(dzrow, a_f).reshape(rd.shape)
                     dxm = _sym(rc - x @ dzm @ zi)
                     dzmats.append(dzm)
                     dxmats.append(dxm)
@@ -522,10 +639,12 @@ def _ipm(red: _Reduced, opts: SolveOptions):
             # predictor
             rcs_aff = [-x for x in xs]
             dz_aff, dx_aff, dzm_aff = solve_direction(rcs_aff)
+            for lx in lxs:
+                _finite(lx)
             ap_aff = min((_max_step(lx, dx) for lx, dx in zip(lxs, dx_aff)), default=np.inf)
             ad_aff = min((_max_step(lz, dw) for lz, dw in zip(lzs, dzm_aff)), default=np.inf)
             ap_aff, ad_aff = min(1.0, ap_aff), min(1.0, ad_aff)
-            mu_aff = sum(np.tensordot(x + ap_aff * dx, w + ad_aff * dw)
+            mu_aff = sum(_inner(x + ap_aff * dx, w + ad_aff * dw)
                          for x, dx, w, dw in zip(xs, dx_aff, zs, dzm_aff)) / sdim
             sigma = min(1.0, max((max(mu_aff, 0.0) / mu) ** 3, 1e-10))
 

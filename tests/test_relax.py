@@ -6,7 +6,7 @@ import pytest
 from homsos.poly import Polynomial, PopProblem, basis_index, monomial_basis
 from homsos import relax, sdp
 
-from conftest import cubic_unbounded
+from conftest import cubic_unbounded, product_quartic, sextic_on_line
 
 
 def lift_point(point, nvars, k):
@@ -225,6 +225,39 @@ def test_certificate_residual_random_instances():
         cert = relax.sos_certificate_from_dual(rel, sol)
         assert cert.residual < 1e-6
         assert cert.gamma == pytest.approx(sol.dual_obj, abs=1e-6)
+
+
+def quadratic_multipliers(rel, sol):
+    """Multipliers and residual of ``sos_certificate_from_dual`` by its
+    former loop, which added one monomial at a time to each multiplier."""
+    _, kept = relax.to_sdp_instance(rel)
+    norms = np.linalg.norm(rel.eq_A, axis=1)
+    resid = rel.objective_vector.copy()
+    for pen, gram in zip(rel.psd_pencils, sol.pencil_duals):
+        resid -= pen.coeffs.T @ gram.reshape(-1)
+    multipliers = {}
+    for dual, row_id in zip(sol.eq_duals, kept):
+        coef = dual / norms[row_id]
+        kind_, i, g = rel.eq_row_meta[row_id]
+        resid -= coef * rel.eq_A[row_id]
+        if kind_ != "normalizer":
+            phi = multipliers.get(i, Polynomial.zero(rel.nvars))
+            multipliers[i] = phi + Polynomial.monomial(rel.nvars, g, coef)
+    return multipliers, float(np.max(np.abs(resid)))
+
+
+@pytest.mark.parametrize("prob, k", [(sextic_on_line, 3), (product_quartic, 3)])
+def test_certificate_multipliers_match_former_loop(prob, k):
+    rel = relax.assemble(relax.HOMOGENIZED, prob(), k)
+    inst, _ = relax.to_sdp_instance(rel)
+    sol = sdp.solve(inst)
+    cert = relax.sos_certificate_from_dual(rel, sol)
+    multipliers, residual = quadratic_multipliers(rel, sol)
+    assert cert.residual == residual
+    assert list(cert.multipliers) == list(multipliers)
+    for i, phi in multipliers.items():
+        assert list(cert.multipliers[i].terms.items()) == list(phi.terms.items())
+    assert sum(len(phi.terms) for phi in multipliers.values()) > 10
 
 
 def test_monotone_bounds_small_example():

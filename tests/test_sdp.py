@@ -6,7 +6,8 @@ from homsos import sdp
 from homsos.poly import Polynomial, PopProblem
 from homsos import relax
 
-from conftest import cubic_unbounded, unattained_quartic
+from conftest import (chain_with_product, cubic_unbounded, product_quartic,
+                      unattained_quartic)
 
 
 def dense_pencil(label, mats, const=None):
@@ -246,6 +247,10 @@ def test_unbounded_objective_detected():
                            pencils=[dense_pencil("m", mats, np.eye(2))])
     sol = sdp.solve(inst)
     assert sol.status is sdp.SdpStatus.DUAL_INFEASIBLE
+    assert sol.message == "improving ray in the pencil null directions"
+    # the Gram test of the coverage stack leaves this case to the SVD
+    flat = np.stack([m.reshape(-1) for m in mats])
+    assert not sdp._gram_full_rank(flat) and svd_rank(flat) == 1
 
 
 def test_fixed_variable_fiber():
@@ -449,3 +454,215 @@ def test_reduce_compression_matches_tall_svd():
             assert np.allclose(blk.basis @ blk.basis.T, vt[:rank].T @ vt[:rank],
                                atol=1e-10)
     assert compressed
+
+
+# -- the LAPACK helpers of the IPM loop ---------------------------------------
+
+HELPER_SIZES = (1, 2, 7, 27, 105)
+
+
+def pd_matrices(rng, s):
+    """A random and an ill-conditioned (condition about 1e12) pd matrix,
+    each C- and F-ordered."""
+    orth = np.linalg.qr(rng.standard_normal((s, s)))[0]
+    ill = sdp._sym(orth @ np.diag(np.logspace(0.0, -12.0, s)) @ orth.T)
+    ill += 1e-13 * np.eye(s)
+    return [m for a in (random_pd(rng, s), ill) for m in (a, np.asfortranarray(a))]
+
+
+def lower_factors(rng, s):
+    """Cholesky factors of ``pd_matrices``, each C- and F-ordered."""
+    chols = [np.linalg.cholesky(a) for a in pd_matrices(rng, s)[::2]]
+    return [m for chol in chols for m in (chol, np.asfortranarray(chol))]
+
+
+def scipy_max_step(chol, d_mat):
+    """``sdp._max_step`` as it was written with scipy's checked wrappers."""
+    tmp = scipy.linalg.solve_triangular(chol, d_mat, lower=True)
+    tmp = scipy.linalg.solve_triangular(chol, tmp.T, lower=True)
+    lam = scipy.linalg.eigvalsh(sdp._sym(tmp))[0]
+    return np.inf if lam >= -1e-14 else -1.0 / lam
+
+
+def same_array(a, b):
+    return (np.array_equal(a, b) and a.shape == b.shape
+            and a.flags.f_contiguous == b.flags.f_contiguous)
+
+
+def test_lapack_helpers_match_scipy_bit_for_bit():
+    rng = np.random.default_rng(21)
+    for s in HELPER_SIZES:
+        rhs = rng.standard_normal((s, s))
+        for b in (rhs, np.asfortranarray(rhs), np.eye(s)):
+            for chol in lower_factors(rng, s):
+                assert same_array(sdp._solve_lower(chol, b),
+                                  scipy.linalg.solve_triangular(chol, b, lower=True))
+        for chol in lower_factors(rng, s):
+            for d_mat in (random_sym(rng, s), -random_pd(rng, s), random_pd(rng, s)):
+                assert sdp._max_step(chol, d_mat) == scipy_max_step(chol, d_mat)
+        for a in pd_matrices(rng, s) + [random_sym(rng, s)]:
+            assert same_array(sdp._eigvalsh(a), scipy.linalg.eigvalsh(a))
+        for a in pd_matrices(rng, s):
+            chol = sdp._cho_factor(a)
+            ref = scipy.linalg.cho_factor(a, lower=True)
+            assert same_array(chol, ref[0])
+            for b in (rng.standard_normal(s), rng.standard_normal((s, 3))):
+                assert same_array(sdp._cho_solve(chol, b), scipy.linalg.cho_solve(ref, b))
+        # the contractions that replace np.tensordot in the iteration
+        mz = 5
+        a_s = rng.standard_normal((mz, s, s))
+        z = rng.standard_normal(mz)
+        assert same_array(np.dot(z.reshape(1, mz), a_s.reshape(mz, -1)).reshape(s, s),
+                          np.tensordot(z, a_s, axes=1))
+        x, w = random_sym(rng, s), random_sym(rng, s)
+        assert sdp._inner(x, w) == np.tensordot(x, w)
+        x[0, -1] = x[-1, 0] = -0.0
+        for shift in (0.0, 1e-13 * np.trace(x), -2.5):
+            assert same_array(sdp._shift_diagonal(x, shift).view(np.int64),
+                              (x + shift * np.eye(s)).view(np.int64))
+
+
+def test_lapack_helpers_raise_like_scipy():
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        sdp._cho_factor(-np.eye(3))
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        sdp._solve_lower(np.zeros((2, 2)), np.eye(2))
+    with pytest.raises(ValueError) as ref:
+        scipy.linalg.solve_triangular(np.array([[np.nan]]), np.ones((1, 1)))
+    for bad in (np.nan, np.inf, -np.inf):
+        mat = np.eye(3)
+        mat[2, 1] = bad
+        with pytest.raises(ValueError) as exc:
+            sdp._finite(mat)
+        assert str(exc.value) == str(ref.value)
+        # a direction with a NaN or inf fails the step test as it did
+        with pytest.raises(ValueError, match=str(ref.value)):
+            scipy_max_step(np.eye(3), mat)
+        with pytest.raises(ValueError, match=str(ref.value)):
+            sdp._max_step(np.eye(3), mat)
+    # a finite direction whose scaled image overflows fails at the eigensolve
+    tiny = np.diag([1.0, 1e-200, 1.0])
+    huge = np.full((3, 3), 1e200)
+    with pytest.raises(ValueError, match=str(ref.value)):
+        scipy_max_step(tiny, huge)
+    with pytest.raises(ValueError, match=str(ref.value)):
+        sdp._max_step(tiny, huge)
+
+
+def corrupt(monkeypatch, name, spoil, call=1):
+    """Replace sdp.<name> by a wrapper that spoils the result of its
+    ``call``-th call."""
+    orig = getattr(sdp, name)
+    calls = []
+
+    def wrapper(*args):
+        out = orig(*args)
+        calls.append(None)
+        return spoil(out) if len(calls) == call else out
+
+    monkeypatch.setattr(sdp, name, wrapper)
+
+
+def nan_at_corner(mat):
+    mat = mat.copy()
+    mat[-1, 0] = np.nan
+    return mat
+
+
+def inf_factor(step):
+    alpha, new, factors = step
+    factors[0] = factors[0].copy()
+    factors[0][0, 0] = np.inf
+    return alpha, new, factors
+
+
+@pytest.mark.parametrize("name, spoil, call", [
+    ("_schur", nan_at_corner, 1),                       # Schur matrix
+    ("_cho_solve", lambda dz: np.full_like(dz, np.nan), 1),   # direction
+    ("_backtrack_pd", inf_factor, 1),                   # X factor
+    ("_backtrack_pd", inf_factor, 2),                   # Z factor
+])
+def test_nonfinite_iterates_raise_value_error(monkeypatch, name, spoil, call):
+    inst = random_strictly_feasible(np.random.default_rng(5))
+    corrupt(monkeypatch, name, spoil, call)
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        sdp.solve(inst)
+
+
+def test_iteration_calls_no_scipy_wrapper_or_tensordot(monkeypatch):
+    rel = relax.assemble(relax.HOMOGENIZED, chain_with_product(), 2)
+    inst, _ = relax.to_sdp_instance(rel)
+    opts = sdp.SolveOptions(max_iter=15)
+    reduction = []
+    ref = sdp.solve(inst, opts, _reduction=reduction)
+    red = reduction[0]
+    assert len(red.blocks) > 1
+    assert len({blk.g0.shape[0] for blk in red.blocks}) > 1
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called from the IPM loop")
+
+    for name in ("solve_triangular", "eigvalsh", "cho_factor", "cho_solve"):
+        monkeypatch.setattr(scipy.linalg, name, forbidden)
+    monkeypatch.setattr(np, "tensordot", forbidden)
+    sol = sdp.solve(inst, opts, _reduction=reduction)
+    assert sol.iterations == ref.iterations == 15
+    assert sol.status is ref.status
+    assert np.array_equal(sol.y, ref.y)
+    assert sol.history == ref.history
+
+
+# -- the coverage rank test of _reduce ----------------------------------------
+
+def svd_rank(flat):
+    """The singular-value rank test of ``_reduce``."""
+    sv = scipy.linalg.svdvals(flat)
+    return int(np.sum(sv > 1e-11 * max(1.0, sv[0])))
+
+
+def coverage_instance(delta, c):
+    """Two variables seen by orthogonal pencil directions of norms sqrt(2)
+    and delta*sqrt(2): their singular values."""
+    mats = [np.eye(2), delta * np.array([[0.0, 1.0], [1.0, 0.0]])]
+    flat = np.stack([m.reshape(-1) for m in mats])
+    inst = sdp.SdpInstance(c=np.asarray(c, float), A=np.zeros((0, 2)), b=np.zeros(0),
+                           pencils=[dense_pencil("m", mats, 3.0 * np.eye(2))])
+    return inst, flat
+
+
+def count_svdvals(monkeypatch):
+    calls = []
+    svdvals = scipy.linalg.svdvals
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return svdvals(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "svdvals", counted)
+    return calls
+
+
+def test_coverage_gram_test_decides_full_rank(monkeypatch):
+    rel = relax.assemble(relax.HOMOGENIZED, product_quartic(), 3)
+    inst, _ = relax.to_sdp_instance(rel)
+    red = sdp._reduce(inst, 1e-8)
+    mz = red.chat.size
+    flat = np.concatenate([blk.glin.reshape(mz, -1) for blk in red.blocks], axis=1)
+    assert sdp._gram_full_rank(flat) and svd_rank(flat) == mz
+    inst, flat = coverage_instance(0.5, [1.0, 1.0])
+    assert sdp._gram_full_rank(flat) and svd_rank(flat) == 2
+    calls = count_svdvals(monkeypatch)
+    assert sdp._reduce(inst, 1e-8).chat.size == 2
+    assert calls == []
+
+
+@pytest.mark.parametrize("delta, rank", [(3e-11, 2), (1e-12, 1)])
+def test_coverage_falls_back_to_svd_near_rank_deficiency(monkeypatch, delta, rank):
+    inst, flat = coverage_instance(delta, [1.0, 0.0])
+    assert not sdp._gram_full_rank(flat)
+    assert svd_rank(flat) == rank
+    calls = count_svdvals(monkeypatch)
+    red = sdp._reduce(inst, 1e-8)
+    assert calls == [(2, 4)]
+    assert red.chat.size == rank
