@@ -6,8 +6,8 @@ unbounded semialgebraic sets, with homogenization, extraction of minimizers
 from .poly import Polynomial, PopProblem, monomial_basis
 from .relax import (DENOMINATOR, HOMOGENIZED, HOMOGENIZED_EVEN, STANDARD,
                     HierarchyKind, MomentRelaxation, assemble,
-                    build_homogenized, localizing_pencil, power_x0,
-                    sos_certificate_from_dual, to_sdp_instance)
+                    build_homogenized, full_solution, localizing_pencil,
+                    power_x0, sos_certificate_from_dual, to_sdp_instance)
 from .sdp import SdpInstance, SdpSolution, SdpStatus, SolveOptions, solve, \
     solve_with_restarts
 from .extract import Atom, AtomSet, classify, extract_atoms, flat_truncation, \

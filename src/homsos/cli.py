@@ -260,7 +260,8 @@ def _build_argparser():
     fmt.add_argument("--pretty", action="store_true",
                      help="emit a human-readable summary instead of JSON")
     ap.add_argument("--dump-sdpa", metavar="PATH", default=None,
-                    help="write the assembled SDP in SDPA sparse format")
+                    help="write the solved SDP in SDPA sparse format "
+                         "(PATH.kK for each order K when several run)")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--no-verify", action="store_true",
                     help="skip optimality-condition gating of early stops")

@@ -59,6 +59,7 @@ class OrderRecord:
     certificate_residual: float | None = None
     solver_message: str = ""
     notes: str = ""
+    symmetry: dict | None = None    # relax.describe_symmetry of the solve
 
     @property
     def bound(self):
@@ -82,6 +83,7 @@ class OrderRecord:
             else float(self.certificate_residual),
             "solver_message": self.solver_message,
             "notes": self.notes,
+            "symmetry": self.symmetry,
         }
 
 
@@ -121,8 +123,11 @@ def rank_gap(prob: PopProblem) -> int:
     return max(max(math.ceil(d / 2) for d in degs), 1)
 
 
-def _solve_order(prob, kind, k, opts):
-    """Assemble and solve one order; returns (record, rel, sol)."""
+def _solve_order(prob, kind, k, opts, dump_path=None):
+    """Assemble and solve one order; returns (record, rel, sol) with
+    ``sol.y`` in the moment coordinates of ``rel``.  The solved instance,
+    in orbit coordinates when the relaxation has a symmetry group, is
+    written to ``dump_path`` in SDPA format when one is given."""
     rec = OrderRecord(k=k, kind=str(kind), status="", f_k=None, f_k_prime=None)
     try:
         rel = relax.assemble(kind, prob, k)
@@ -136,10 +141,10 @@ def _solve_order(prob, kind, k, opts):
         rec.status = sdp.SdpStatus.PRIMAL_INFEASIBLE.value
         rec.notes = str(exc)
         return rec, rel, None
-    if opts.dump_sdpa:
-        path = opts.dump_sdpa if opts.k_min == opts.k_max else f"{opts.dump_sdpa}.k{k}"
-        sdp.write_sdpa(inst, path)
-    sol = sdp.solve_with_restarts(inst, opts.sdp_options())
+    rec.symmetry = relax.describe_symmetry(rel, inst)
+    if dump_path:
+        sdp.write_sdpa(inst, dump_path)
+    sol = relax.full_solution(rel, sdp.solve_with_restarts(inst, opts.sdp_options()))
     rec.status = sol.status.value
     rec.solver_message = sol.message
     if sol.y is not None and np.isfinite(sol.primal_obj) \
@@ -147,6 +152,12 @@ def _solve_order(prob, kind, k, opts):
         rec.f_k_prime = float(sol.primal_obj)
     if np.isfinite(sol.dual_obj) and sol.dual_infeas <= 1e-6:
         rec.f_k = float(sol.dual_obj)
+        # weak duality: when a stall leaves the moment side converged, its
+        # value is the relaxation's, and a certificate value above it is no
+        # lower bound
+        if sol.status is sdp.SdpStatus.NUMERICAL_TROUBLE and sol.moment_converged \
+                and rec.f_k_prime is not None:
+            rec.f_k = min(rec.f_k, rec.f_k_prime)
     return rec, rel, sol
 
 
@@ -225,7 +236,10 @@ def solve_pop(prob: PopProblem, opts: DriverOptions | None = None) -> HierarchyR
 
     with sdp._one_blas_thread():
         for k in range(k_lo, k_hi + 1):
-            rec, rel, sol = _solve_order(prob, kind, k, opts)
+            dump = opts.dump_sdpa
+            if dump and k_hi > k_lo:
+                dump = f"{dump}.k{k}"
+            rec, rel, sol = _solve_order(prob, kind, k, opts, dump)
             records.append(rec)
             usable = sol is not None and (sol.status is sdp.SdpStatus.OPTIMAL
                                            or sol.moment_converged)
@@ -381,7 +395,7 @@ def minimizers_at_infinity(prob: PopProblem, k: int,
     sph = sphere_restriction(prob)
     values = []
     with sdp._one_blas_thread():
-        rec, rel, sol = _solve_order(sph, relax.STANDARD, k, opts)
+        rec, rel, sol = _solve_order(sph, relax.STANDARD, k, opts, opts.dump_sdpa)
         rec.kind = "standard(sphere)"
         if sol is not None and (sol.status is sdp.SdpStatus.OPTIMAL
                                 or sol.moment_converged):
@@ -419,7 +433,7 @@ def positivity_at_infinity_probe(prob: PopProblem, k: int,
     opts = opts or DriverOptions()
     sph = sphere_restriction(prob)
     with sdp._one_blas_thread():
-        rec, _rel, _sol = _solve_order(sph, relax.STANDARD, k, opts)
+        rec, _rel, _sol = _solve_order(sph, relax.STANDARD, k, opts, opts.dump_sdpa)
     if rec.status == sdp.SdpStatus.PRIMAL_INFEASIBLE.value:
         return {"bound": None, "verdict": True,
                 "diagnosis": "no feasible directions at infinity; "

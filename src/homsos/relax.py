@@ -20,12 +20,29 @@ depend on the hierarchy kind:
 Equality polynomials are encoded as scalar rows <p * x^g, y> = 0 over all
 monomials x^g with deg(p * x^g) <= 2k, which spans the same truncated ideal
 as the matrix condition L_p[y] = 0.
+
+Symmetry reduction.  ``assemble`` tests transpositions of two variables,
+single sign flips, and the flips of all variables and of all but one; it
+keeps those that fix theta and nu, the equalities as a multiset up to sign
+and the inequalities as a multiset, comparing coefficients exactly.  For
+the group G they generate, averaging a feasible y over G gives a feasible y
+of the same value, so the relaxation may be solved over the G-invariant
+moment vectors y = P z without changing its optimal value (Gatermann &
+Parrilo, JPAA 2004; Riener, Theobald, Andren & Lasserre, Math. OR 2013).
+Column o of P spans the monomials of orbit o with their signs; an orbit that
+G maps to its own negative forces its moments to 0.  ``to_sdp_instance``
+then builds the instance in z, ``full_solution`` maps its solution back to
+y, and ``sos_certificate_from_dual`` averages the solution's Gram matrices
+and multipliers over G (by orbit sums, so G is never enumerated), which
+makes the whole SOS identity hold rather than only its orbit sums.  With no
+symmetry found, every step is the unreduced one.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -125,6 +142,7 @@ class MomentRelaxation:
     eq_b: np.ndarray
     eq_row_meta: list              # ("eq", i, gamma) or ("normalizer", None, None)
     psd_pencils: list              # sdp.SdpPencil, moment pencil first
+    symmetry: "Symmetry | None" = None   # None when the group is trivial
 
 
 def _relaxed_space(kind: HierarchyKind, prob: PopProblem, k: int):
@@ -150,8 +168,11 @@ def _relaxed_space(kind: HierarchyKind, prob: PopProblem, k: int):
     raise ValueError(f"unknown hierarchy kind {kind.name!r}")
 
 
-def assemble(kind: HierarchyKind, prob: PopProblem, k: int) -> MomentRelaxation:
-    """Assemble the order-k moment relaxation of the given kind."""
+def assemble(kind: HierarchyKind, prob: PopProblem, k: int, *,
+             _symmetry: bool = True) -> MomentRelaxation:
+    """Assemble the order-k moment relaxation of the given kind, with the
+    group of signed permutations of the variables that fixes its data
+    (``_symmetry=False`` leaves the group out)."""
     theta, nu, eqs, ineqs, nv, nu_pow = _relaxed_space(kind, prob, k)
     two_k = 2 * k
     for p in (theta, nu, *eqs, *ineqs):
@@ -188,7 +209,231 @@ def assemble(kind: HierarchyKind, prob: PopProblem, k: int) -> MomentRelaxation:
         kind=kind, nvars=nv, order=k, tms_dim=dim,
         objective_vector=theta.coefficient_vector(two_k),
         normalizer_vector=nu_vec, normalizer_power=nu_pow,
-        eq_A=eq_A, eq_b=eq_b, eq_row_meta=meta, psd_pencils=pencils)
+        eq_A=eq_A, eq_b=eq_b, eq_row_meta=meta, psd_pencils=pencils,
+        symmetry=_symmetry_of(theta, nu, eqs, ineqs, nv, k, meta, pencils)
+        if _symmetry else None)
+
+
+# -- symmetry -----------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SignedPermutation:
+    """The substitution x_i -> signs[i] * x_{perm[i]} of the variables."""
+
+    perm: tuple
+    signs: tuple
+
+    def monomial(self, mono) -> tuple:
+        """(sign, image): x^mono after the substitution is sign * x^image."""
+        image = [0] * len(mono)
+        sign = 1
+        for i, e in enumerate(mono):
+            image[self.perm[i]] = e
+            if e % 2 and self.signs[i] < 0:
+                sign = -sign
+        return sign, tuple(image)
+
+    def apply(self, p: Polynomial) -> dict:
+        """Terms of p after the substitution (exact: coefficients only move
+        and change sign)."""
+        out = {}
+        for mono, c in p.terms.items():
+            sign, image = self.monomial(mono)
+            out[image] = c if sign > 0 else -c
+        return out
+
+    def describe(self, names) -> str:
+        """The moved variables and their images, e.g. ``x1->x2 x2->x1``."""
+        return " ".join(f"{names[i]}->{'-' if sg < 0 else ''}{names[j]}"
+                        for i, (j, sg) in enumerate(zip(self.perm, self.signs))
+                        if j != i or sg < 0)
+
+
+def _candidates(nv: int) -> list:
+    """Transpositions, single sign flips, and the flips of all variables and
+    of all but one (x -> -x with x0 fixed), without repeats."""
+    ident = tuple(range(nv))
+    out = []
+    for i, j in itertools.combinations(range(nv), 2):
+        perm = list(ident)
+        perm[i], perm[j] = j, i
+        out.append(SignedPermutation(tuple(perm), (1,) * nv))
+    flips = [{i} for i in range(nv)] + [set(ident)]
+    flips += [set(ident) - {i} for i in range(nv)]
+    for flip in flips:
+        if flip:
+            out.append(SignedPermutation(
+                ident, tuple(-1 if i in flip else 1 for i in ident)))
+    return list(dict.fromkeys(out))
+
+
+def _match(images, targets, signed):
+    """A bijection taking each image to an equal target (or, when
+    ``signed``, to the negative of one): [(target index, sign)], or None."""
+    free = list(range(len(targets)))
+    out = []
+    for image in images:
+        negated = {m: -c for m, c in image.items()}
+        for pos, j in enumerate(free):
+            if targets[j] == image or (signed and targets[j] == negated):
+                out.append((j, 1 if targets[j] == image else -1))
+                del free[pos]
+                break
+        else:
+            return None
+    return out
+
+
+def _orbits(n: int, maps: list) -> tuple:
+    """Orbits of {0, ..., n-1} under signed maps, each a pair (image, sign)
+    of arrays: element i goes to image[i] with sign sign[i].
+
+    Returns (root, sign): the smallest element of each element's orbit and
+    the element's sign relative to it, found by propagating the smallest
+    label along the maps and their inverses.  ``sign`` is 0 on an orbit that
+    some composition of the maps sends to its own negative."""
+    edges = list(maps)
+    for image, sg in maps:
+        inverse = np.empty_like(image)
+        inverse[image] = np.arange(n)
+        edges.append((inverse, sg[inverse]))
+    root = np.arange(n)
+    sign = np.ones(n)
+    changed = True
+    while changed:
+        changed = False
+        for image, sg in edges:
+            lower = root[image] < root
+            if lower.any():
+                root[lower] = root[image[lower]]
+                sign[lower] = sg[lower] * sign[image[lower]]
+                changed = True
+    negated = np.zeros(n, dtype=bool)
+    for image, sg in edges:
+        negated[root[sg * sign[image] != sign]] = True
+    sign[negated[root]] = 0.0
+    return root, sign
+
+
+def _orbit_average(orbits: tuple, v: np.ndarray) -> np.ndarray:
+    """The average of v over the group the orbit maps generate: by
+    orbit-stabilizer, each entry becomes the signed mean of its orbit."""
+    root, sign = orbits
+    n = root.size
+    sums = np.bincount(root, weights=sign * v, minlength=n)
+    counts = np.bincount(root, minlength=n)
+    return sign * (sums[root] / counts[root])
+
+
+@dataclass
+class Symmetry:
+    """Signed permutations of the variables that fix a relaxation's data.
+
+    The relaxation is then solved over the invariant moment vectors
+    y = P z, where column o of the sparse ``orbit_map`` P holds the signs
+    of the monomials of orbit o relative to its first monomial, so z_o is
+    the moment of that monomial.  An orbit that the group maps to its own
+    negative forces its moments to 0 and has no column.  ``gram_orbits``
+    (over the stacked entries of all pencil matrices) and ``row_orbits``
+    (over the rows of ``eq_A``) average a certificate of the reduced
+    instance over the group."""
+
+    generators: list       # SignedPermutation
+    orbit_map: object      # scipy.sparse.csr_matrix, (tms_dim, orbits)
+    gram_orbits: tuple     # (root, sign), see _orbits
+    row_orbits: tuple
+
+    def average_grams(self, grams: list) -> list:
+        flat = _orbit_average(self.gram_orbits,
+                              np.concatenate([g.reshape(-1) for g in grams]))
+        out, start = [], 0
+        for g in grams:
+            out.append(flat[start:start + g.size].reshape(g.shape))
+            start += g.size
+        return out
+
+
+def _symmetry_of(theta, nu, eqs, ineqs, nv, k, meta, pencils):
+    """The signed permutations among ``_candidates`` that fix theta, nu, the
+    equalities up to sign and the inequalities, all compared exactly, with
+    their orbits; None when no candidate does."""
+    found = []
+    for g in _candidates(nv):
+        if g.apply(theta) != theta.terms or g.apply(nu) != nu.terms:
+            continue
+        eq_image = _match([g.apply(p) for p in eqs], [p.terms for p in eqs], True)
+        ineq_image = _match([g.apply(q) for q in ineqs],
+                            [q.terms for q in ineqs], False)
+        if eq_image is not None and ineq_image is not None:
+            found.append((g, eq_image, ineq_image))
+    if not found:
+        return None
+
+    basis = monomial_basis(nv, 2 * k)
+    idx = basis_index(nv, 2 * k)
+    sizes = [pen.size for pen in pencils]
+    offsets = np.cumsum([0] + [s * s for s in sizes])
+    eq_start = {}
+    for row, (kind_, i, _g) in enumerate(meta):
+        if kind_ == "eq":
+            eq_start.setdefault(i, row)
+    mono_maps, gram_maps, row_maps = [], [], []
+    for g, eq_image, ineq_image in found:
+        sg, image = zip(*(g.monomial(m) for m in basis))
+        image = np.array([idx[m] for m in image])
+        sg = np.array(sg, dtype=float)
+        mono_maps.append((image, sg))
+        # pencil j + 1 localizes inequality j; the moment pencil is fixed
+        targets = [0] + [j + 1 for j, _ in ineq_image]
+        g_image, g_sign = [], []
+        for j, s in enumerate(sizes):
+            g_image.append(offsets[targets[j]]
+                           + np.add.outer(image[:s] * s, image[:s]).reshape(-1))
+            g_sign.append(np.outer(sg[:s], sg[:s]).reshape(-1))
+        gram_maps.append((np.concatenate(g_image), np.concatenate(g_sign)))
+        r_image, r_sign = np.arange(len(meta)), np.ones(len(meta))
+        for i, start in eq_start.items():
+            j, eps = eq_image[i]
+            stop = start + len(monomial_basis(nv, 2 * k - eqs[i].degree()))
+            r_image[start:stop] = eq_start[j] + image[:stop - start]
+            r_sign[start:stop] = eps * sg[:stop - start]
+        row_maps.append((r_image, r_sign))
+
+    root, sign = _orbits(len(basis), mono_maps)
+    cols = np.flatnonzero((root == np.arange(len(basis))) & (sign != 0))
+    live = np.flatnonzero(sign)
+    orbit_map = scipy.sparse.csr_matrix(
+        (sign[live], (live, np.searchsorted(cols, root[live]))),
+        shape=(len(basis), cols.size))
+    return Symmetry(generators=[g for g, _, _ in found], orbit_map=orbit_map,
+                    gram_orbits=_orbits(int(offsets[-1]), gram_maps),
+                    row_orbits=_orbits(len(meta), row_maps))
+
+
+def describe_symmetry(rel: MomentRelaxation, inst) -> dict | None:
+    """Report fields of the relaxation's symmetry reduction (None when the
+    group is trivial): the generators, the orbits (free moments of the
+    solved instance) against the moments, and the equality rows before and
+    after ``to_sdp_instance``."""
+    sym = rel.symmetry
+    if sym is None:
+        return None
+    first = 0 if rel.kind.has_x0 else 1
+    names = [f"x{i + first}" for i in range(rel.nvars)]
+    return {"generators": [g.describe(names) for g in sym.generators],
+            "orbits": int(sym.orbit_map.shape[1]),
+            "moments": int(rel.tms_dim),
+            "eq_rows_before": int(rel.eq_A.shape[0]),
+            "eq_rows_after": int(inst.A.shape[0])}
+
+
+def full_solution(rel: MomentRelaxation, sol):
+    """A solution of ``to_sdp_instance(rel)`` with ``y`` in the moment
+    coordinates of ``rel``: y = P z when the instance is in orbit
+    coordinates.  Duals stay those of the solved instance."""
+    if rel.symmetry is None or sol.y is None:
+        return sol
+    return replace(sol, y=rel.symmetry.orbit_map @ sol.y)
 
 
 def _independent_rows(rows: np.ndarray, tol: float) -> list:
@@ -204,19 +449,43 @@ def _independent_rows(rows: np.ndarray, tol: float) -> list:
     return sorted(piv[:rank].tolist())
 
 
+def _solved_rows(rel: MomentRelaxation) -> np.ndarray:
+    """The equality rows in the coordinates of the solved instance: ``eq_A``,
+    or ``eq_A P`` in orbit coordinates."""
+    if rel.symmetry is None:
+        return rel.eq_A
+    return np.asarray((rel.symmetry.orbit_map.T @ rel.eq_A.T).T)
+
+
 def to_sdp_instance(rel: MomentRelaxation, row_tol: float = 1e-10):
     """Preprocess the relaxation into a full-row-rank SDP instance.
 
+    With a symmetry group the instance is in orbit coordinates z (y = P z):
+    objective ``P^T c``, pencil coefficients ``coeffs P`` and equality rows
+    ``eq_A P``, of which the rows whose orbit sums cancel are dropped.
     Redundant equality rows are removed by rank-revealing QR and the kept
     rows (normalizer included) are scaled to unit norm.  Returns
-    ``(instance, kept_row_indices)``.
+    ``(instance, kept_row_indices)``, indices of rows of ``eq_A``.
     """
-    norms = np.linalg.norm(rel.eq_A, axis=1)
+    sym = rel.symmetry
+    rows = _solved_rows(rel)
+    norms = np.linalg.norm(rows, axis=1)
     if norms[-1] == 0.0:
         raise InfeasibleRelaxationError("normalizer polynomial is zero")
-    if np.any(norms == 0.0):
-        raise ValueError("zero equality row in the relaxation")
-    scaled = rel.eq_A / norms[:, None]
+    if sym is None:
+        if np.any(norms == 0.0):
+            raise ValueError("zero equality row in the relaxation")
+        ids = np.arange(rows.shape[0])
+        c, pencils = rel.objective_vector.copy(), rel.psd_pencils
+    else:
+        # an invariant y satisfies a row whose orbit sums cancel
+        full = np.linalg.norm(rel.eq_A[:-1], axis=1)
+        ids = np.append(np.flatnonzero(norms[:-1] > row_tol * full),
+                        rows.shape[0] - 1)
+        c = sym.orbit_map.T @ rel.objective_vector
+        pencils = [replace(pen, coeffs=(pen.coeffs @ sym.orbit_map).tocsr())
+                   for pen in rel.psd_pencils]
+    scaled = rows[ids] / norms[ids, None]
     data = scaled[:-1]
     kept = _independent_rows(data, row_tol)
     nu_row = scaled[-1]
@@ -227,11 +496,10 @@ def to_sdp_instance(rel: MomentRelaxation, row_tol: float = 1e-10):
             raise InfeasibleRelaxationError(
                 "normalizer lies in the span of the equality rows; "
                 "<nu, y> = 1 is inconsistent with the moment equalities")
-    kept_all = kept + [rel.eq_A.shape[0] - 1]
-    A = scaled[kept_all]
+    kept_all = [int(i) for i in ids[kept]] + [rows.shape[0] - 1]
+    A = scaled[kept + [ids.size - 1]]
     b = rel.eq_b[kept_all] / norms[kept_all]
-    inst = sdp.SdpInstance(c=rel.objective_vector.copy(), A=A, b=b,
-                           pencils=rel.psd_pencils)
+    inst = sdp.SdpInstance(c=c, A=A, b=b, pencils=pencils)
     return inst, kept_all
 
 
@@ -252,22 +520,32 @@ class SosCertificate:
 
 
 def sos_certificate_from_dual(rel: MomentRelaxation, sol) -> SosCertificate:
-    """Reconstruct the SOS-side certificate from an SDP solution's duals."""
+    """Reconstruct the SOS-side certificate from an SDP solution's duals.
+
+    A solution in orbit coordinates only makes the orbit sums of the
+    identity's residual vanish; its Gram matrices and multipliers are
+    averaged over the group first, after which the whole residual does."""
     if sol.pencil_duals is None:
         raise ValueError(f"no dual information available (status {sol.status})")
     _, kept = to_sdp_instance(rel)
-    norms = np.linalg.norm(rel.eq_A, axis=1)
+    norms = np.linalg.norm(_solved_rows(rel), axis=1)
+    lam = np.zeros(rel.eq_A.shape[0])
+    lam[kept] = sol.eq_duals / norms[kept]  # duals of the unit-scaled rows
+    pencil_duals = sol.pencil_duals
+    if rel.symmetry is not None:
+        lam = _orbit_average(rel.symmetry.row_orbits, lam)
+        pencil_duals = rel.symmetry.average_grams(pencil_duals)
 
     resid = rel.objective_vector.copy()
     grams = []
-    for pen, Z in zip(rel.psd_pencils, sol.pencil_duals):
+    for pen, Z in zip(rel.psd_pencils, pencil_duals):
         resid -= pen.coeffs.T @ Z.reshape(-1)
         grams.append((pen.label, pen.basis, Z))
 
     gamma = 0.0
     shifts = {}  # equality index -> {shift g: coefficient}
-    for dual, row_id in zip(sol.eq_duals, kept):
-        coef = dual / norms[row_id]  # dual of the unit-scaled row
+    for row_id in np.flatnonzero(lam):
+        coef = lam[row_id]
         kind_, i, g = rel.eq_row_meta[row_id]
         resid -= coef * rel.eq_A[row_id]
         if kind_ == "normalizer":

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from homsos.poly import Polynomial, PopProblem
-from homsos import driver, relax
+from homsos import driver, relax, sdp
 
 from conftest import (biquadratic_escape, choi_like_cubic, cubic_unbounded,
                       match_points, product_quartic, sextic_on_line,
@@ -21,6 +23,29 @@ def test_min_square_bound_exact_at_order_one():
     (pt, val), = rep.records[rep.convergence_order - 1].minimizers
     assert pt[0] == pytest.approx(0.0, abs=1e-4)
     assert rep.best_bound == pytest.approx(0.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("status, moment_converged, capped", [
+    (sdp.SdpStatus.NUMERICAL_TROUBLE, True, True),
+    (sdp.SdpStatus.NUMERICAL_TROUBLE, False, False),
+    (sdp.SdpStatus.ITER_LIMIT, True, False),
+    (sdp.SdpStatus.OPTIMAL, True, False)])
+def test_stalled_certificate_value_capped_by_moment_value(monkeypatch, status,
+                                                          moment_converged, capped):
+    # weak duality: a converged moment side's value caps the relaxation's
+    a = Polynomial.variable(1, 0)
+    solve = sdp.solve_with_restarts
+
+    def raised_dual(inst, opts):
+        sol = solve(inst, opts)
+        return replace(sol, status=status, moment_converged=moment_converged,
+                       dual_obj=sol.primal_obj + 1e-3)
+
+    monkeypatch.setattr(sdp, "solve_with_restarts", raised_dual)
+    rec, _, sol = driver._solve_order(PopProblem(1, a**2 - 2 * a), relax.STANDARD,
+                                      1, driver.DriverOptions())
+    assert rec.f_k_prime == sol.primal_obj
+    assert rec.f_k == (sol.primal_obj if capped else sol.dual_obj)
 
 
 def test_driver_entry_points_restore_blas_threads(blas_threads):

@@ -117,9 +117,10 @@ def test_standard_min_square_analytic():
     a = Polynomial.variable(1, 0)
     rel = relax.assemble(relax.STANDARD, PopProblem(1, a**2), 1)
     inst, kept = relax.to_sdp_instance(rel)
-    sol = sdp.solve(inst)
+    sol = relax.full_solution(rel, sdp.solve(inst))
     assert sol.status is sdp.SdpStatus.OPTIMAL
     assert sol.primal_obj == pytest.approx(0.0, abs=1e-7)
+    assert sol.y.shape == (rel.tms_dim,)
     assert sol.y[0] == pytest.approx(1.0, abs=1e-7)
 
 
@@ -248,7 +249,8 @@ def quadratic_multipliers(rel, sol):
 
 @pytest.mark.parametrize("prob, k", [(sextic_on_line, 3), (product_quartic, 3)])
 def test_certificate_multipliers_match_former_loop(prob, k):
-    rel = relax.assemble(relax.HOMOGENIZED, prob(), k)
+    # the former loop read the duals of the unreduced instance
+    rel = relax.assemble(relax.HOMOGENIZED, prob(), k, _symmetry=False)
     inst, _ = relax.to_sdp_instance(rel)
     sol = sdp.solve(inst)
     cert = relax.sos_certificate_from_dual(rel, sol)
