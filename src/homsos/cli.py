@@ -322,9 +322,8 @@ def run(argv, out=None, err=None) -> int:
     k_max = args.max_order if args.max_order is not None else k_single
     opts = driver.DriverOptions(
         kind=args.kind, gap_tol=args.tol_gap, rank_tol=args.tol_rank,
-        atom_feas_tol=args.tol_atom, tau_tol=args.tol_atom,
-        verify=not args.no_verify, seed=args.seed, dump_sdpa=args.dump_sdpa,
-        k_min=k_single, k_max=k_max)
+        atom_tol=args.tol_atom, verify=not args.no_verify, seed=args.seed,
+        dump_sdpa=args.dump_sdpa, k_min=k_single, k_max=k_max)
 
     if args.infinity:
         k = k_single or k_max or driver.default_k_min(

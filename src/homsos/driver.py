@@ -33,8 +33,7 @@ class DriverOptions:
     gap_tol: float = 1e-8
     rank_tol: float = 1e-6
     extract_tol: float = 1e-5
-    tau_tol: float = 1e-4
-    atom_feas_tol: float = 1e-4
+    atom_tol: float = 1e-4       # atom feasibility and the x0 test of classify
     verify: bool = True
     seed: int = 0
     dump_sdpa: str | None = None
@@ -152,10 +151,10 @@ def _solve_order(prob, kind, k, opts, dump_path=None):
         rec.f_k_prime = float(sol.primal_obj)
     if np.isfinite(sol.dual_obj) and sol.dual_infeas <= 1e-6:
         rec.f_k = float(sol.dual_obj)
-        # weak duality: when a stall leaves the moment side converged, its
-        # value is the relaxation's, and a certificate value above it is no
-        # lower bound
-        if sol.status is sdp.SdpStatus.NUMERICAL_TROUBLE and sol.moment_converged \
+        # weak duality: when a solve that is not optimal leaves the moment
+        # side converged, its value is the relaxation's, and a certificate
+        # value above it is no lower bound
+        if sol.status is not sdp.SdpStatus.OPTIMAL and sol.moment_converged \
                 and rec.f_k_prime is not None:
             rec.f_k = min(rec.f_k, rec.f_k_prime)
     return rec, rel, sol
@@ -210,7 +209,7 @@ def _merge_close(pairs, tol=1e-6):
 
 def _verify_minimizer(prob, u, bound, opts):
     tolscale = 1.0 + abs(bound)
-    if prob.feasibility_violation(u) > opts.atom_feas_tol * tolscale:
+    if prob.feasibility_violation(u) > opts.atom_tol * tolscale:
         return None
     val = prob.objective.eval(u)
     if abs(val - bound) > max(VALUE_TOL * tolscale, 10 * opts.gap_tol):
@@ -264,7 +263,7 @@ def solve_pop(prob: PopProblem, opts: DriverOptions | None = None) -> HierarchyR
                 continue
             if kind.has_x0:
                 atom_set = extract.classify(atoms, rel.normalizer_power,
-                                            tau_tol=opts.tau_tol,
+                                            tau_tol=opts.atom_tol,
                                             flip_negative=kind.even)
             else:
                 # no x0 coordinate: every atom is a direct minimizer candidate
@@ -407,7 +406,7 @@ def minimizers_at_infinity(prob: PopProblem, k: int,
                 val = sph.objective.eval(v)
                 if abs(val) > INFINITY_VALUE_TOL:
                     continue
-                if sph.feasibility_violation(v) > opts.atom_feas_tol:
+                if sph.feasibility_violation(v) > opts.atom_tol:
                     continue
                 rec.minimizers_at_infinity.append(v)
                 values.append(val)
@@ -428,8 +427,9 @@ def positivity_at_infinity_probe(prob: PopProblem, k: int,
                                  probe_tol: float = 1e-6,
                                  opts: DriverOptions | None = None) -> dict:
     """Lower-bound the top-degree objective part over the sphere-restricted
-    feasible directions; a positive bound certifies that the objective grows
-    along every feasible escape direction (hence is coercive there)."""
+    feasible directions; a positive certified bound ``f_k`` certifies that
+    the objective grows along every feasible escape direction (hence is
+    coercive there)."""
     opts = opts or DriverOptions()
     sph = sphere_restriction(prob)
     with sdp._one_blas_thread():
@@ -438,12 +438,11 @@ def positivity_at_infinity_probe(prob: PopProblem, k: int,
         return {"bound": None, "verdict": True,
                 "diagnosis": "no feasible directions at infinity; "
                              "positivity holds vacuously"}
-    bound = rec.bound
-    if bound is None:
+    if rec.f_k is None:
         return {"bound": None, "verdict": False,
-                "diagnosis": f"solver failed ({rec.status}); verdict unavailable"}
-    verdict = bound > probe_tol
-    return {"bound": float(bound), "verdict": bool(verdict),
+                "diagnosis": f"no certified bound ({rec.status}); verdict unavailable"}
+    verdict = rec.f_k > probe_tol
+    return {"bound": rec.f_k, "verdict": bool(verdict),
             "diagnosis": "positive at infinity" if verdict
             else "top-degree part is not strictly positive on the feasible "
                  "directions at infinity"}

@@ -21,6 +21,8 @@ import scipy.linalg
 
 from .poly import basis_index, basis_size, monomial_basis
 
+NU_TOL = 1e-5   # normalizer weight a * tau^d below which an atom is not regular
+
 
 class AtomExtractionError(RuntimeError):
     """Extraction failed (ill-conditioned basis or inconsistent moments)."""
@@ -183,11 +185,11 @@ def build_tms(atoms: list, nvars: int, k: int) -> np.ndarray:
 
 
 def classify(atoms: list, d: int, tau_tol: float = 1e-4,
-             nu_tol: float = 1e-5, flip_negative: bool = False) -> AtomSet:
+             flip_negative: bool = False) -> AtomSet:
     """Split homogenized atoms by the sign of tau = point[0].
 
     An atom counts as regular only when both tau > tau_tol and its
-    normalizer weight a * tau^d exceeds nu_tol: the weight separates true
+    normalizer weight a * tau^d exceeds NU_TOL: the weight separates true
     minimizers from near-infinity atoms whose tau is inflated by solver
     noise (regular weights sum to 1; spurious ones scale like noise^d).
 
@@ -208,7 +210,7 @@ def classify(atoms: list, d: int, tau_tol: float = 1e-4,
         nu = atom.weight * tau ** d
         if tau < -tau_tol:
             flagged.append(atom)
-        elif tau > tau_tol and nu > nu_tol:
+        elif tau > tau_tol and nu > NU_TOL:
             regular.append((point[1:] / tau, nu))
         else:
             v = point[1:]

@@ -1,16 +1,21 @@
 """Numerical verification of LICQ, strict complementarity and second-order
 sufficiency at candidate minimizers.
 
-Three locations are supported:
+One KKT test serves three locations:
 
-* ``check_regular`` — a feasible point of the original problem, via the
-  classical KKT system with least-squares multipliers.
-* ``check_at_infinity`` — a unit direction where the top-degree parts of the
-  data vanish appropriately; conditions are evaluated on the sphere-lifted
-  problem with the x0 >= 0 constraint active.
-* ``check_at_infinity_even`` — the even-degree variant, where x0 >= 0 is
-  dropped and the stacked vectors (second-part value, top-part gradient)
-  take over.
+* ``check_regular`` — a feasible point u of the original problem, with
+  least-squares multipliers.
+* ``check_at_infinity`` — a minimizer at infinity: a unit vector v where the
+  top-degree parts of the objective and equalities vanish and those of the
+  inequalities are nonnegative.  Its conditions are the regular conditions
+  of the homogenized program ``homogenized_nlp`` (min f~ - f_min x0^d on the
+  unit sphere, x0 >= 0) at the point (0, v).
+* ``check_at_infinity_even`` — the same in the even-degree variant, whose
+  homogenized program drops x0 >= 0.
+
+An at-infinity report lists the constraints of the original problem only:
+``lambda0`` is the multiplier of x0 >= 0 and ``lambda_bar`` twice that of
+the sphere.  Their rows still count in LICQ, ``licq_min_sv`` and SOSC.
 """
 
 from __future__ import annotations
@@ -22,6 +27,9 @@ import numpy as np
 import scipy.linalg
 
 from .poly import Polynomial, PopProblem, build_homogenized
+
+SCC_TOL = 1e-6    # strict complementarity; dual feasibility of inequality multipliers
+FEAS_TOL = 1e-6   # constraint violation of a regular point, relative
 
 
 @dataclass
@@ -81,10 +89,12 @@ def _null_basis(rows: np.ndarray, n: int, basis_seed=None) -> np.ndarray:
 
 
 def _licq(rows: np.ndarray):
+    """LICQ and the smallest singular value of the active gradients as a
+    map from the multipliers, which is 0 when they outnumber the variables."""
     if rows.shape[0] == 0:
         return True, np.inf
     sv = scipy.linalg.svdvals(rows)
-    min_sv = float(sv[-1])
+    min_sv = float(sv[-1]) if rows.shape[0] <= rows.shape[1] else 0.0
     return bool(min_sv > 1e-8 * max(1.0, sv[0])), min_sv
 
 
@@ -95,41 +105,25 @@ def _projected_min_eig(hess: np.ndarray, rows: np.ndarray, basis_seed=None):
     return float(scipy.linalg.eigvalsh(basis.T @ hess @ basis)[0])
 
 
-def check_regular(prob: PopProblem, point, active_tol: float | None = None,
-                  scc_tol: float = 1e-6, sosc_tol: float | None = None,
-                  feas_tol: float = 1e-6, fooc_tol: float = 1e-6,
-                  basis_seed=None) -> OptCondReport:
-    """KKT verification at a feasible point of the original problem."""
-    x = np.asarray(point, dtype=float)
-    cvals_eq = [c.eval(x) for c in prob.equalities]
-    cvals_in = [c.eval(x) for c in prob.inequalities]
-    scale = 1.0 + max((abs(v) for v in cvals_eq + cvals_in), default=0.0)
-    if active_tol is None:
-        active_tol = 1e-6 * scale
-    viol = max([abs(v) for v in cvals_eq] + [-min(0.0, v) for v in cvals_in],
-               default=0.0)
-    if viol > max(feas_tol * scale, active_tol):
-        raise ValueError(f"point is infeasible (violation {viol:.3e})")
+def _active_constraints(prob: PopProblem, cvals_in, active_tol: float) -> list:
+    """(label, polynomial) of the equalities and of the inequalities within active_tol of 0."""
+    active = [(f"eq{i}", c) for i, c in enumerate(prob.equalities)]
+    active += [(f"ineq{j}", prob.inequalities[j]) for j, v in enumerate(cvals_in)
+               if abs(v) <= active_tol]
+    return active
 
-    active = [("eq", i) for i in range(len(prob.equalities))]
-    active += [("ineq", j) for j, v in enumerate(cvals_in) if abs(v) <= active_tol]
-    labels = [f"{k}{i}" for k, i in active]
-    grads = np.array([
-        (prob.equalities[i] if k == "eq" else prob.inequalities[i]).gradient(x)
-        for k, i in active]).reshape(len(active), prob.nvars)
 
-    gf = prob.objective.gradient(x)
-    n = prob.nvars
-    if len(active) > n:
-        return OptCondReport(
-            location_kind="regular", point=x, active_set=labels, licq=False,
-            licq_min_sv=0.0, multipliers={}, fooc_ok=False,
-            fooc_residual=np.nan, scc=False, scc_margin=np.nan, sosc=False,
-            sosc_margin=np.nan,
-            notes="more active constraints than variables; multipliers undefined")
+def _kkt(prob: PopProblem, x, active: list, cvals_in, fooc_tol: float,
+         basis_seed, location_kind: str) -> OptCondReport:
+    """LICQ, first-order, strict complementarity and projected second-order
+    tests at the feasible point x, with least-squares multipliers of the
+    active constraints; ``cvals_in`` are the inequality values at x."""
+    labels = [lab for lab, _ in active]
+    grads = np.array([c.gradient(x) for _, c in active]).reshape(len(active), prob.nvars)
     licq, min_sv = _licq(grads)
 
-    if len(active):
+    gf = prob.objective.gradient(x)
+    if active:
         lam, *_ = np.linalg.lstsq(grads.T, gf, rcond=None)
         fooc_res = float(np.linalg.norm(grads.T @ lam - gf))
     else:
@@ -138,192 +132,115 @@ def check_regular(prob: PopProblem, point, active_tol: float | None = None,
     multipliers = {lab: float(v) for lab, v in zip(labels, lam)}
     for j in range(len(prob.inequalities)):
         multipliers.setdefault(f"ineq{j}", 0.0)
+    ineq_lams = [multipliers[f"ineq{j}"] for j in range(len(prob.inequalities))]
     gscale = 1.0 + float(np.linalg.norm(gf))
-    fooc_ok = fooc_res <= fooc_tol * gscale and all(
-        multipliers[f"ineq{j}"] >= -scc_tol for j in range(len(prob.inequalities)))
+    fooc_ok = fooc_res <= fooc_tol * gscale and all(m >= -SCC_TOL for m in ineq_lams)
 
-    if prob.inequalities:
-        scc_margin = min(multipliers[f"ineq{j}"] + cvals_in[j]
-                         for j in range(len(prob.inequalities)))
-    else:
-        scc_margin = np.inf
-    scc = scc_margin > scc_tol
+    scc_margin = min((m + v for m, v in zip(ineq_lams, cvals_in)), default=np.inf)
+    scc = scc_margin > SCC_TOL
 
     hess = prob.objective.hessian(x)
-    for (k, i), l_i in zip(active, lam):
-        con = prob.equalities[i] if k == "eq" else prob.inequalities[i]
+    for (_, con), l_i in zip(active, lam):
         hess = hess - l_i * con.hessian(x)
-    if sosc_tol is None:
-        sosc_tol = 1e-8 * (1.0 + float(np.linalg.norm(hess)))
     sosc_margin = _projected_min_eig(hess, grads, basis_seed)
-    sosc = sosc_margin > sosc_tol
+    sosc = sosc_margin > 1e-8 * (1.0 + float(np.linalg.norm(hess)))
 
     return OptCondReport(
-        location_kind="regular", point=x, active_set=labels, licq=licq,
+        location_kind=location_kind, point=x, active_set=labels, licq=licq,
         licq_min_sv=min_sv, multipliers=multipliers, fooc_ok=fooc_ok,
         fooc_residual=fooc_res, scc=scc, scc_margin=float(scc_margin),
         sosc=sosc, sosc_margin=float(sosc_margin))
 
 
-def _infinity_setup(prob: PopProblem, point, tol: float):
+def check_regular(prob: PopProblem, point, active_tol: float | None = None,
+                  fooc_tol: float = 1e-6, basis_seed=None) -> OptCondReport:
+    """KKT verification at a feasible point of the original problem."""
     x = np.asarray(point, dtype=float)
-    nrm = np.linalg.norm(x)
+    cvals_eq = [c.eval(x) for c in prob.equalities]
+    cvals_in = [c.eval(x) for c in prob.inequalities]
+    scale = 1.0 + max((abs(v) for v in cvals_eq + cvals_in), default=0.0)
+    if active_tol is None:
+        active_tol = FEAS_TOL * scale
+    viol = max([abs(v) for v in cvals_eq] + [-min(0.0, v) for v in cvals_in],
+               default=0.0)
+    if viol > max(FEAS_TOL * scale, active_tol):
+        raise ValueError(f"point is infeasible (violation {viol:.3e})")
+
+    active = _active_constraints(prob, cvals_in, active_tol)
+    if len(active) > prob.nvars:
+        return OptCondReport(
+            location_kind="regular", point=x, active_set=[lab for lab, _ in active],
+            licq=False, licq_min_sv=0.0, multipliers={}, fooc_ok=False,
+            fooc_residual=np.nan, scc=False, scc_margin=np.nan, sosc=False,
+            sosc_margin=np.nan,
+            notes="more active constraints than variables; multipliers undefined")
+    return _kkt(prob, x, active, cvals_in, fooc_tol, basis_seed, "regular")
+
+
+def _check_lifted(prob: PopProblem, point, f_min_estimate: float, tol: float,
+                  fooc_tol: float, basis_seed, even_variant: bool) -> OptCondReport:
+    """The KKT tests of ``homogenized_nlp`` at (0, v), reported in the
+    original problem's labels."""
+    lifted = homogenized_nlp(prob, f_min_estimate, even_variant)
+    v = np.asarray(point, dtype=float)
+    nrm = np.linalg.norm(v)
     if abs(nrm - 1.0) > 1e-6:
-        x = x / nrm
-    f_top = prob.objective.graded_part(1)
-    fval = f_top.eval(x)
+        v = v / nrm
+    x = np.concatenate(([0.0], v))
+    n_eq, n_in = len(prob.equalities), len(prob.inequalities)
+    # at x0 = 0 every homogenized polynomial is the top-degree part at v
+    fval = lifted.objective.eval(x)
     if abs(fval) > tol:
         raise ValueError(f"top-degree objective part is {fval:.3e} != 0 at the point")
-    eq_top = [c.graded_part(1) for c in prob.equalities]
-    in_top = [c.graded_part(1) for c in prob.inequalities]
-    for i, c in enumerate(eq_top):
+    for i, c in enumerate(lifted.equalities[:n_eq]):
         if abs(c.eval(x)) > tol:
             raise ValueError(f"equality {i} top part nonzero at the point")
-    for j, c in enumerate(in_top):
-        if c.eval(x) < -tol:
+    cvals_in = [c.eval(x) for c in lifted.inequalities]
+    for j, val in enumerate(cvals_in[:n_in]):
+        if val < -tol:
             raise ValueError(f"inequality {j} top part negative at the point")
-    return x, f_top, eq_top, in_top
+
+    rep = _kkt(lifted, x, _active_constraints(lifted, cvals_in, tol), cvals_in,
+               fooc_tol, basis_seed,
+               "at_infinity_even" if even_variant else "at_infinity")
+    sphere, x0 = f"eq{n_eq}", f"ineq{n_in}"
+    rep.point = v
+    rep.active_set = [lab for lab in rep.active_set if lab not in (sphere, x0)]
+    rep.lambda_bar = 2.0 * rep.multipliers.pop(sphere)
+    if not even_variant:
+        rep.lambda0 = rep.multipliers.pop(x0)
+    return rep
 
 
 def check_at_infinity(prob: PopProblem, point, f_min_estimate: float,
-                      tol: float = 1e-6, scc_tol: float = 1e-6,
-                      sosc_tol: float | None = None, fooc_tol: float = 1e-6,
+                      tol: float = 1e-6, fooc_tol: float = 1e-6,
                       basis_seed=None) -> OptCondReport:
     """Optimality conditions at a minimizer at infinity (x0 >= 0 retained).
 
     The point must be a unit vector in the zero set of the top-degree
-    objective part, feasible for the top-degree constraint parts.
-    """
-    x, f_top, eq_top, in_top = _infinity_setup(prob, point, tol)
-    n = prob.nvars
-    d = prob.objective.degree()
-
-    active = [("eq", i) for i in range(len(prob.equalities))]
-    active += [("ineq", j) for j, c in enumerate(in_top) if abs(c.eval(x)) <= tol]
-    labels = [f"{k}{i}" for k, i in active]
-    tops = {("eq", i): eq_top[i] for i in range(len(eq_top))}
-    tops.update({("ineq", j): in_top[j] for j in range(len(in_top))})
-    grads = np.array([tops[a].gradient(x) for a in active]).reshape(len(active), n)
-    licq, min_sv = _licq(grads)
-
-    gf = f_top.gradient(x)
-    cols = np.vstack([grads, x[None, :]]).T     # multipliers then lambda_bar
-    sol, *_ = np.linalg.lstsq(cols, gf, rcond=None)
-    lam = sol[:-1]
-    lam_bar = float(sol[-1])
-    fooc_res = float(np.linalg.norm(cols @ sol - gf))
-    gscale = 1.0 + float(np.linalg.norm(gf))
-    fooc_ok = fooc_res <= fooc_tol * gscale and abs(lam_bar) <= fooc_tol * gscale
-
-    f_sec = prob.objective.graded_part(2)
-    zero_pow = 1.0 if d == 1 else 0.0           # literal 0^(d-1)
-    lam0 = f_sec.eval(x) - d * f_min_estimate * zero_pow
-    multipliers = {}
-    for (kind, i), l_i in zip(active, lam):
-        con = prob.equalities[i] if kind == "eq" else prob.inequalities[i]
-        lam0 -= l_i * con.graded_part(2).eval(x)
-        multipliers[f"{kind}{i}"] = float(l_i)
-    for j in range(len(prob.inequalities)):
-        multipliers.setdefault(f"ineq{j}", 0.0)
-
-    ineq_lams = [multipliers[f"{k}{i}"] for k, i in active if k == "ineq"]
-    scc_margin = min([lam0] + ineq_lams)
-    scc = scc_margin > scc_tol
-
-    hess = f_top.hessian(x)
-    for a, l_i in zip(active, lam):
-        hess = hess - l_i * tops[a].hessian(x)
-    rows = np.vstack([grads, x[None, :]]) if len(active) else x[None, :]
-    if sosc_tol is None:
-        sosc_tol = 1e-8 * (1.0 + float(np.linalg.norm(hess)))
-    sosc_margin = _projected_min_eig(hess, rows, basis_seed)
-    sosc = sosc_margin > sosc_tol
-
-    return OptCondReport(
-        location_kind="at_infinity", point=x, active_set=labels, licq=licq,
-        licq_min_sv=min_sv, multipliers=multipliers, fooc_ok=fooc_ok,
-        fooc_residual=fooc_res, scc=scc, scc_margin=float(scc_margin),
-        sosc=sosc, sosc_margin=float(sosc_margin), lambda0=float(lam0),
-        lambda_bar=lam_bar)
+    objective part, feasible for the top-degree constraint parts."""
+    return _check_lifted(prob, point, f_min_estimate, tol, fooc_tol, basis_seed,
+                         even_variant=False)
 
 
 def check_at_infinity_even(prob: PopProblem, point, f_min_estimate: float,
-                           tol: float = 1e-6, scc_tol: float = 1e-6,
-                           sosc_tol: float | None = None, fooc_tol: float = 1e-6,
+                           tol: float = 1e-6, fooc_tol: float = 1e-6,
                            basis_seed=None) -> OptCondReport:
-    """Even-degree variant: conditions on the sphere-lifted problem without
-    the x0 >= 0 constraint, using stacked (second part, top gradient) vectors."""
-    d = prob.objective.degree()
-    odd = [c for c in (prob.objective, *prob.inequalities) if c.degree() % 2]
-    if odd:
-        raise ValueError("even-degree check requires even objective and inequalities")
-    if d < 2:
+    """Even-degree variant of ``check_at_infinity``: the homogenized program
+    drops x0 >= 0, and the report has no ``lambda0``."""
+    if prob.objective.degree() < 2:
         raise ValueError("objective degree must be at least 2")
-    x, f_top, eq_top, in_top = _infinity_setup(prob, point, tol)
-    n = prob.nvars
-
-    cons = list(prob.equalities) + list(prob.inequalities)
-    kinds = [("eq", i) for i in range(len(prob.equalities))]
-    kinds += [("ineq", j) for j in range(len(prob.inequalities))]
-    tops = eq_top + in_top
-    active = [a for a, top in zip(kinds, tops)
-              if a[0] == "eq" or abs(top.eval(x)) <= tol]
-    labels = [f"{k}{i}" for k, i in active]
-    top_by = dict(zip(kinds, tops))
-    con_by = dict(zip(kinds, cons))
-
-    stacked = np.array([
-        np.concatenate(([con_by[a].graded_part(2).eval(x)],
-                        top_by[a].gradient(x)))
-        for a in active]).reshape(len(active), n + 1)
-    licq, min_sv = _licq(stacked)
-
-    f_sec = prob.objective.graded_part(2)
-    target = np.concatenate(([f_sec.eval(x)], f_top.gradient(x)))
-    cols = np.vstack([stacked, np.concatenate(([0.0], x))[None, :]]).T
-    sol, *_ = np.linalg.lstsq(cols, target, rcond=None)
-    lam = sol[:-1]
-    lam_bar = float(sol[-1])
-    fooc_res = float(np.linalg.norm(cols @ sol - target))
-    gscale = 1.0 + float(np.linalg.norm(target))
-    fooc_ok = fooc_res <= fooc_tol * gscale and abs(lam_bar) <= fooc_tol * gscale
-
-    multipliers = {f"{k}{i}": float(v) for (k, i), v in zip(active, lam)}
-    for j in range(len(prob.inequalities)):
-        multipliers.setdefault(f"ineq{j}", 0.0)
-    ineq_lams = [multipliers[f"{k}{i}"] for k, i in active if k == "ineq"]
-    scc_margin = min(ineq_lams) if ineq_lams else np.inf
-    scc = scc_margin > scc_tol if ineq_lams else True
-
-    zero_pow = 1.0 if d == 2 else 0.0           # literal 0^(d-2)
-    h = np.zeros((n + 1, n + 1))
-    h[0, 0] = 2.0 * prob.objective.graded_part(3).eval(x) \
-        - d * (d - 1) * f_min_estimate * zero_pow
-    h[0, 1:] = h[1:, 0] = f_sec.gradient(x)
-    h[1:, 1:] = f_top.hessian(x)
-    for a, l_i in zip(active, lam):
-        hc = np.zeros((n + 1, n + 1))
-        hc[0, 0] = 2.0 * con_by[a].graded_part(3).eval(x)
-        hc[0, 1:] = hc[1:, 0] = con_by[a].graded_part(2).gradient(x)
-        hc[1:, 1:] = top_by[a].hessian(x)
-        h = h - l_i * hc
-    tangent_rows = np.vstack([stacked, np.concatenate(([0.0], x))[None, :]])
-    if sosc_tol is None:
-        sosc_tol = 1e-8 * (1.0 + float(np.linalg.norm(h)))
-    sosc_margin = _projected_min_eig(h, tangent_rows, basis_seed)
-    sosc = sosc_margin > sosc_tol
-
-    return OptCondReport(
-        location_kind="at_infinity_even", point=x, active_set=labels, licq=licq,
-        licq_min_sv=min_sv, multipliers=multipliers, fooc_ok=fooc_ok,
-        fooc_residual=fooc_res, scc=scc, scc_margin=float(scc_margin),
-        sosc=sosc, sosc_margin=float(sosc_margin), lambda_bar=lam_bar)
+    return _check_lifted(prob, point, f_min_estimate, tol, fooc_tol, basis_seed,
+                         even_variant=True)
 
 
-def homogenized_nlp(prob: PopProblem, f_min_estimate: float) -> PopProblem:
-    """The sphere-lifted nonlinear program in (x0, x) whose regular
-    minimizers correspond to minimizers of the original problem."""
-    lift = build_homogenized(prob)
+def homogenized_nlp(prob: PopProblem, f_min_estimate: float,
+                    even_variant: bool = False) -> PopProblem:
+    """The sphere-lifted nonlinear program in (x0, x): min f~ - f_min x0^d
+    on the unit sphere, with x0 >= 0 unless ``even_variant``.  Its
+    minimizers with x0 > 0 correspond to minimizers of the original problem,
+    those with x0 = 0 to minimizers at infinity."""
+    lift = build_homogenized(prob, even_variant)
     x0_d = Polynomial.monomial(lift.nvars, (prob.objective.degree(),) + (0,) * prob.nvars)
     return PopProblem(lift.nvars, lift.objective - f_min_estimate * x0_d,
                       lift.equalities, lift.inequalities)

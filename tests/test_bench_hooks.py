@@ -8,7 +8,10 @@ shadow the one these tests import from.
 import importlib.util
 from pathlib import Path
 
-from homsos import driver
+import numpy as np
+
+from homsos import driver, optcond
+from homsos.poly import Polynomial, PopProblem
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -30,3 +33,16 @@ def test_tracing_targets_exist():
 def test_infinity_report_fields_read_by_the_gate():
     for name in ("bound", "status", "points"):
         assert isinstance(getattr(driver.InfinityReport, name, None), property), name
+
+
+def test_infinity_checks_do_not_call_the_traced_regular_check(monkeypatch):
+    # the tracer counts one span per wrapped call; an at-infinity check that
+    # went through optcond.check_regular would count twice
+    def traced(*args, **kwargs):
+        raise AssertionError("optcond.check_regular called")
+
+    monkeypatch.setattr(optcond, "check_regular", traced)
+    a, b = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    v = np.array([0.0, 1.0])
+    assert optcond.check_at_infinity(PopProblem(2, a * b, (), (a,)), v, 0.0).licq
+    assert optcond.check_at_infinity_even(PopProblem(2, a**4 + b**2), v, 0.0).licq

@@ -6,9 +6,9 @@ import pytest
 from homsos.poly import Polynomial, PopProblem
 from homsos import driver, relax, sdp
 
-from conftest import (biquadratic_escape, choi_like_cubic, cubic_unbounded,
-                      match_points, product_quartic, sextic_on_line,
-                      unattained_quartic)
+from conftest import (biquadratic_escape, chain_with_product, choi_like_cubic,
+                      cubic_unbounded, match_points, product_quartic,
+                      sextic_on_line, unattained_quartic)
 
 
 def test_min_square_bound_exact_at_order_one():
@@ -28,7 +28,7 @@ def test_min_square_bound_exact_at_order_one():
 @pytest.mark.parametrize("status, moment_converged, capped", [
     (sdp.SdpStatus.NUMERICAL_TROUBLE, True, True),
     (sdp.SdpStatus.NUMERICAL_TROUBLE, False, False),
-    (sdp.SdpStatus.ITER_LIMIT, True, False),
+    (sdp.SdpStatus.ITER_LIMIT, True, True),
     (sdp.SdpStatus.OPTIMAL, True, False)])
 def test_stalled_certificate_value_capped_by_moment_value(monkeypatch, status,
                                                           moment_converged, capped):
@@ -46,6 +46,14 @@ def test_stalled_certificate_value_capped_by_moment_value(monkeypatch, status,
                                       1, driver.DriverOptions())
     assert rec.f_k_prime == sol.primal_obj
     assert rec.f_k == (sol.primal_obj if capped else sol.dual_obj)
+
+
+def test_chain_order2_certificate_value_below_moment_value():
+    # the solve ends at the iteration limit with its moment side converged
+    rec, = driver.solve_pop(chain_with_product(),
+                            driver.DriverOptions(k_min=2, k_max=2)).records
+    assert rec.f_k is not None and rec.f_k_prime is not None
+    assert rec.f_k <= rec.f_k_prime
 
 
 def test_driver_entry_points_restore_blas_threads(blas_threads):
@@ -95,6 +103,16 @@ def test_minimizers_at_infinity_biquadratic():
     assert all(abs(v) < 1e-6 for v in rep.values)
 
 
+def test_chain_escape_direction_fails_licq():
+    # at (0, e5) the homogenized program has seven active constraints (five
+    # top-degree inequalities, the sphere and x0 >= 0) in six variables
+    rep = driver.minimizers_at_infinity(chain_with_product(), 2)
+    check, = [c for c in rep.records[0].optcond if abs(c.point[4]) > 1.0 - 1e-3]
+    assert check.location_kind == "at_infinity"
+    assert check.active_set == ["ineq0", "ineq1", "ineq2", "ineq3", "ineq5"]
+    assert not check.licq and check.licq_min_sv == 0.0
+
+
 def test_infinity_report_round_trips_json():
     import json
     rep = driver.minimizers_at_infinity(biquadratic_escape(), 3)
@@ -127,6 +145,22 @@ def test_positivity_probe_coercive_but_not_positive():
     out = driver.positivity_at_infinity_probe(PopProblem(2, a**4 + b**2), 2)
     assert out["verdict"] is False
     assert abs(out["bound"]) < 1e-6
+
+
+def test_positivity_probe_needs_a_certified_bound(monkeypatch):
+    # a positive moment value without a dual-feasible certificate proves nothing
+    solve = sdp.solve_with_restarts
+    statuses = []
+
+    def uncertified(inst, opts):
+        sol = solve(inst, opts)
+        statuses.append(sol.status.value)
+        return replace(sol, primal_obj=0.5, dual_infeas=1.0)
+
+    monkeypatch.setattr(sdp, "solve_with_restarts", uncertified)
+    out = driver.positivity_at_infinity_probe(cubic_unbounded(), 3)
+    assert out["verdict"] is False and out["bound"] is None
+    assert statuses[0] in out["diagnosis"]
 
 
 def test_positivity_probe_empty_directions():

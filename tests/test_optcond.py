@@ -111,6 +111,18 @@ def test_infinity_motzkin_like_cubic_direction():
     assert not rep.scc
 
 
+def test_infinity_negative_x0_multiplier_fails_first_order():
+    # f = x1^2 (x2 - 1) with x2 >= 0 decreases without bound along (1, 0):
+    # there the multiplier of x0 >= 0 is the degree-2 part -x1^2, i.e. -1
+    a, b = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    prob = PopProblem(2, a**2 * b - a**2, (), (b,))
+    rep = optcond.check_at_infinity(prob, np.array([1.0, 0.0]), 0.0)
+    assert rep.lambda0 == pytest.approx(-1.0, abs=1e-12)
+    assert rep.multipliers["ineq0"] == pytest.approx(1.0, abs=1e-12)
+    assert rep.fooc_residual < 1e-12
+    assert not rep.fooc_ok
+
+
 def test_infinity_even_unattained_quartic():
     prob = unattained_quartic()
     rep = optcond.check_at_infinity_even(prob, np.array([0.0, 1.0]), 0.0)
@@ -203,14 +215,10 @@ def test_infinity_even_precondition_filters_candidates():
         optcond.check_at_infinity_even(prob, np.array([1.0, 0.0]), 0.0)
 
 
-def _lifted_at_zero(prob, v, f_min_est, include_x0=True):
-    """Direct check on the sphere-lifted program at (0, v): the oracle the
-    reduced at-infinity formulas must reproduce."""
-    lifted = optcond.homogenized_nlp(prob, f_min_est)
-    if not include_x0:
-        from homsos.poly import PopProblem as PP
-        lifted = PP(lifted.nvars, lifted.objective, lifted.equalities,
-                    lifted.inequalities[:-1])
+def _lifted_at_zero(prob, v, f_min_est, even_variant=False):
+    """The regular check of the sphere-lifted program at (0, v), which the
+    at-infinity checks report in the original problem's labels."""
+    lifted = optcond.homogenized_nlp(prob, f_min_est, even_variant)
     x_lift = np.concatenate(([0.0], np.asarray(v, float)))
     return lifted, optcond.check_regular(lifted, x_lift)
 
@@ -252,7 +260,7 @@ def test_even_infinity_check_matches_lifted_nlp():
     for prob, v in [(unattained_quartic(), np.array([0.0, 1.0])),
                     (PopProblem(2, a**4 + b**2), np.array([0.0, 1.0]))]:
         reduced = optcond.check_at_infinity_even(prob, v, 0.0)
-        lifted, direct = _lifted_at_zero(prob, v, 0.0, include_x0=False)
+        lifted, direct = _lifted_at_zero(prob, v, 0.0, even_variant=True)
         assert reduced.licq == direct.licq
         assert direct.sosc == reduced.sosc
         if np.isfinite(reduced.sosc_margin) and np.isfinite(direct.sosc_margin):
