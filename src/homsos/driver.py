@@ -59,6 +59,7 @@ class OrderRecord:
     solver_message: str = ""
     notes: str = ""
     symmetry: dict | None = None    # relax.describe_symmetry of the solve
+    blocks: dict | None = None      # sdp.describe_blocks of the solve
 
     @property
     def bound(self):
@@ -83,6 +84,7 @@ class OrderRecord:
             "solver_message": self.solver_message,
             "notes": self.notes,
             "symmetry": self.symmetry,
+            "blocks": self.blocks,
         }
 
 
@@ -144,6 +146,7 @@ def _solve_order(prob, kind, k, opts, dump_path=None):
     if dump_path:
         sdp.write_sdpa(inst, dump_path)
     sol = relax.full_solution(rel, sdp.solve_with_restarts(inst, opts.sdp_options()))
+    rec.blocks = sdp.describe_blocks(inst, sol)
     rec.status = sol.status.value
     rec.solver_message = sol.message
     if sol.y is not None and np.isfinite(sol.primal_obj) \

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,8 +11,8 @@ from homsos import sdp
 from homsos.poly import Polynomial, PopProblem
 from homsos import relax
 
-from conftest import (chain_with_product, cubic_unbounded, product_quartic,
-                      unattained_quartic)
+from conftest import (chain_with_product, cubic_unbounded, norm_over_hyperbolas,
+                      product_quartic, unattained_quartic)
 
 
 def dense_pencil(label, mats, const=None):
@@ -666,3 +671,139 @@ def test_coverage_falls_back_to_svd_near_rank_deficiency(monkeypatch, delta, ran
     red = sdp._reduce(inst, 1e-8)
     assert calls == [(2, 4)]
     assert red.chat.size == rank
+
+
+# -- splitting compressed pencils into simultaneous blocks -------------------
+
+SPLIT_SIZES = (30, 20)
+SPLIT_MZ = 15
+
+
+def direct_sum_instance(seed, coupling=0.0):
+    """One pencil that is the direct sum of two random pencils of sizes
+    ``SPLIT_SIZES``, rotated by a random orthogonal matrix, with a strictly
+    feasible moment side (pd constant) and certificate side (c_l = <G_l, X0>
+    for a pd X0).  ``coupling`` puts one symmetric entry between the two
+    parts of the first linear matrix before the rotation."""
+    rng = np.random.default_rng(seed)
+    s = sum(SPLIT_SIZES)
+    mats = np.zeros((SPLIT_MZ, s, s))
+    const = np.zeros((s, s))
+    lo = 0
+    for n in SPLIT_SIZES:
+        mats[:, lo:lo + n, lo:lo + n] = [random_sym(rng, n) for _ in range(SPLIT_MZ)]
+        const[lo:lo + n, lo:lo + n] = random_pd(rng, n)
+        lo += n
+    mats[0, 0, s - 1] = mats[0, s - 1, 0] = coupling
+    rot = np.linalg.qr(rng.standard_normal((s, s)))[0]
+    mats = rot.T @ mats @ rot
+    const = rot.T @ const @ rot
+    mats = 0.5 * (mats + mats.transpose(0, 2, 1))
+    const = 0.5 * (const + const.T)
+    c = np.einsum("lij,ij->l", mats, random_pd(rng, s))
+    pencil = dense_pencil("m", list(mats), const)
+    return sdp.SdpInstance(c=c, A=np.zeros((0, SPLIT_MZ)), b=np.zeros(0), pencils=[pencil])
+
+
+def whole_block(inst):
+    """The instance's one compressed pencil, not split."""
+    pen = inst.pencils[0]
+    s = pen.size
+    glin = np.asarray(pen.coeffs).reshape(s, s, -1).transpose(2, 0, 1).copy()
+    return sdp._Block(orig=0, basis=np.eye(s), g0=pen.const.copy(), glin=glin)
+
+
+def test_split_recovers_a_rotated_direct_sum():
+    blk = whole_block(direct_sum_instance(0))
+    parts = sdp._split_block(blk)
+    assert sorted(p.g0.shape[0] for p in parts) == sorted(SPLIT_SIZES)
+    basis = np.hstack([p.basis for p in parts])
+    assert np.allclose(basis.T @ basis, np.eye(len(basis)), atol=1e-12)
+    inside = scipy.linalg.block_diag(*[np.ones((n, n)) for n in
+                                       (p.g0.shape[0] for p in parts)]).astype(bool)
+    for mat in np.concatenate([blk.g0[None], blk.glin]):
+        rot = basis.T @ mat @ basis
+        assert np.max(np.abs(rot[~inside])) <= 1e-11 * np.max(np.abs(rot))
+    lo = 0
+    for p in parts:
+        n = p.g0.shape[0]
+        assert np.allclose(p.g0, (basis.T @ blk.g0 @ basis)[lo:lo + n, lo:lo + n],
+                           atol=1e-12)
+        lo += n
+
+
+def test_split_solve_matches_the_unsplit_solve(monkeypatch):
+    inst = direct_sum_instance(1)
+    split = sdp.solve(inst)
+    assert len(split.blocks) == 2
+    monkeypatch.setattr(sdp, "_split_block", lambda blk: [blk])
+    whole = sdp.solve(inst)
+    assert whole.blocks == [(0, sum(SPLIT_SIZES))]
+    assert split.status is whole.status is sdp.SdpStatus.OPTIMAL
+    for a, b in ((split.primal_obj, whole.primal_obj), (split.dual_obj, whole.dual_obj)):
+        assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
+    # the parts' Gram matrices lift to the whole pencil's
+    scale = np.max(np.abs(whole.pencil_duals[0]))
+    assert np.allclose(split.pencil_duals[0], whole.pencil_duals[0], rtol=0, atol=1e-6 * scale)
+
+
+def test_split_refuses_a_coupling_that_verification_sees():
+    blk = whole_block(direct_sum_instance(0, coupling=1e-9))
+    assert sdp._split_block(blk) == [blk]
+
+
+def test_product_quartic_splits_into_isotypic_blocks(monkeypatch):
+    rel = relax.assemble(relax.HOMOGENIZED, product_quartic(), 4)
+    inst, _ = relax.to_sdp_instance(rel)
+    red = sdp._reduce(inst, 1e-8)
+    sizes = {}
+    for blk in red.blocks:
+        sizes.setdefault(blk.orig, []).append(blk.g0.shape[0])
+    assert {j: sorted(v) for j, v in sizes.items()} == {0: [12, 14, 19, 60], 1: [3, 6, 11, 30]}
+    monkeypatch.setattr(sdp, "_split_block", lambda blk: [blk])
+    whole = sdp._reduce(inst, 1e-8)
+    assert [blk.g0.shape[0] for blk in whole.blocks] == [105, 50]
+    for ref in whole.blocks:
+        proj = sum(blk.basis @ blk.basis.T for blk in red.blocks if blk.orig == ref.orig)
+        assert np.allclose(proj, ref.basis @ ref.basis.T, atol=1e-10)
+
+
+def test_unsplit_solve_keeps_its_bits(monkeypatch):
+    rel = relax.assemble(relax.HOMOGENIZED, chain_with_product(), 2)
+    inst, _ = relax.to_sdp_instance(rel)
+    opts = sdp.SolveOptions(max_iter=30)
+    ref = sdp.solve(inst, opts)
+    monkeypatch.setattr(sdp, "_split_block", lambda blk: [blk])
+    sol = sdp.solve(inst, opts)
+    assert ref.blocks == sol.blocks and len(ref.blocks) == len(inst.pencils)
+    assert np.array_equal(ref.y, sol.y)
+    assert ref.history == sol.history
+
+
+@pytest.mark.parametrize("prob, k", [(norm_over_hyperbolas, 2), (norm_over_hyperbolas, 3),
+                                     (unattained_quartic, 2), (unattained_quartic, 4)])
+def test_small_symmetric_blocks_stay_whole(monkeypatch, prob, k):
+    inst, _ = relax.to_sdp_instance(relax.assemble(relax.HOMOGENIZED, prob(), k))
+    red = sdp._reduce(inst, 1e-8)
+    assert len(red.blocks) == len({blk.orig for blk in red.blocks})
+    # they have parts: only the cost of the extra blocks keeps them whole
+    monkeypatch.setattr(sdp, "_SPLIT_FLOPS", 0.0)
+    assert len(sdp._reduce(inst, 1e-8).blocks) > len(red.blocks)
+
+
+def test_split_solve_loads_no_csgraph():
+    """scipy.sparse.csgraph costs about 2 MB of resident memory on import."""
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from test_sdp import direct_sum_instance\n"
+        "from homsos import sdp\n"
+        "assert len(sdp.solve(direct_sum_instance(0)).blocks) == 2\n"
+        "print(sorted(m for m in sys.modules if 'csgraph' in m))\n")
+    src = str(Path(sdp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script, str(Path(__file__).parent)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
