@@ -19,7 +19,7 @@ import json
 import re
 import sys
 
-from . import driver, relax
+from . import driver, relax, sdp
 from .poly import Polynomial, PopProblem
 
 
@@ -296,7 +296,8 @@ def _pretty_report(report: dict, out):
 
 def run(argv, out=None, err=None) -> int:
     """CLI entry; returns the exit code (0 ok, 2 parse error, 3 solver
-    failure at every order)."""
+    failure at every order, 4 a relaxation too large for physical memory,
+    refused before it is assembled, with nothing written to ``out``)."""
     out = out or sys.stdout
     err = err or sys.stderr
     ap = _build_argparser()
@@ -325,12 +326,16 @@ def run(argv, out=None, err=None) -> int:
         atom_tol=args.tol_atom, verify=not args.no_verify, seed=args.seed,
         dump_sdpa=args.dump_sdpa, k_min=k_single, k_max=k_max)
 
-    if args.infinity:
-        k = k_single or k_max or driver.default_k_min(
-            driver.sphere_restriction(prob), relax.STANDARD)
-        result = driver.minimizers_at_infinity(prob, k, opts)
-    else:
-        result = driver.solve_pop(prob, opts)
+    try:
+        if args.infinity:
+            k = k_single or k_max or driver.default_k_min(
+                driver.sphere_restriction(prob), relax.STANDARD)
+            result = driver.minimizers_at_infinity(prob, k, opts)
+        else:
+            result = driver.solve_pop(prob, opts)
+    except sdp.ResourceError as exc:
+        print(f"error: {exc}", file=err)
+        return 4
     report = {"problem_echo": _echo(prob, varnames)}
     report.update(result.to_dict())
     code = 0 if any(r.status == "optimal" for r in result.records) else 3

@@ -172,13 +172,16 @@ def assemble(kind: HierarchyKind, prob: PopProblem, k: int, *,
              _symmetry: bool = True) -> MomentRelaxation:
     """Assemble the order-k moment relaxation of the given kind, with the
     group of signed permutations of the variables that fixes its data
-    (``_symmetry=False`` leaves the group out)."""
+    (``_symmetry=False`` leaves the group out).  Raises ``sdp.ResourceError``
+    before building anything when the solve's dense arrays
+    (``_dense_bytes``) would exceed physical memory."""
     theta, nu, eqs, ineqs, nv, nu_pow = _relaxed_space(kind, prob, k)
     two_k = 2 * k
     for p in (theta, nu, *eqs, *ineqs):
         if p.degree() > two_k:
             raise OrderTooSmallError(
                 f"order {k} too small: degree {p.degree()} exceeds 2k = {two_k}")
+    sdp.check_memory(_dense_bytes(nv, k, eqs, ineqs), f"the order-{k} relaxation")
     idx = basis_index(nv, two_k)
     dim = len(idx)
 
@@ -212,6 +215,17 @@ def assemble(kind: HierarchyKind, prob: PopProblem, k: int, *,
         eq_A=eq_A, eq_b=eq_b, eq_row_meta=meta, psd_pencils=pencils,
         symmetry=_symmetry_of(theta, nu, eqs, ineqs, nv, k, meta, pencils)
         if _symmetry else None)
+
+
+def _dense_bytes(nv: int, k: int, eqs, ineqs) -> int:
+    """``sdp.dense_bytes`` of the order-k relaxation in nv variables with
+    these equalities and inequalities, from its sizes alone and without the
+    symmetry reduction (which can only shrink it): the moments of degree
+    <= 2k, the rows ``assemble`` builds and the localizing sizes."""
+    rows = 1 + sum(math.comb(nv + 2 * k - p.degree(), nv) for p in eqs if not p.is_zero)
+    sizes = [math.comb(nv + k - math.ceil(d / 2), nv)
+             for d in (0, *(q.degree() for q in ineqs))]
+    return sdp.dense_bytes(math.comb(nv + 2 * k, nv), rows, sizes)
 
 
 # -- symmetry -----------------------------------------------------------------

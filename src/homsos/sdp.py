@@ -38,10 +38,13 @@ which restores strict feasibility for well-posed instances, and then
 
   4. splitting each compressed pencil into the parts that block-diagonalize
      all of its matrices at once, where the Schur flops saved pay for the
-     extra blocks (``_split_block``).
+     extra blocks (``_split_block``), and solving one copy of a part that
+     holds d identical copies of one irreducible block, I_d (x) M (the
+     second stage of Murota, Kanno, Kojima & Kojima 2010).
 
 Solutions are reported in the original y coordinates with duals lifted back
-accordingly.
+accordingly; a block solved for d copies has X' = d X_M, since
+<A, I_d (x) X_M> = <A_M, d X_M>, and lifts to (1/d) sum_i U_i X' U_i^T.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ import enum
 import functools
 import logging
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -143,9 +147,9 @@ class SdpSolution:
     """Outcome of a solve in the y-form: "primal" is the moment problem in y
     (``primal_obj = c . y``), "dual" the certificate (``dual_obj``, with
     Gram matrices ``pencil_duals`` and multipliers ``eq_duals``).
-    ``blocks`` holds one (pencil index, size) pair per block the
+    ``blocks`` holds one (pencil index, size, copies) triple per block the
     interior-point method solved, empty when preprocessing settled the
-    instance."""
+    instance; the pencil holds ``copies`` identical copies of the block."""
 
     status: SdpStatus
     y: np.ndarray | None
@@ -162,6 +166,42 @@ class SdpSolution:
     moment_converged: bool = False
     history: list = field(default_factory=list)
     blocks: list = field(default_factory=list)
+
+
+class ResourceError(MemoryError):
+    """The dense arrays of a solve would not fit in physical memory."""
+
+    def __init__(self, what: str, needed: int, limit: int):
+        super().__init__(f"{what} needs about {needed / 1e9:.3g} GB of dense arrays, "
+                         f"more than the {limit / 1e9:.3g} GB of physical memory")
+        self.needed = needed
+        self.limit = limit
+
+
+def physical_memory() -> int:
+    """Bytes of physical memory of the machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def dense_bytes(m: int, rows: int, sizes) -> int:
+    """Bytes of the largest dense float64 arrays that ``solve`` holds for an
+    instance of m moments, ``rows`` equality rows and pencils of ``sizes``,
+    with mz = m - rows free moments (more where rows are dependent): the
+    null-space basis (m x mz), the compressed pencil stacks (mz x s x s
+    each), the QR stack of the largest pencil ((mz + 1) s x s) and the Schur
+    matrix (mz x mz).  Transients such as the SVD behind the null space come
+    on top."""
+    mz = max(m - rows, 0)
+    s2 = [s * s for s in sizes]
+    return 8 * (m * mz + mz * sum(s2) + (mz + 1) * max(s2, default=0) + mz * mz)
+
+
+def check_memory(needed: int, what: str):
+    """Raise ``ResourceError`` for ``what`` when ``needed`` bytes exceed
+    physical memory."""
+    limit = physical_memory()
+    if needed > limit:
+        raise ResourceError(what, needed, limit)
 
 
 @functools.cache
@@ -346,9 +386,10 @@ def _schur(astk, lxs, qs) -> np.ndarray:
 @dataclass
 class _Block:
     orig: int             # index into inst.pencils
-    basis: np.ndarray     # (s_orig, s) compression map U
+    basis: np.ndarray     # (s_orig, copies*s) compression map U, copy-major
     g0: np.ndarray        # (s, s) constant term on the affine subspace
     glin: np.ndarray      # (mz, s, s) linear part over z
+    copies: int = 1       # the pencil part is I_copies (x) (g0 + sum z_l glin_l)
 
 
 @dataclass
@@ -477,19 +518,25 @@ def _schur_flops(mz: int, sizes) -> float:
     return sum(4.0 * mz * s ** 3 + float(mz) ** 2 * s ** 2 for s in sizes)
 
 
-def _split_block(blk: _Block) -> list:
+def _split_block(blk: _Block, _plain=frozenset()) -> list:
     """The parts of a compressed pencil that block-diagonalize its matrices
-    g0, glin_l all at once, or ``[blk]`` when there is one part, when the
-    parts do not save enough Schur flops, or when they fail verification.
+    g0, glin_l all at once, each solved as one copy where it holds identical
+    copies of one irreducible part; ``[blk]`` when there is one part without
+    copies, when the parts do not save enough Schur flops, or when they fail
+    verification.
 
     The eigenvectors of one random element of the pencil's span, grouped by
-    eigenvalue and joined where a second random element couples the groups,
+    eigenvalue and joined where a second random element B couples the groups,
     split the span's *-algebra into its isotypic components (Murota, Kanno,
     Kojima & Kojima 2010): the symmetry reduction of Gatermann & Parrilo
-    (2004) without building a group representation.  A part is accepted
-    only once every matrix, rotated into the parts' basis, is seen to vanish
-    outside them.  The rotation runs on at most 16 matrices at a time, so
-    no copy of the whole stack is made."""
+    (2004) without building a group representation.  A component whose m
+    eigenvalue groups all have size d > 1 is a candidate for I_d (x) M, with
+    copy bases read off B (``_copy_basis``).  A part is accepted only once
+    every matrix, rotated into the parts' basis, is seen to vanish outside
+    them, and a component's copies only once they are seen to be uncoupled
+    and equal; components in ``_plain`` or whose copies fail keep one block
+    of their eigenvectors.  The rotation runs on at most 16 matrices at a
+    time, so no copy of the whole stack is made."""
     g0, glin = blk.g0, blk.glin
     mz, s = glin.shape[0], g0.shape[0]
     if _schur_flops(mz, [s]) < 2 * _SPLIT_FLOPS:
@@ -504,8 +551,8 @@ def _split_block(blk: _Block) -> list:
     lam, vecs = np.linalg.eigh(combination())
     tol = 1e-8 * max(abs(lam[0]), abs(lam[-1]))
     starts = np.flatnonzero(np.diff(lam, prepend=-np.inf) > tol)
-    coupling = np.abs(vecs.T @ combination() @ vecs)
-    coupling = np.maximum.reduceat(np.maximum.reduceat(coupling, starts, axis=0),
+    second = vecs.T @ combination() @ vecs
+    coupling = np.maximum.reduceat(np.maximum.reduceat(np.abs(second), starts, axis=0),
                                    starts, axis=1)
     root = list(range(starts.size))
 
@@ -517,20 +564,29 @@ def _split_block(blk: _Block) -> list:
 
     for i, j in zip(*np.nonzero(coupling > tol)):
         root[find(i)] = find(j)
-    labels = np.repeat([find(i) for i in range(starts.size)], np.diff(starts, append=s))
-    parts = [np.flatnonzero(labels == r) for r in np.unique(labels)]
-    sizes = [p.size for p in parts]
-    if _schur_flops(mz, [s]) - _schur_flops(mz, sizes) <= _SPLIT_FLOPS * (len(parts) - 1):
+    bounds = np.append(starts, s).tolist()
+    groups = {}
+    for g, span in enumerate(zip(bounds[:-1], bounds[1:])):
+        groups.setdefault(find(g), []).append(span)
+    bases, copies = [], []
+    for i, spans in enumerate(groups[r] for r in sorted(groups)):
+        basis = None if i in _plain else _copy_basis(vecs, second, spans)
+        copies.append(1 if basis is None else spans[0][1] - spans[0][0])
+        bases.append(np.hstack([vecs[:, a:b] for a, b in spans]) if basis is None else basis)
+    sizes = [u.shape[1] for u in bases]
+    solved = [n // d for n, d in zip(sizes, copies)]
+    if _schur_flops(mz, [s]) - _schur_flops(mz, solved) <= _SPLIT_FLOPS * (len(bases) - 1):
         return [blk]
 
-    vecs = vecs[:, np.concatenate(parts)]
+    vecs = np.hstack(bases)
     ends = np.cumsum(sizes)
     spans = list(zip(ends - sizes, ends))
     outside = np.ones((s, s), dtype=bool)
     for a, b in spans:
         outside[a:b, a:b] = False
     # the rotated stack [g0; glin], at most 16 matrices at a time
-    rotated = [np.empty((mz + 1, n, n)) for n in sizes]
+    rotated = [np.empty((mz + 1, n, n)) for n in solved]
+    spread = [0.0] * len(spans)
     off = top = 0.0
     for lo in range(0, mz + 1, 16):
         mats = glin[max(lo - 1, 0):lo + 15]
@@ -540,13 +596,60 @@ def _split_block(blk: _Block) -> list:
         mag = np.abs(rot)
         top = max(top, float(mag.max()))
         off = max(off, float(mag[:, outside].max()))
-        for out, (a, b) in zip(rotated, spans):
-            out[lo:lo + 16] = rot[:, a:b, a:b]
+        for i, (out, (a, b), d) in enumerate(zip(rotated, spans, copies)):
+            part = rot[:, a:b, a:b]
+            if d > 1:
+                part, err = _copy_mean(part, d)
+                spread[i] = max(spread[i], err)
+            out[lo:lo + 16] = part
     if off > 1e-11 * top:
         return [blk]
+    failed = {i for i, err in enumerate(spread) if err > 1e-11 * top}
+    if failed:
+        return _split_block(blk, _plain | failed)
     return [_Block(orig=blk.orig, basis=blk.basis @ vecs[:, a:b], g0=_sym(stack[0]),
-                   glin=0.5 * (stack[1:] + stack[1:].transpose(0, 2, 1)))
-            for stack, (a, b) in zip(rotated, spans)]
+                   glin=0.5 * (stack[1:] + stack[1:].transpose(0, 2, 1)), copies=d)
+            for stack, (a, b), d in zip(rotated, spans, copies)]
+
+
+def _copy_basis(vecs, second, spans):
+    """Copy-major basis [U_1 ... U_d] of the component whose eigenvalue
+    groups are the column ranges ``spans`` of ``vecs``, or None unless all m
+    groups have one size d > 1.
+
+    On I_d (x) M the eigenspace of group k is spanned by the columns of
+    V_k = (I_d (x) w_k) Q_k for an eigenvector w_k of M and some orthogonal
+    Q_k, so V_k^T B V_1 = c_k Q_k^T Q_1 for the scalar c_k = w_k^T M_B w_1,
+    and T_k = V_k (V_k^T B V_1), its columns normalized, is
+    sign(c_k) (I_d (x) w_k) Q_1.  Column i of T_1 = V_1, ..., T_m then spans
+    copy i: U_i = [T_1[:, i], ..., T_m[:, i]].  ``second`` is V^T B V.
+    Where the component is no such product (or c_k vanishes), the basis is
+    wrong and ``_split_block``'s verification refuses it."""
+    a1, b1 = spans[0]
+    d = b1 - a1
+    if d == 1 or any(b - a != d for a, b in spans):
+        return None
+    cols = [vecs[:, a1:b1]]
+    floor = 1e-8 * np.abs(second).max()
+    for a, b in spans[1:]:
+        t = vecs[:, a:b] @ second[a:b, a1:b1]
+        norms = np.linalg.norm(t, axis=0)
+        if norms.min() <= floor:
+            return None
+        cols.append(t / norms)
+    return np.stack(cols, axis=2).reshape(vecs.shape[0], -1)
+
+
+def _copy_mean(stack: np.ndarray, d: int):
+    """The mean of the d diagonal m x m blocks of each copy-major matrix in
+    ``stack``, and the largest entry between copies or of a copy's deviation
+    from the first."""
+    m = stack.shape[-1] // d
+    sub = stack.reshape(-1, d, m, d, m)
+    diag = np.einsum("kimin->ikmn", sub)
+    between = sub.transpose(1, 3, 0, 2, 4)[~np.eye(d, dtype=bool)]
+    err = max(float(np.abs(between).max()), float(np.abs(diag[1:] - diag[0]).max()))
+    return diag.mean(axis=0), err
 
 
 def _gram_full_rank(flat: np.ndarray) -> bool:
@@ -811,6 +914,9 @@ def solve(inst: SdpInstance, opts: SolveOptions | None = None,
         pencil_values = [_sym(pen.evaluate(y)) for pen in inst.pencils]
         lifted = {}
         for blk, x in zip(red.blocks, xs):
+            # <A, I_d (x) X_m> = <A_m, d X_m>: the block's X is d X_m
+            if blk.copies > 1:
+                x = np.kron(np.eye(blk.copies), x / blk.copies)
             part = blk.basis @ x @ blk.basis.T
             lifted[blk.orig] = lifted[blk.orig] + part if blk.orig in lifted else part
         pencil_duals = [_sym(lifted[j]) if j in lifted else np.zeros((pen.size, pen.size))
@@ -836,21 +942,24 @@ def solve(inst: SdpInstance, opts: SolveOptions | None = None,
             iterations=iters, message=message,
             moment_converged=bool(mom_ok or status is SdpStatus.OPTIMAL),
             history=history,
-            blocks=[(blk.orig, blk.g0.shape[0]) for blk in red.blocks])
+            blocks=[(blk.orig, blk.g0.shape[0], blk.copies) for blk in red.blocks])
 
 
 def describe_blocks(inst: SdpInstance, sol: SdpSolution) -> dict | None:
     """Report fields of the solved blocks, per pencil label: the pencil's
     ``size``, its size after facial compression (``compressed``, 0 when the
-    pencil is vacuous) and the sizes of the blocks it was ``split`` into.
-    None when no block was solved."""
+    pencil is vacuous), the sizes of the blocks it was ``split`` into and
+    how many identical ``copies`` of each block it holds (so ``compressed``
+    is the sum of size times copies).  None when no block was solved."""
     if not sol.blocks:
         return None
     split = {j: [] for j in range(len(inst.pencils))}
-    for j, size in sol.blocks:
-        split[j].append(int(size))
-    return {pen.label: {"size": int(pen.size), "compressed": sum(split[j]),
-                        "split": split[j]}
+    for j, size, copies in sol.blocks:
+        split[j].append((int(size), int(copies)))
+    return {pen.label: {"size": int(pen.size),
+                        "compressed": sum(n * d for n, d in split[j]),
+                        "split": [n for n, _ in split[j]],
+                        "copies": [d for _, d in split[j]]}
             for j, pen in enumerate(inst.pencils)}
 
 

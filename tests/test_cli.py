@@ -1,10 +1,11 @@
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from homsos import cli, driver
+from homsos import cli, driver, sdp
 from homsos.cli import ProblemParseError, format_problem, parse_problem
 from homsos.poly import Polynomial, PopProblem
 
@@ -161,6 +162,16 @@ def test_run_solver_failure_exit_code(tmp_path):
     assert code == 3
     rep = json.loads(out)
     assert "optimum likely unattained" in rep["final"]["diagnosis"]
+
+
+def test_run_refuses_a_relaxation_too_large_for_memory(monkeypatch):
+    # orders 2 and 3 fit in 1 MB and are solved, order 4 does not
+    monkeypatch.setattr(sdp, "physical_memory", lambda: 1 << 20)
+    problem = Path(__file__).resolve().parents[1] / "problems" / "unattained.pop"
+    code, out, err = run_cli([str(problem), "--max-order", "4"])
+    assert code == 4
+    assert out == ""
+    assert err.count("\n") == 1 and "physical memory" in err
 
 
 def test_run_dump_sdpa(tmp_path):

@@ -318,3 +318,30 @@ def test_to_sdp_instance_passes_pencils_through():
     inst, _ = relax.to_sdp_instance(rel)
     assert all(p is q for p, q in zip(inst.pencils, rel.psd_pencils))
     assert len(inst.pencils) == len(rel.psd_pencils)
+
+
+def test_dense_bytes_of_a_ten_variable_quartic_at_order_4():
+    """From the sizes alone: nothing is assembled."""
+    n = 10
+    x = [Polynomial.variable(n, i) for i in range(n)]
+    f = x[0] ** 4
+    for xi in x[1:]:
+        f = f + xi ** 4 - xi
+    _, _, eqs, ineqs, nv, _ = relax._relaxed_space(relax.HOMOGENIZED, PopProblem(n, f), 4)
+    # x0..x10 with the sphere equation (degree 2) and x0 >= 0 (degree 1)
+    assert nv == 11 and [p.degree() for p in eqs] == [2] and [q.degree() for q in ineqs] == [1]
+    m = math.comb(19, 8)                   # 75,582 moments of degree <= 8
+    mz = m - (math.comb(17, 6) + 1)        # 12,376 sphere rows and the normalizer
+    sizes = [math.comb(15, 4), math.comb(14, 3)]          # 1,365 and 364
+    assert relax._dense_bytes(nv, 4, eqs, ineqs) == 8 * (
+        m * mz + mz * sum(s * s for s in sizes) + (mz + 1) * sizes[0] ** 2 + mz * mz)
+    # the null-space basis and the Schur matrix alone
+    assert 8 * m * mz >= 30e9 and 8 * mz * mz >= 30e9
+
+
+def test_assemble_refuses_what_memory_cannot_hold(monkeypatch):
+    monkeypatch.setattr(sdp, "physical_memory", lambda: 1 << 20)
+    with pytest.raises(sdp.ResourceError) as exc:
+        relax.assemble(relax.HOMOGENIZED, product_quartic(), 4)
+    assert exc.value.limit == 1 << 20 < exc.value.needed
+    assert relax.assemble(relax.HOMOGENIZED, product_quartic(), 2).order == 2

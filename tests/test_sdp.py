@@ -695,6 +695,15 @@ def direct_sum_instance(seed, coupling=0.0):
         const[lo:lo + n, lo:lo + n] = random_pd(rng, n)
         lo += n
     mats[0, 0, s - 1] = mats[0, s - 1, 0] = coupling
+    return rotated_instance(rng, mats, const)
+
+
+def rotated_instance(rng, mats, const):
+    """The instance of one pencil with linear matrices ``mats`` and constant
+    ``const``, both rotated by a random orthogonal matrix, and an objective
+    c_l = <G_l, X0> for a pd X0, which makes the certificate side strictly
+    feasible."""
+    s = const.shape[0]
     rot = np.linalg.qr(rng.standard_normal((s, s)))[0]
     mats = rot.T @ mats @ rot
     const = rot.T @ const @ rot
@@ -702,7 +711,7 @@ def direct_sum_instance(seed, coupling=0.0):
     const = 0.5 * (const + const.T)
     c = np.einsum("lij,ij->l", mats, random_pd(rng, s))
     pencil = dense_pencil("m", list(mats), const)
-    return sdp.SdpInstance(c=c, A=np.zeros((0, SPLIT_MZ)), b=np.zeros(0), pencils=[pencil])
+    return sdp.SdpInstance(c=c, A=np.zeros((0, len(mats))), b=np.zeros(0), pencils=[pencil])
 
 
 def whole_block(inst):
@@ -738,7 +747,7 @@ def test_split_solve_matches_the_unsplit_solve(monkeypatch):
     assert len(split.blocks) == 2
     monkeypatch.setattr(sdp, "_split_block", lambda blk: [blk])
     whole = sdp.solve(inst)
-    assert whole.blocks == [(0, sum(SPLIT_SIZES))]
+    assert whole.blocks == [(0, sum(SPLIT_SIZES), 1)]
     assert split.status is whole.status is sdp.SdpStatus.OPTIMAL
     for a, b in ((split.primal_obj, whole.primal_obj), (split.dual_obj, whole.dual_obj)):
         assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
@@ -758,8 +767,10 @@ def test_product_quartic_splits_into_isotypic_blocks(monkeypatch):
     red = sdp._reduce(inst, 1e-8)
     sizes = {}
     for blk in red.blocks:
-        sizes.setdefault(blk.orig, []).append(blk.g0.shape[0])
-    assert {j: sorted(v) for j, v in sizes.items()} == {0: [12, 14, 19, 60], 1: [3, 6, 11, 30]}
+        sizes.setdefault(blk.orig, []).append((blk.g0.shape[0], blk.copies))
+    # 105 = 4*3 + 7*2 + 19 + 20*3 and 50 = 1*3 + 3*2 + 11 + 10*3
+    assert {j: sorted(v) for j, v in sizes.items()} == {
+        0: [(4, 3), (7, 2), (19, 1), (20, 3)], 1: [(1, 3), (3, 2), (10, 3), (11, 1)]}
     monkeypatch.setattr(sdp, "_split_block", lambda blk: [blk])
     whole = sdp._reduce(inst, 1e-8)
     assert [blk.g0.shape[0] for blk in whole.blocks] == [105, 50]
@@ -769,15 +780,20 @@ def test_product_quartic_splits_into_isotypic_blocks(monkeypatch):
 
 
 def test_unsplit_solve_keeps_its_bits(monkeypatch):
-    rel = relax.assemble(relax.HOMOGENIZED, chain_with_product(), 2)
-    inst, _ = relax.to_sdp_instance(rel)
+    # neither the copy reduction nor the split touches these pencils
     opts = sdp.SolveOptions(max_iter=30)
-    ref = sdp.solve(inst, opts)
-    monkeypatch.setattr(sdp, "_split_block", lambda blk: [blk])
-    sol = sdp.solve(inst, opts)
-    assert ref.blocks == sol.blocks and len(ref.blocks) == len(inst.pencils)
-    assert np.array_equal(ref.y, sol.y)
-    assert ref.history == sol.history
+    for prob, k in ((chain_with_product, 2), (norm_over_hyperbolas, 3)):
+        inst, _ = relax.to_sdp_instance(relax.assemble(relax.HOMOGENIZED, prob(), k))
+        ref = sdp.solve(inst, opts)
+        assert len(ref.blocks) == len(inst.pencils)
+        with monkeypatch.context() as patch:
+            for name, off in (("_copy_basis", lambda *args: None),
+                              ("_split_block", lambda blk: [blk])):
+                patch.setattr(sdp, name, off)
+                sol = sdp.solve(inst, opts)
+                assert ref.blocks == sol.blocks
+                assert np.array_equal(ref.y, sol.y)
+                assert ref.history == sol.history
 
 
 @pytest.mark.parametrize("prob, k", [(norm_over_hyperbolas, 2), (norm_over_hyperbolas, 3),
@@ -789,6 +805,89 @@ def test_small_symmetric_blocks_stay_whole(monkeypatch, prob, k):
     # they have parts: only the cost of the extra blocks keeps them whole
     monkeypatch.setattr(sdp, "_SPLIT_FLOPS", 0.0)
     assert len(sdp._reduce(inst, 1e-8).blocks) > len(red.blocks)
+
+
+COPIES, COPY_SIZE, OTHER_SIZE = 3, 10, 20
+
+
+def realified_hermitian(rng, n):
+    """The real 2n x 2n form [[A, -B], [B, A]] of a random Hermitian A + iB."""
+    g = rng.standard_normal((n, n))
+    a, b = random_sym(rng, n), 0.5 * (g - g.T)
+    return np.block([[a, -b], [b, a]])
+
+
+def copies_instance(seed, complex_type=False, between=0.0):
+    """One pencil I_3 (x) M(z) + N(z), M of size 10 and N of size 20 over
+    ``SPLIT_MZ`` free moments, rotated at random (``rotated_instance``), with
+    a pd constant.  ``complex_type`` replaces I_3 (x) M by realified random
+    Hermitian matrices of size 15 (two copies over C, none over R);
+    ``between`` adds between * (F (x) R) to the first linear matrix, F
+    coupling copies 1 and 2 and R random symmetric."""
+    rng = np.random.default_rng(seed)
+    half = COPIES * COPY_SIZE // 2
+    first = [realified_hermitian(rng, half) if complex_type
+             else np.kron(np.eye(COPIES), random_sym(rng, COPY_SIZE)) for _ in range(SPLIT_MZ)]
+    first_const = (np.kron(np.eye(2), random_pd(rng, half)) if complex_type
+                   else np.kron(np.eye(COPIES), random_pd(rng, COPY_SIZE)))
+    mats = np.array([scipy.linalg.block_diag(f, random_sym(rng, OTHER_SIZE)) for f in first])
+    const = scipy.linalg.block_diag(first_const, random_pd(rng, OTHER_SIZE))
+    couple = np.zeros((COPIES, COPIES))
+    couple[0, 1] = couple[1, 0] = 1.0
+    mats[0, :2 * half, :2 * half] += between * np.kron(couple, random_sym(rng, COPY_SIZE))
+    return rotated_instance(rng, mats, const)
+
+
+def test_copies_of_a_rotated_kron_pencil():
+    blk = whole_block(copies_instance(0))
+    parts = sdp._split_block(blk)
+    assert sorted((p.g0.shape[0], p.copies) for p in parts) == [(COPY_SIZE, COPIES),
+                                                                (OTHER_SIZE, 1)]
+    # the copies' bases together span the compressed pencil
+    proj = sum(p.basis @ p.basis.T for p in parts)
+    assert np.allclose(proj, blk.basis @ blk.basis.T, atol=1e-12)
+    top = np.max(np.abs(blk.glin))
+    for p in parts:
+        # every matrix is I_copies (x) the block's, in the block's basis
+        for mat, part in zip(np.concatenate([blk.g0[None], blk.glin]),
+                             np.concatenate([p.g0[None], p.glin])):
+            rot = p.basis.T @ mat @ p.basis
+            assert np.allclose(rot, np.kron(np.eye(p.copies), part), rtol=0, atol=1e-11 * top)
+
+
+def test_complex_type_pencil_is_not_copy_reduced():
+    parts = sdp._split_block(whole_block(copies_instance(0, complex_type=True)))
+    assert sorted((p.g0.shape[0], p.copies) for p in parts) == [(OTHER_SIZE, 1),
+                                                                (COPIES * COPY_SIZE, 1)]
+
+
+def test_copies_refused_when_verification_sees_a_coupling():
+    parts = sdp._split_block(whole_block(copies_instance(0, between=1e-9)))
+    assert sorted((p.g0.shape[0], p.copies) for p in parts) == [(OTHER_SIZE, 1),
+                                                                (COPIES * COPY_SIZE, 1)]
+
+
+def test_copy_reduced_solve_matches_the_unreduced_solve(monkeypatch):
+    inst = copies_instance(1)
+    reduced = sdp.solve(inst)
+    assert sorted(reduced.blocks) == [(0, COPY_SIZE, COPIES), (0, OTHER_SIZE, 1)]
+    monkeypatch.setattr(sdp, "_copy_basis", lambda *args: None)
+    plain = sdp.solve(inst)
+    assert sorted(plain.blocks) == [(0, OTHER_SIZE, 1), (0, COPIES * COPY_SIZE, 1)]
+    assert reduced.status is plain.status is sdp.SdpStatus.OPTIMAL
+    for a, b in ((reduced.primal_obj, plain.primal_obj), (reduced.dual_obj, plain.dual_obj)):
+        assert abs(a - b) <= 1e-7 * max(1.0, abs(b))
+    pen = inst.pencils[0]
+    residuals = []
+    for sol in (reduced, plain):
+        dual = sol.pencil_duals[0]
+        lam = np.linalg.eigvalsh(dual)
+        assert lam[0] >= -1e-12 * lam[-1]
+        # the certificate side: c = coeffs^T vec(X)
+        resid = np.linalg.norm(inst.c - pen.coeffs.T @ dual.reshape(-1))
+        residuals.append(resid / (1.0 + np.linalg.norm(inst.c)))
+    assert max(residuals) <= 1e-8
+    assert residuals[0] <= 10 * residuals[1] + 1e-14
 
 
 def test_split_solve_loads_no_csgraph():
