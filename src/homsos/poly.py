@@ -57,6 +57,39 @@ def basis_size(nvars: int, deg: int) -> int:
     return math.comb(nvars + deg, deg)
 
 
+@lru_cache(maxsize=None)
+def exponent_array(nvars: int, deg: int) -> np.ndarray:
+    """``monomial_basis(nvars, deg)`` as a read-only (size, nvars) array."""
+    out = np.array(monomial_basis(nvars, deg), dtype=np.int64).reshape(-1, nvars)
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def _lower_counts(nvars: int, deg: int) -> np.ndarray:
+    """counts[j, t]: the number C(t + j - 1, j) of monomials in j variables
+    of degree below t, for j <= nvars and t <= deg (read-only)."""
+    out = np.array([[math.comb(t + j - 1, j) if t else 0 for t in range(deg + 1)]
+                    for j in range(nvars + 1)], dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
+def monomial_positions(exps) -> np.ndarray:
+    """Graded-lex positions of the exponent vectors along the last axis of
+    ``exps``: each monomial's index in any ``monomial_basis`` holding it.
+
+    With tails T_i = e_i + ... + e_(n-1), the monomials before x^e are those
+    of degree below T_0 and, for each i >= 1, those of e's degree that agree
+    with e before variable i - 1, put more on it and so less than T_i on
+    variables i onwards: sum_i C(T_i + n - i - 1, n - i) in all."""
+    exps = np.asarray(exps, dtype=np.int64)
+    n = exps.shape[-1]
+    tails = np.cumsum(exps[..., ::-1], axis=-1)[..., ::-1]
+    counts = _lower_counts(n, int(tails[..., 0].max(initial=0)))
+    return counts[np.arange(n, 0, -1), tails].sum(axis=-1)
+
+
 class Polynomial:
     """Immutable sparse polynomial with 64-bit float coefficients."""
 

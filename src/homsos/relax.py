@@ -48,8 +48,9 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .poly import (Polynomial, PopProblem, basis_index, build_homogenized,
-                   monomial_basis, sum_of_squares_norm)
+from .poly import (Polynomial, PopProblem, basis_size, build_homogenized,
+                   exponent_array, monomial_basis, monomial_positions,
+                   sum_of_squares_norm)
 from . import sdp
 
 
@@ -110,21 +111,17 @@ def localizing_pencil(p: Polynomial, k: int, label: str = "") -> sdp.SdpPencil:
     if 2 * k < deg:
         raise OrderTooSmallError(f"order {k} too small for degree-{deg} polynomial")
     t = k - math.ceil(deg / 2)
-    rows_basis = monomial_basis(p.nvars, t)
-    idx = basis_index(p.nvars, 2 * k)
-    s = len(rows_basis)
-    data, ri, ci = [], [], []
-    for i, a in enumerate(rows_basis):
-        for j, b in enumerate(rows_basis):
-            ab = tuple(x + y for x, y in zip(a, b))
-            for g, c in p.terms.items():
-                ri.append(i * s + j)
-                ci.append(idx[tuple(x + y for x, y in zip(ab, g))])
-                data.append(c)
+    rows = exponent_array(p.nvars, t)
+    s = len(rows)
+    terms = np.array(list(p.terms), dtype=np.int64).reshape(-1, p.nvars)
+    # the triples of entry (i, j) and term g, ordered by i, then j, then g
+    cols = monomial_positions(rows[:, None, None] + rows[None, :, None] + terms)
     coeffs = scipy.sparse.csr_matrix(
-        (data, (ri, ci)), shape=(s * s, len(idx)))
+        (np.tile(list(p.terms.values()), s * s),
+         (np.repeat(np.arange(s * s), len(terms)), cols.reshape(-1))),
+        shape=(s * s, basis_size(p.nvars, 2 * k)))
     return sdp.SdpPencil(label or f"loc[{p.to_string()}]", s, coeffs,
-                         basis=rows_basis)
+                         basis=monomial_basis(p.nvars, t))
 
 
 @dataclass
@@ -173,39 +170,44 @@ def assemble(kind: HierarchyKind, prob: PopProblem, k: int, *,
     """Assemble the order-k moment relaxation of the given kind, with the
     group of signed permutations of the variables that fixes its data
     (``_symmetry=False`` leaves the group out).  Raises ``sdp.ResourceError``
-    before building anything when the solve's dense arrays
-    (``_dense_bytes``) would exceed physical memory."""
+    before building any pencil when the solve's dense arrays
+    (``_dense_bytes``, over the group's orbits) would exceed the memory
+    the process may use (``sdp.physical_memory``)."""
     theta, nu, eqs, ineqs, nv, nu_pow = _relaxed_space(kind, prob, k)
     two_k = 2 * k
     for p in (theta, nu, *eqs, *ineqs):
         if p.degree() > two_k:
             raise OrderTooSmallError(
                 f"order {k} too small: degree {p.degree()} exceeds 2k = {two_k}")
-    sdp.check_memory(_dense_bytes(nv, k, eqs, ineqs), f"the order-{k} relaxation")
-    idx = basis_index(nv, two_k)
-    dim = len(idx)
+    group = _group(theta, nu, eqs, ineqs, nv, k) if _symmetry else None
+    dim = basis_size(nv, two_k)
+    orbits = live = None
+    if group is not None:
+        orbits = _orbits(dim, [mono for *_, mono in group])
+        live = _live(orbits).size
+    sdp.check_memory(_dense_bytes(nv, k, eqs, ineqs, live), f"the order-{k} relaxation")
 
     pencils = [localizing_pencil(Polynomial.constant(nv, 1.0), k, label="moment")]
     for j, q in enumerate(ineqs):
         pencils.append(localizing_pencil(q, k, label=f"ineq{j}"))
 
-    rows, meta = [], []
-    for i, p in enumerate(eqs):
-        if p.is_zero:
+    shifts = [monomial_basis(nv, two_k - p.degree()) if not p.is_zero else ()
+              for p in eqs]
+    eq_A = np.zeros((sum(map(len, shifts)) + 1, dim))
+    meta, top = [], 0
+    for i, (p, gs) in enumerate(zip(eqs, shifts)):
+        if not gs:
             continue
-        shifts = monomial_basis(nv, two_k - p.degree())
-        pmonos = list(p.terms.items())
-        for g in shifts:
-            row = np.zeros(dim)
-            for mono, c in pmonos:
-                row[idx[tuple(a + b for a, b in zip(mono, g))]] += c
-            rows.append(row)
-            meta.append(("eq", i, g))
+        # row top + r is p times the monomial gs[r]; its terms land apart
+        terms = np.array(list(p.terms), dtype=np.int64)
+        cols = monomial_positions(exponent_array(nv, two_k - p.degree())[:, None] + terms)
+        eq_A[top + np.arange(len(gs))[:, None], cols] = list(p.terms.values())
+        meta.extend(("eq", i, g) for g in gs)
+        top += len(gs)
     nu_vec = nu.coefficient_vector(two_k)
-    rows.append(nu_vec)
+    eq_A[-1] = nu_vec
     meta.append(("normalizer", None, None))
-    eq_A = np.array(rows)
-    eq_b = np.zeros(len(rows))
+    eq_b = np.zeros(len(meta))
     eq_b[-1] = 1.0
 
     return MomentRelaxation(
@@ -213,19 +215,25 @@ def assemble(kind: HierarchyKind, prob: PopProblem, k: int, *,
         objective_vector=theta.coefficient_vector(two_k),
         normalizer_vector=nu_vec, normalizer_power=nu_pow,
         eq_A=eq_A, eq_b=eq_b, eq_row_meta=meta, psd_pencils=pencils,
-        symmetry=_symmetry_of(theta, nu, eqs, ineqs, nv, k, meta, pencils)
-        if _symmetry else None)
+        symmetry=None if group is None
+        else _symmetry_of(group, orbits, eqs, nv, k, meta, pencils))
 
 
-def _dense_bytes(nv: int, k: int, eqs, ineqs) -> int:
+def _dense_bytes(nv: int, k: int, eqs, ineqs, orbits: int | None = None) -> int:
     """``sdp.dense_bytes`` of the order-k relaxation in nv variables with
-    these equalities and inequalities, from its sizes alone and without the
-    symmetry reduction (which can only shrink it): the moments of degree
-    <= 2k, the rows ``assemble`` builds and the localizing sizes."""
+    these equalities and inequalities, from its sizes alone: the moments of
+    degree <= 2k, the rows ``assemble`` builds and the localizing sizes.
+    Under a symmetry group with ``orbits`` live monomial orbits the solved
+    instance has that many moments, and its free moments number at most
+    ``orbits`` and at most those of the unreduced instance (an invariant
+    y = P z is one of them)."""
+    m = math.comb(nv + 2 * k, nv)
     rows = 1 + sum(math.comb(nv + 2 * k - p.degree(), nv) for p in eqs if not p.is_zero)
     sizes = [math.comb(nv + k - math.ceil(d / 2), nv)
              for d in (0, *(q.degree() for q in ineqs))]
-    return sdp.dense_bytes(math.comb(nv + 2 * k, nv), rows, sizes)
+    if orbits is not None:
+        m, rows = orbits, orbits - min(orbits, max(m - rows, 0))
+    return sdp.dense_bytes(m, rows, sizes)
 
 
 # -- symmetry -----------------------------------------------------------------
@@ -246,6 +254,15 @@ class SignedPermutation:
             if e % 2 and self.signs[i] < 0:
                 sign = -sign
         return sign, tuple(image)
+
+    def monomial_map(self, exps: np.ndarray) -> tuple:
+        """``monomial`` for each exponent row of ``exps``: arrays of the
+        graded-lex positions of the images and of the signs (as floats)."""
+        image = np.empty_like(exps)
+        image[:, list(self.perm)] = exps
+        flipped = [i for i, sg in enumerate(self.signs) if sg < 0]
+        odd = exps[:, flipped].sum(axis=1) % 2
+        return monomial_positions(image), np.where(odd, -1.0, 1.0)
 
     def apply(self, p: Polynomial) -> dict:
         """Terms of p after the substitution (exact: coefficients only move
@@ -367,10 +384,13 @@ class Symmetry:
         return out
 
 
-def _symmetry_of(theta, nu, eqs, ineqs, nv, k, meta, pencils):
+def _group(theta, nu, eqs, ineqs, nv, k):
     """The signed permutations among ``_candidates`` that fix theta, nu, the
-    equalities up to sign and the inequalities, all compared exactly, with
-    their orbits; None when no candidate does."""
+    equalities up to sign and the inequalities, all compared exactly, as
+    (g, equality images, inequality images, monomial map) with the map of
+    the monomials of degree <= 2k (see ``_orbits``); None when no candidate
+    does.  The pencils play no part, so ``assemble`` sizes its resource
+    guard with the group before building them."""
     found = []
     for g in _candidates(nv):
         if g.apply(theta) != theta.terms or g.apply(nu) != nu.terms:
@@ -379,24 +399,29 @@ def _symmetry_of(theta, nu, eqs, ineqs, nv, k, meta, pencils):
         ineq_image = _match([g.apply(q) for q in ineqs],
                             [q.terms for q in ineqs], False)
         if eq_image is not None and ineq_image is not None:
-            found.append((g, eq_image, ineq_image))
-    if not found:
-        return None
+            found.append((g, eq_image, ineq_image,
+                          g.monomial_map(exponent_array(nv, 2 * k))))
+    return found or None
 
-    basis = monomial_basis(nv, 2 * k)
-    idx = basis_index(nv, 2 * k)
+
+def _live(orbits: tuple) -> np.ndarray:
+    """The first element of each orbit that is not its own negative: one
+    per free moment of the invariant moment vectors."""
+    root, sign = orbits
+    return np.flatnonzero((root == np.arange(root.size)) & (sign != 0))
+
+
+def _symmetry_of(group, orbits, eqs, nv, k, meta, pencils):
+    """The ``Symmetry`` of the relaxation from its ``_group`` and the
+    monomial orbits the group generates."""
     sizes = [pen.size for pen in pencils]
     offsets = np.cumsum([0] + [s * s for s in sizes])
     eq_start = {}
     for row, (kind_, i, _g) in enumerate(meta):
         if kind_ == "eq":
             eq_start.setdefault(i, row)
-    mono_maps, gram_maps, row_maps = [], [], []
-    for g, eq_image, ineq_image in found:
-        sg, image = zip(*(g.monomial(m) for m in basis))
-        image = np.array([idx[m] for m in image])
-        sg = np.array(sg, dtype=float)
-        mono_maps.append((image, sg))
+    gram_maps, row_maps = [], []
+    for g, eq_image, ineq_image, (image, sg) in group:
         # pencil j + 1 localizes inequality j; the moment pencil is fixed
         targets = [0] + [j + 1 for j, _ in ineq_image]
         g_image, g_sign = [], []
@@ -413,13 +438,13 @@ def _symmetry_of(theta, nu, eqs, ineqs, nv, k, meta, pencils):
             r_sign[start:stop] = eps * sg[:stop - start]
         row_maps.append((r_image, r_sign))
 
-    root, sign = _orbits(len(basis), mono_maps)
-    cols = np.flatnonzero((root == np.arange(len(basis))) & (sign != 0))
+    root, sign = orbits
+    cols = _live(orbits)
     live = np.flatnonzero(sign)
     orbit_map = scipy.sparse.csr_matrix(
         (sign[live], (live, np.searchsorted(cols, root[live]))),
-        shape=(len(basis), cols.size))
-    return Symmetry(generators=[g for g, _, _ in found], orbit_map=orbit_map,
+        shape=(root.size, cols.size))
+    return Symmetry(generators=[g for g, *_ in group], orbit_map=orbit_map,
                     gram_orbits=_orbits(int(offsets[-1]), gram_maps),
                     row_orbits=_orbits(len(meta), row_maps))
 

@@ -178,9 +178,24 @@ class ResourceError(MemoryError):
         self.limit = limit
 
 
+# Memory limits of the process's control group: cgroup v2, then v1.
+_CGROUP_LIMITS = ("/sys/fs/cgroup/memory.max",
+                  "/sys/fs/cgroup/memory/memory.limit_in_bytes")
+
+
 def physical_memory() -> int:
-    """Bytes of physical memory of the machine."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    """Bytes of physical memory the process may use: the machine's, or the
+    memory limit of its cgroup where that is lower (a container's)."""
+    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    for path in _CGROUP_LIMITS:
+        try:
+            with open(path) as fh:
+                text = fh.read().strip()
+        except OSError:
+            continue
+        if text.isdigit():  # v2 writes "max" for no limit
+            limit = min(limit, int(text))
+    return limit
 
 
 def dense_bytes(m: int, rows: int, sizes) -> int:
@@ -189,8 +204,13 @@ def dense_bytes(m: int, rows: int, sizes) -> int:
     with mz = m - rows free moments (more where rows are dependent): the
     null-space basis (m x mz), the compressed pencil stacks (mz x s x s
     each), the QR stack of the largest pencil ((mz + 1) s x s) and the Schur
-    matrix (mz x mz).  Transients such as the SVD behind the null space come
-    on top."""
+    matrix (mz x mz).  It bounds the peak of ``_reduce``, which holds the
+    null-space basis, the stacks of the pencils done so far and either one
+    QR stack or one stack in the making, never both: on product_quartic at
+    orders 3 and 4 without its symmetry the peak is 0.96 and 0.83 of it.
+    The coverage test then joins all stacks in one more copy, which fits
+    only where facial compression shrank them; transients of the
+    interior-point loop come on top."""
     mz = max(m - rows, 0)
     s2 = [s * s for s in sizes]
     return 8 * (m * mz + mz * sum(s2) + (mz + 1) * max(s2, default=0) + mz * mz)
@@ -388,7 +408,11 @@ class _Block:
     orig: int             # index into inst.pencils
     basis: np.ndarray     # (s_orig, copies*s) compression map U, copy-major
     g0: np.ndarray        # (s, s) constant term on the affine subspace
-    glin: np.ndarray      # (mz, s, s) linear part over z
+    # (mz, s, s) linear part over z.  Its memory order is part of the
+    # solver's arithmetic: an uncompressed stack is the mz-fastest
+    # (s, s, mz) array transposed, which makes _ipm's aflat an F-order
+    # view, and a C-order copy rounds the GEMVs on it differently.
+    glin: np.ndarray
     copies: int = 1       # the pencil part is I_copies (x) (g0 + sum z_l glin_l)
 
 
@@ -400,6 +424,30 @@ class _Reduced:
     cy0: float
     blocks: list
     dropped: list         # pencil indices vacuous on the subspace
+
+
+# Columns of the null-space basis per sparse product in ``_pencil_chunks``.
+_CHUNK = 16
+
+
+def _pencil_chunks(pen: SdpPencil, nullmap: np.ndarray):
+    """The symmetrized matrices of ``pen`` on the null space, ``_CHUNK`` at a
+    time: pairs (lo, mats) where mats[:, :, i] is the matrix of nullmap
+    column lo + i.  No (s*s, mz) product is formed.
+
+    ``mats`` is a leading slice of one (s, s, min(_CHUNK, mz)) buffer, which
+    the next chunk overwrites.  Its matrices are strided like those of a
+    whole (s, s, mz) stack, contiguous only when mz = 1, so ``np.matmul``
+    multiplies them as it would the whole stack's: by BLAS or by its own
+    loop, with the same rounding."""
+    s, mz = pen.size, nullmap.shape[1]
+    buf = np.empty((s, s, min(_CHUNK, mz)))
+    for lo in range(0, mz, _CHUNK):
+        raw = np.asarray(pen.coeffs @ nullmap[:, lo:lo + _CHUNK]).reshape(s, s, -1)
+        mats = buf[:, :, :raw.shape[2]]
+        np.add(raw, raw.transpose(1, 0, 2), out=mats)
+        mats *= 0.5
+        yield lo, mats
 
 
 def _reduce(inst: SdpInstance, feas_tol: float):
@@ -444,15 +492,17 @@ def _reduce(inst: SdpInstance, feas_tol: float):
     for j, pen in enumerate(inst.pencils):
         s = pen.size
         g0 = _sym(pen.evaluate(y0))
-        glin = np.asarray(pen.coeffs @ nullmap).reshape(s, s, mz).transpose(2, 0, 1)
-        glin = 0.5 * (glin + glin.transpose(0, 2, 1))
         # The tall stack [g0; glin] has the singular values and row space
         # of its s x s QR factor R, whose SVD gives the rank and the basis
         # without forming left singular vectors.  Fortran order lets the QR
         # run in place; mode="raw" returns R as s x s ("r" returns all rows).
+        # The stack is filled straight from the chunked products and freed
+        # before glin is formed, so the two are never held at once.
         stacked = np.empty(((mz + 1) * s, s), order="F")
         stacked[:s] = g0
-        stacked[s:] = glin.reshape(-1, s)
+        for lo, mats in _pencil_chunks(pen, nullmap):
+            top = s * (lo + 1)
+            stacked[top:top + s * mats.shape[2]] = mats.transpose(2, 0, 1).reshape(-1, s)
         tri = scipy.linalg.qr(stacked, mode="raw", overwrite_a=True)[1]
         del stacked
         sv, vt = scipy.linalg.svd(tri)[1:]
@@ -462,11 +512,17 @@ def _reduce(inst: SdpInstance, feas_tol: float):
         rank = int(np.sum(sv > 1e-9 * sv[0]))
         if rank == s:
             basis = np.eye(s)
+            glin = np.empty((s, s, mz))
+            for lo, mats in _pencil_chunks(pen, nullmap):
+                glin[:, :, lo:lo + mats.shape[2]] = mats
+            glin = glin.transpose(2, 0, 1)
         else:
             basis = vt[:rank].T
             g0 = _sym(basis.T @ g0 @ basis)
-            glin = np.matmul(np.matmul(basis.T, glin), basis)
-            glin = 0.5 * (glin + glin.transpose(0, 2, 1))
+            glin = np.empty((mz, rank, rank))
+            for lo, mats in _pencil_chunks(pen, nullmap):
+                rot = np.matmul(np.matmul(basis.T, mats.transpose(2, 0, 1)), basis)
+                glin[lo:lo + len(rot)] = 0.5 * (rot + rot.transpose(0, 2, 1))
         blocks.extend(_split_block(_Block(orig=j, basis=basis, g0=g0, glin=glin)))
 
     chat = nullmap.T @ inst.c

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from homsos.poly import (Polynomial, PopProblem, basis_index, basis_size,
-                         monomial_basis, sphere_equation)
+                         exponent_array, monomial_basis, monomial_positions,
+                         sphere_equation)
 
 
 def random_poly(rng, nvars, deg, nterms=8):
@@ -159,6 +160,18 @@ def test_monomial_index_round_trip():
     degrees = [sum(m) for m in basis]
     assert degrees == sorted(degrees)
 
+
+
+def test_monomial_positions_match_the_basis_index():
+    for n in range(1, 6):
+        for d in range(6):
+            assert np.array_equal(monomial_positions(exponent_array(n, d)),
+                                  np.arange(basis_size(n, d)))
+    # any array of exponent vectors, read along its last axis
+    exps = np.random.default_rng(0).integers(0, 3, size=(4, 7, 3))
+    idx = basis_index(3, 6)
+    assert np.array_equal(monomial_positions(exps),
+                          [[idx[tuple(e)] for e in row] for row in exps])
 
 def test_arithmetic_drops_zero_terms():
     a = Polynomial.variable(2, 0)

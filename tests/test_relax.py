@@ -2,11 +2,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
-from homsos.poly import Polynomial, PopProblem, basis_index, monomial_basis
+from homsos.poly import (Polynomial, PopProblem, basis_index, build_homogenized,
+                         monomial_basis)
 from homsos import relax, sdp
 
-from conftest import cubic_unbounded, product_quartic, sextic_on_line
+from conftest import (biquadratic_escape, chain_with_product, choi_lam_augmented,
+                      choi_like_cubic, cubic_unbounded, motzkin_like_cubic,
+                      norm_over_hyperbolas, perturbed_robinson_3d, product_quartic,
+                      robinson_like_cubic, sextic_on_line, shifted_cubic_corner,
+                      unattained_quartic)
 
 
 def lift_point(point, nvars, k):
@@ -345,3 +351,85 @@ def test_assemble_refuses_what_memory_cannot_hold(monkeypatch):
         relax.assemble(relax.HOMOGENIZED, product_quartic(), 4)
     assert exc.value.limit == 1 << 20 < exc.value.needed
     assert relax.assemble(relax.HOMOGENIZED, product_quartic(), 2).order == 2
+
+
+def test_guard_sizes_a_symmetric_relaxation_by_its_orbits(monkeypatch):
+    prob = product_quartic()
+    _, _, eqs, ineqs, nv, _ = relax._relaxed_space(relax.HOMOGENIZED, prob, 4)
+    full = relax._dense_bytes(nv, 4, eqs, ineqs)
+    # 1,287 moments in 162 live orbits: at most 162 free moments, not 824
+    reduced = relax._dense_bytes(nv, 4, eqs, ineqs, 162)
+    assert reduced == sdp.dense_bytes(162, 0, [126, 56]) < full / 4
+    monkeypatch.setattr(sdp, "physical_memory", lambda: (reduced + full) // 2)
+    assert relax.assemble(relax.HOMOGENIZED, prob, 4).symmetry is not None
+    with pytest.raises(sdp.ResourceError) as exc:
+        relax.assemble(relax.HOMOGENIZED, prob, 4, _symmetry=False)
+    assert exc.value.needed == full
+    monkeypatch.setattr(sdp, "physical_memory", lambda: reduced - 1)
+    with pytest.raises(sdp.ResourceError) as exc:
+        relax.assemble(relax.HOMOGENIZED, prob, 4)
+    assert exc.value.needed == reduced
+
+
+def test_guard_keeps_the_unreduced_estimate_without_symmetry(monkeypatch):
+    prob = chain_with_product()
+    _, _, eqs, ineqs, nv, _ = relax._relaxed_space(relax.HOMOGENIZED, prob, 3)
+    monkeypatch.setattr(sdp, "physical_memory", lambda: 1 << 20)
+    with pytest.raises(sdp.ResourceError) as exc:
+        relax.assemble(relax.HOMOGENIZED, prob, 3)
+    assert exc.value.needed == relax._dense_bytes(nv, 3, eqs, ineqs)
+
+
+ALL_PROBLEMS = [cubic_unbounded, product_quartic, motzkin_like_cubic, choi_like_cubic,
+                robinson_like_cubic, sextic_on_line, norm_over_hyperbolas,
+                perturbed_robinson_3d, shifted_cubic_corner, biquadratic_escape,
+                choi_lam_augmented, chain_with_product, unattained_quartic]
+
+
+def loop_localizing_coeffs(p, k):
+    """The coefficients of ``localizing_pencil(p, k)`` as the former triple
+    loop over rows, columns and terms built them."""
+    rows_basis = monomial_basis(p.nvars, k - math.ceil(p.degree() / 2))
+    idx = basis_index(p.nvars, 2 * k)
+    s = len(rows_basis)
+    data, ri, ci = [], [], []
+    for i, a in enumerate(rows_basis):
+        for j, b in enumerate(rows_basis):
+            ab = tuple(x + y for x, y in zip(a, b))
+            for g, c in p.terms.items():
+                ri.append(i * s + j)
+                ci.append(idx[tuple(x + y for x, y in zip(ab, g))])
+                data.append(c)
+    return scipy.sparse.csr_matrix((data, (ri, ci)), shape=(s * s, len(idx)))
+
+
+@pytest.mark.parametrize("prob", ALL_PROBLEMS)
+def test_localizing_pencil_matches_the_loop(prob):
+    problem = prob()
+    lift = build_homogenized(problem)
+    for p in (Polynomial.constant(lift.nvars, 1.0), lift.objective, *lift.equalities,
+              *lift.inequalities, problem.objective, *problem.inequalities):
+        for k in (math.ceil(p.degree() / 2), math.ceil(p.degree() / 2) + 1):
+            got, want = relax.localizing_pencil(p, k).coeffs, loop_localizing_coeffs(p, k)
+            assert got.shape == want.shape
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("prob", ALL_PROBLEMS)
+def test_equality_rows_match_the_loop(prob):
+    for kind in (relax.HOMOGENIZED, relax.STANDARD):
+        rel = relax.assemble(kind, prob(), 3)
+        eqs = relax._relaxed_space(kind, prob(), 3)[2]
+        idx = basis_index(rel.nvars, 6)
+        rows = []
+        for p in eqs:
+            for g in monomial_basis(rel.nvars, 6 - p.degree()) if not p.is_zero else ():
+                row = np.zeros(len(idx))
+                for mono, c in p.terms.items():
+                    row[idx[tuple(a + b for a, b in zip(mono, g))]] += c
+                rows.append(row)
+        rows.append(rel.normalizer_vector)
+        assert np.array_equal(rel.eq_A, np.array(rows))
+        assert rel.eq_A.flags.c_contiguous

@@ -1,11 +1,13 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from homsos import sdp
 from homsos.poly import Polynomial, PopProblem
@@ -906,3 +908,116 @@ def test_split_solve_loads_no_csgraph():
                          env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+# -- streaming facial reduction ------------------------------------------------
+
+def whole_stack_blocks(inst):
+    """(pencil index, g0, basis, glin) of each compressed pencil, formed as
+    ``_reduce`` formed them before it streamed the products: the whole
+    product, its symmetrized copy and the QR stack at once."""
+    y0 = np.linalg.lstsq(inst.A, inst.b, rcond=None)[0]
+    nullmap = scipy.linalg.null_space(inst.A)
+    mz = nullmap.shape[1]
+    out = []
+    for j, pen in enumerate(inst.pencils):
+        s = pen.size
+        g0 = sdp._sym(pen.evaluate(y0))
+        glin = np.asarray(pen.coeffs @ nullmap).reshape(s, s, mz).transpose(2, 0, 1)
+        glin = 0.5 * (glin + glin.transpose(0, 2, 1))
+        stacked = np.empty(((mz + 1) * s, s), order="F")
+        stacked[:s] = g0
+        stacked[s:] = glin.reshape(-1, s)
+        tri = scipy.linalg.qr(stacked, mode="raw", overwrite_a=True)[1]
+        sv, vt = scipy.linalg.svd(tri)[1:]
+        if sv.size == 0 or sv[0] <= 1e-13:
+            continue
+        rank = int(np.sum(sv > 1e-9 * sv[0]))
+        if rank == s:
+            basis = np.eye(s)
+        else:
+            basis = vt[:rank].T
+            g0 = sdp._sym(basis.T @ g0 @ basis)
+            glin = np.matmul(np.matmul(basis.T, glin), basis)
+            glin = 0.5 * (glin + glin.transpose(0, 2, 1))
+        out.append((j, g0, basis, glin))
+    return out
+
+
+def assert_streamed_blocks_equal(monkeypatch, inst):
+    """The blocks ``_reduce`` hands to ``_split_block`` equal the whole-stack
+    ones bit for bit, in the same memory order."""
+    seen = []  # the coverage test may replace a block's glin afterwards
+    split = sdp._split_block
+    monkeypatch.setattr(sdp, "_split_block", lambda blk: seen.append(
+        (blk.orig, blk.g0, blk.basis, blk.glin)) or split(blk))
+    sdp._reduce(inst, 1e-8)
+    ref = whole_stack_blocks(inst)
+    assert [j for j, *_ in seen] == [j for j, *_ in ref]
+    for got, want in zip(seen, ref):
+        for a, b in zip(got[1:], want[1:]):
+            assert np.array_equal(a, b)
+        assert got[3].strides == want[3].strides
+    return seen
+
+
+@pytest.mark.parametrize("prob, k, sizes", [
+    (product_quartic, 4, [105, 50]),
+    (chain_with_product, 2, [27] + [7] * 7),     # the 7 x 7 blocks stay whole
+    (cubic_unbounded, 3, [16, 4, 4, 9])])
+def test_streamed_reduction_keeps_every_bit(monkeypatch, prob, k, sizes):
+    inst, _ = relax.to_sdp_instance(relax.assemble(relax.HOMOGENIZED, prob(), k))
+    blocks = assert_streamed_blocks_equal(monkeypatch, inst)
+    assert [basis.shape[1] for _, _, basis, _ in blocks] == sizes
+
+
+def chunk_edge_instance(mz, rank):
+    """One sparse 6 x 6 pencil over mz + 1 moments with one equality row;
+    its matrices share a kernel unless rank = 6."""
+    rng = np.random.default_rng(100 * mz + rank)
+    low = rng.standard_normal((6, rank))
+    mats = [low @ (w + w.T) @ low.T for w in rng.standard_normal((mz + 1, rank, rank))]
+    mats[0] += low @ low.T
+    coeffs = scipy.sparse.csr_matrix(np.stack([a.reshape(-1) for a in mats], axis=1))
+    return sdp.SdpInstance(c=np.zeros(mz + 1), A=np.eye(1, mz + 1), b=np.ones(1),
+                           pencils=[sdp.SdpPencil("p", 6, coeffs)])
+
+
+@pytest.mark.parametrize("mz, rank", [(17, 4), (17, 6), (33, 5), (1, 3)])
+def test_streamed_reduction_keeps_every_bit_at_chunk_edges(monkeypatch, mz, rank):
+    # a last chunk of one column: its matrices are no more contiguous than
+    # in a whole stack, so np.matmul rotates them the same way
+    blocks = assert_streamed_blocks_equal(monkeypatch, chunk_edge_instance(mz, rank))
+    assert [basis.shape[1] for _, _, basis, _ in blocks] == [rank]
+
+
+def test_reduce_peak_stays_inside_the_resource_estimate():
+    """Unreduced product_quartic at order 3: the whole stacks peaked at
+    1.34 times the estimate, the streamed ones at 0.96."""
+    prob = product_quartic()
+    inst, _ = relax.to_sdp_instance(relax.assemble(relax.HOMOGENIZED, prob, 3,
+                                                   _symmetry=False))
+    _, _, eqs, ineqs, nv, _ = relax._relaxed_space(relax.HOMOGENIZED, prob, 3)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        sdp._reduce(inst, 1e-8)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert 0 < peak <= relax._dense_bytes(nv, 3, eqs, ineqs)
+
+
+def test_physical_memory_honours_cgroup_limits(tmp_path, monkeypatch):
+    v2, v1 = tmp_path / "memory.max", tmp_path / "memory.limit_in_bytes"
+    monkeypatch.setattr(sdp, "_CGROUP_LIMITS", (str(v2), str(v1)))
+    machine = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    assert sdp.physical_memory() == machine      # neither file readable
+    v2.write_text("max\n")
+    v1.write_text(f"{2 * machine}\n")            # v1 reads as a huge number
+    assert sdp.physical_memory() == machine
+    v1.write_text("3000000\n")
+    assert sdp.physical_memory() == 3000000
+    v2.write_text("1048576\n")
+    assert sdp.physical_memory() == 1048576

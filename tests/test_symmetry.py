@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from homsos.poly import Polynomial, PopProblem, basis_index, monomial_basis
+from homsos.poly import (Polynomial, PopProblem, basis_index, exponent_array,
+                         monomial_basis)
 from homsos import cli, driver, relax, sdp
 
 from conftest import (chain_with_product, choi_like_cubic, cubic_unbounded,
@@ -115,6 +116,18 @@ def test_orbit_coordinates_are_invariant(prob, k):
         mat = pen.evaluate(y)
         assert np.allclose(mat, mat.T)
 
+
+
+@pytest.mark.parametrize("nv, k", [(5, 4), (3, 3)])
+def test_monomial_maps_match_the_loop(nv, k):
+    idx = basis_index(nv, 2 * k)
+    basis = monomial_basis(nv, 2 * k)
+    for g in relax._candidates(nv):
+        image, sign = g.monomial_map(exponent_array(nv, 2 * k))
+        signs, images = zip(*(g.monomial(m) for m in basis))
+        assert image.dtype == np.int64
+        assert np.array_equal(image, [idx[m] for m in images])
+        assert np.array_equal(sign, np.array(signs, dtype=float))
 
 def test_forced_zero_moments_have_no_column():
     # x -> -x fixes the data of unattained_quartic: every odd moment in
