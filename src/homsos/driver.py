@@ -436,12 +436,13 @@ def positivity_at_infinity_probe(prob: PopProblem, k: int,
     opts = opts or DriverOptions()
     sph = sphere_restriction(prob)
     with sdp._one_blas_thread():
-        rec, _rel, _sol = _solve_order(sph, relax.STANDARD, k, opts, opts.dump_sdpa)
+        rec, _rel, sol = _solve_order(sph, relax.STANDARD, k, opts, opts.dump_sdpa)
     if rec.status == sdp.SdpStatus.PRIMAL_INFEASIBLE.value:
         return {"bound": None, "verdict": True,
                 "diagnosis": "no feasible directions at infinity; "
                              "positivity holds vacuously"}
-    if rec.f_k is None:
+    # a value capped by the moment value has no certificate behind it
+    if rec.f_k is None or rec.f_k != sol.dual_obj:
         return {"bound": None, "verdict": False,
                 "diagnosis": f"no certified bound ({rec.status}); verdict unavailable"}
     verdict = rec.f_k > probe_tol

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .poly import basis_index, basis_size, monomial_basis
+from .poly import (basis_index, basis_size, exponent_array, monomial_basis,
+                   monomial_positions)
 
 NU_TOL = 1e-5   # normalizer weight a * tau^d below which an atom is not regular
 
@@ -39,15 +40,8 @@ def moment_matrix(y: np.ndarray, nvars: int, k: int, t: int) -> np.ndarray:
     """Order-t principal moment matrix of a degree-2k tms."""
     if t > k:
         raise ValueError("t exceeds the truncation order")
-    idx = basis_index(nvars, 2 * k)
-    rows = monomial_basis(nvars, t)
-    s = len(rows)
-    mat = np.empty((s, s))
-    for i, a in enumerate(rows):
-        for j in range(i, s):
-            b = rows[j]
-            mat[i, j] = mat[j, i] = y[idx[tuple(p + q for p, q in zip(a, b))]]
-    return mat
+    rows = exponent_array(nvars, t)
+    return np.asarray(y, dtype=float)[monomial_positions(rows[:, None] + rows[None, :])]
 
 
 def flat_truncation(y: np.ndarray, nvars: int, k: int, d_k: int,

@@ -135,7 +135,9 @@ class MomentRelaxation:
     objective_vector: np.ndarray
     normalizer_vector: np.ndarray
     normalizer_power: int | None   # x0 exponent of nu for the lifted kinds
-    eq_A: np.ndarray               # rows: <p x^g, y> = 0, then <nu, y> = 1
+    # scipy.sparse.csr_matrix, (rows, tms_dim), columns sorted in each row:
+    # <p x^g, y> = 0 for each equality p and shift g, then <nu, y> = 1
+    eq_A: object
     eq_b: np.ndarray
     eq_row_meta: list              # ("eq", i, gamma) or ("normalizer", None, None)
     psd_pencils: list              # sdp.SdpPencil, moment pencil first
@@ -191,22 +193,28 @@ def assemble(kind: HierarchyKind, prob: PopProblem, k: int, *,
     for j, q in enumerate(ineqs):
         pencils.append(localizing_pencil(q, k, label=f"ineq{j}"))
 
-    shifts = [monomial_basis(nv, two_k - p.degree()) if not p.is_zero else ()
-              for p in eqs]
-    eq_A = np.zeros((sum(map(len, shifts)) + 1, dim))
-    meta, top = [], 0
-    for i, (p, gs) in enumerate(zip(eqs, shifts)):
-        if not gs:
+    cols, vals, lengths, meta = [], [], [], []
+    for i, p in enumerate(eqs):
+        if p.is_zero:
             continue
-        # row top + r is p times the monomial gs[r]; its terms land apart
+        gs = monomial_basis(nv, two_k - p.degree())
+        # row r is p times the monomial gs[r]; its terms land apart, and
+        # are stored in column order
         terms = np.array(list(p.terms), dtype=np.int64)
-        cols = monomial_positions(exponent_array(nv, two_k - p.degree())[:, None] + terms)
-        eq_A[top + np.arange(len(gs))[:, None], cols] = list(p.terms.values())
+        pos = monomial_positions(exponent_array(nv, two_k - p.degree())[:, None] + terms)
+        order = np.argsort(pos, axis=1)
+        cols.append(np.take_along_axis(pos, order, axis=1).reshape(-1))
+        vals.append(np.array(list(p.terms.values()), dtype=float)[order].reshape(-1))
+        lengths += [len(terms)] * len(gs)
         meta.extend(("eq", i, g) for g in gs)
-        top += len(gs)
     nu_vec = nu.coefficient_vector(two_k)
-    eq_A[-1] = nu_vec
+    cols.append(np.flatnonzero(nu_vec))
+    vals.append(nu_vec[cols[-1]])
+    lengths.append(cols[-1].size)
     meta.append(("normalizer", None, None))
+    eq_A = scipy.sparse.csr_matrix(
+        (np.concatenate(vals), np.concatenate(cols), np.cumsum([0] + lengths)),
+        shape=(len(meta), dim))
     eq_b = np.zeros(len(meta))
     eq_b[-1] = 1.0
 
@@ -489,11 +497,14 @@ def _independent_rows(rows: np.ndarray, tol: float) -> list:
 
 
 def _solved_rows(rel: MomentRelaxation) -> np.ndarray:
-    """The equality rows in the coordinates of the solved instance: ``eq_A``,
-    or ``eq_A P`` in orbit coordinates."""
+    """The equality rows in the coordinates of the solved instance, as a new
+    dense array: ``eq_A`` in C order, or ``eq_A P`` in orbit coordinates,
+    multiplied sparse and laid out in Fortran order.  The layout is part of
+    the arithmetic: numpy sums a contiguous axis pairwise and a strided one
+    in sequence, and the row norms are such sums."""
     if rel.symmetry is None:
-        return rel.eq_A
-    return np.asarray((rel.symmetry.orbit_map.T @ rel.eq_A.T).T)
+        return rel.eq_A.toarray()
+    return (rel.eq_A @ rel.symmetry.orbit_map).toarray(order="F")
 
 
 def to_sdp_instance(rel: MomentRelaxation, row_tol: float = 1e-10):
@@ -501,9 +512,12 @@ def to_sdp_instance(rel: MomentRelaxation, row_tol: float = 1e-10):
 
     With a symmetry group the instance is in orbit coordinates z (y = P z):
     objective ``P^T c``, pencil coefficients ``coeffs P`` and equality rows
-    ``eq_A P``, of which the rows whose orbit sums cancel are dropped.
-    Redundant equality rows are removed by rank-revealing QR and the kept
-    rows (normalizer included) are scaled to unit norm.  Returns
+    ``eq_A P``, of which the rows whose orbit sums cancel are dropped.  The
+    sparse ``eq_A`` is densified only in the solved coordinates: whole for a
+    relaxation without symmetry, whose rank-revealing QR needs it, and as
+    the orbits x rows product ``eq_A P`` otherwise.  Redundant equality rows
+    are removed by rank-revealing QR and the kept rows (normalizer included)
+    are scaled to unit norm; the instance's ``A`` is dense.  Returns
     ``(instance, kept_row_indices)``, indices of rows of ``eq_A``.
     """
     sym = rel.symmetry
@@ -516,15 +530,17 @@ def to_sdp_instance(rel: MomentRelaxation, row_tol: float = 1e-10):
             raise ValueError("zero equality row in the relaxation")
         ids = np.arange(rows.shape[0])
         c, pencils = rel.objective_vector.copy(), rel.psd_pencils
+        scaled = rows
+        scaled /= norms[:, None]
     else:
         # an invariant y satisfies a row whose orbit sums cancel
-        full = np.linalg.norm(rel.eq_A[:-1], axis=1)
+        full = np.sqrt(rel.eq_A.power(2) @ np.ones(rel.tms_dim))[:-1]
         ids = np.append(np.flatnonzero(norms[:-1] > row_tol * full),
                         rows.shape[0] - 1)
         c = sym.orbit_map.T @ rel.objective_vector
         pencils = [replace(pen, coeffs=(pen.coeffs @ sym.orbit_map).tocsr())
                    for pen in rel.psd_pencils]
-    scaled = rows[ids] / norms[ids, None]
+        scaled = rows[ids] / norms[ids, None]
     data = scaled[:-1]
     kept = _independent_rows(data, row_tol)
     nu_row = scaled[-1]
@@ -580,13 +596,18 @@ def sos_certificate_from_dual(rel: MomentRelaxation, sol) -> SosCertificate:
     for pen, Z in zip(rel.psd_pencils, pencil_duals):
         resid -= pen.coeffs.T @ Z.reshape(-1)
         grams.append((pen.label, pen.basis, Z))
+    # each multiplier's row at its nonzeros, row after row: ``subtract.at``
+    # applies the terms in the order given
+    used = np.flatnonzero(lam)
+    rows = rel.eq_A[used]
+    np.subtract.at(resid, rows.indices,
+                   np.repeat(lam[used], np.diff(rows.indptr)) * rows.data)
 
     gamma = 0.0
     shifts = {}  # equality index -> {shift g: coefficient}
-    for row_id in np.flatnonzero(lam):
+    for row_id in used:
         coef = lam[row_id]
         kind_, i, g = rel.eq_row_meta[row_id]
-        resid -= coef * rel.eq_A[row_id]
         if kind_ == "normalizer":
             gamma = coef
         else:

@@ -208,8 +208,8 @@ def dense_bytes(m: int, rows: int, sizes) -> int:
     null-space basis, the stacks of the pencils done so far and either one
     QR stack or one stack in the making, never both: on product_quartic at
     orders 3 and 4 without its symmetry the peak is 0.96 and 0.83 of it.
-    The coverage test then joins all stacks in one more copy, which fits
-    only where facial compression shrank them; transients of the
+    The coverage test adds two mz x mz Gram matrices, and joins the stacks
+    only when the Gram matrix leaves the rank open; transients of the
     interior-point loop come on top."""
     mz = max(m - rows, 0)
     s2 = [s * s for s in sizes]
@@ -389,16 +389,26 @@ def _inner(a: np.ndarray, b: np.ndarray):
     return np.dot(a.reshape(1, -1), b.reshape(-1, 1))[0, 0]
 
 
-def _schur(astk, lxs, qs) -> np.ndarray:
+def _schur(astk, lxs, qs, work=None) -> np.ndarray:
     """HKM Schur complement M[l,l'] = sum_j tr(A_l X_j A_l' Z_j^{-1}).
 
     With X_j = Lx Lx^T and Z_j^{-1} = Q Q^T the term of block j is
     <Lx^T A_l Q, Lx^T A_l' Q>, so M is the Gram matrix of the flattened
-    B_l = Lx^T A_l Q: one SYRK per block, symmetric by construction."""
+    B_l = Lx^T A_l Q: one SYRK per block, symmetric by construction.
+
+    The two (mz, s, s) products are written into the flat buffers ``work``
+    (two of at least mz s^2 entries for the largest block), which ``_ipm``
+    allocates once: fresh products of a megabyte or more would be mapped
+    and paged in anew at each iteration unless the allocator happens to
+    keep freed memory."""
     mz = astk[0].shape[0]
+    if work is None:
+        work = [np.empty(mz * max(lx.shape[0] for lx in lxs) ** 2) for _ in range(2)]
     schur = np.zeros((mz, mz))
     for a_s, lx, q in zip(astk, lxs, qs):
-        b = np.matmul(np.matmul(lx.T, a_s), q).reshape(mz, -1)
+        shape = (mz,) + lx.shape
+        left = np.matmul(lx.T, a_s, out=work[0][:a_s.size].reshape(shape))
+        b = np.matmul(left, q, out=work[1][:a_s.size].reshape(shape)).reshape(mz, -1)
         schur += b @ b.T
     return schur
 
@@ -539,9 +549,10 @@ def _reduce(inst: SdpInstance, feas_tol: float):
             message="objective is unbounded along the pencil-free subspace")
 
     # Directions of z unseen by any pencil make the problem linear there.
-    flat = np.concatenate([blk.glin.reshape(mz, -1) for blk in blocks], axis=1)
-    if _gram_full_rank(flat):
+    parts = [blk.glin.reshape(mz, -1) for blk in blocks]
+    if _gram_full_rank(*parts):
         return red
+    flat = np.concatenate(parts, axis=1)
     sv = scipy.linalg.svdvals(flat) if mz else np.array([])
     rank = int(np.sum(sv > 1e-11 * max(1.0, sv[0]))) if sv.size else 0
     if rank < mz:
@@ -708,20 +719,28 @@ def _copy_mean(stack: np.ndarray, d: int):
     return diag.mean(axis=0), err
 
 
-def _gram_full_rank(flat: np.ndarray) -> bool:
-    """True when the eigenvalues of G = flat flat^T prove that the rows of
-    ``flat`` pass the singular-value rank test of ``_reduce``
-    (sigma_min > 1e-11 max(1, sigma_max)); False when they leave it open.
+def _gram_full_rank(*parts: np.ndarray) -> bool:
+    """True when the eigenvalues of G = F F^T prove that the rows of the
+    stacks ``parts`` joined side by side, F = [F_1 ... F_B], pass the
+    singular-value rank test of ``_reduce`` (sigma_min > 1e-11 max(1,
+    sigma_max)); False when they leave it open.  F itself is never formed.
 
-    G and its eigenvalues are each off by at most e = 2 (k + rows) eps tr(G)
-    in the 2-norm, k being the column count, so lambda_min - e >
-    1e-20 max(1, lambda_max + e) gives sigma_min > 1e-10 max(1, sigma_max):
-    ten times the threshold, which rounding in the SVD cannot undo.  One
-    SYRK and a symmetric eigensolve cost far less than the SVD of a wide
-    ``flat``."""
-    gram = flat @ flat.T
+    G is summed block by block, G = sum_b F_b F_b^T.  Each product is off
+    by at most gamma_(k_b) |F_b| |F_b|^T entrywise (k_b columns), and the sum
+    adds at most gamma_(B-1) times the sum of the |products|, so G is off by
+    at most gamma_(k_max + B - 1) |F| |F|^T, whose 2-norm is at most tr(G);
+    k_max + B - 1 <= k, the column count of F.  G and its eigenvalues are
+    therefore each off by at most e = 2 (k + rows) eps tr(G) in the 2-norm,
+    so lambda_min - e > 1e-20 max(1, lambda_max + e) gives sigma_min >
+    1e-10 max(1, sigma_max): ten times the threshold, which rounding in the
+    SVD cannot undo.  One SYRK per block and a symmetric eigensolve cost far
+    less than the SVD of a wide F."""
+    gram = parts[0] @ parts[0].T
+    for f in parts[1:]:
+        gram += f @ f.T
     lam = scipy.linalg.eigvalsh(gram)
-    err = 2 * (flat.shape[1] + flat.shape[0]) * np.finfo(float).eps * np.trace(gram)
+    cols = sum(f.shape[1] for f in parts)
+    err = 2 * (cols + gram.shape[0]) * np.finfo(float).eps * np.trace(gram)
     return bool(lam[0] - err > 1e-20 * max(1.0, lam[-1] + err))
 
 
@@ -770,6 +789,7 @@ def _ipm(red: _Reduced, opts: SolveOptions):
     sizes = [blk.g0.shape[0] for blk in blocks]
     sdim = sum(sizes)
     eyes = [np.eye(s) for s in sizes]
+    work = [np.empty(mz * max(sizes) ** 2) for _ in range(2)]   # see _schur
 
     # X and Z start at multiples of the identity sized from each original
     # pencil as a whole, so a split pencil starts where the unsplit one would
@@ -874,7 +894,7 @@ def _ipm(red: _Reduced, opts: SolveOptions):
             # step lengths for Lx.
             qs = [_solve_lower(_finite(lz), eye).T for lz, eye in zip(lzs, eyes)]
             zinvs = [q @ q.T for q in qs]
-            schur = _schur(astk, lxs, qs)
+            schur = _schur(astk, lxs, qs, work)
             chol = None
             scale = np.trace(schur) / mz if mz else 1.0
             for jit in (0.0, 1e-13, 1e-10, 1e-7):

@@ -102,6 +102,11 @@ def unattained_quartic():
     return PopProblem(2, a**4 + (a*b - 1)**2)
 
 
+ALL_PROBLEMS = [cubic_unbounded, product_quartic, motzkin_like_cubic, choi_like_cubic,
+                robinson_like_cubic, sextic_on_line, norm_over_hyperbolas,
+                perturbed_robinson_3d, shifted_cubic_corner, biquadratic_escape,
+                choi_lam_augmented, chain_with_product, unattained_quartic]
+
 SQ3 = np.sqrt(3.0)
 CUBIC_MIN = -1.0 - 2.0 * SQ3 / 9.0
 CUBIC_ARGMIN = np.array([-SQ3 / 3.0, -1.0 + SQ3 / 9.0])

@@ -163,6 +163,23 @@ def test_positivity_probe_needs_a_certified_bound(monkeypatch):
     assert statuses[0] in out["diagnosis"]
 
 
+def test_positivity_probe_gives_no_verdict_from_a_capped_value(monkeypatch):
+    # a stalled solve's certificate value above its moment value is capped by
+    # the moment value, which certifies nothing
+    solve = sdp.solve_with_restarts
+
+    def raised_dual(inst, opts):
+        sol = solve(inst, opts)
+        return replace(sol, status=sdp.SdpStatus.NUMERICAL_TROUBLE,
+                       moment_converged=True, dual_obj=sol.primal_obj + 1e-3)
+
+    monkeypatch.setattr(sdp, "solve_with_restarts", raised_dual)
+    out = driver.positivity_at_infinity_probe(cubic_unbounded(), 3)
+    assert out == {"bound": None, "verdict": False,
+                   "diagnosis": "no certified bound (numerical_trouble); "
+                                "verdict unavailable"}
+
+
 def test_positivity_probe_empty_directions():
     a, b = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
     prob = PopProblem(2, a + b, (a**2 + b**2 + 1,), ())

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from homsos import extract
+from homsos import driver, extract, relax, sdp
 from homsos.extract import (Atom, AtomExtractionError, build_tms, classify,
                             extract_atoms, flat_truncation, moment_matrix,
                             numerical_rank)
-from homsos.poly import basis_size
+from homsos.poly import basis_index, basis_size, monomial_basis
+
+from conftest import ALL_PROBLEMS
 
 
 def test_numerical_rank_basics():
@@ -35,6 +37,30 @@ def test_moment_matrix_layout():
     m1 = moment_matrix(y, 2, 2, 1)
     u = np.array([1.0, 0.5, -1.0])
     assert np.allclose(m1, 2.0 * np.outer(u, u))
+
+
+def loop_moment_matrix(y, nvars, k, t):
+    """``moment_matrix`` as the former double loop over dict lookups built it."""
+    idx = basis_index(nvars, 2 * k)
+    rows = monomial_basis(nvars, t)
+    mat = np.empty((len(rows), len(rows)))
+    for i, a in enumerate(rows):
+        for j in range(i, len(rows)):
+            mat[i, j] = mat[j, i] = y[idx[tuple(p + q for p, q in zip(a, rows[j]))]]
+    return mat
+
+
+@pytest.mark.parametrize("prob", ALL_PROBLEMS)
+def test_moment_matrix_matches_the_loop(prob):
+    problem = prob()
+    k = driver.default_k_min(problem, relax.HOMOGENIZED)
+    rel = relax.assemble(relax.HOMOGENIZED, problem, k)
+    inst, _ = relax.to_sdp_instance(rel)
+    y = relax.full_solution(rel, sdp.solve(inst)).y
+    for t in range(k + 1):
+        got, want = moment_matrix(y, rel.nvars, k, t), loop_moment_matrix(y, rel.nvars, k, t)
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert np.array_equal(got, want)
 
 
 def test_flat_truncation_single_atom():

@@ -1,18 +1,18 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse
 
 from homsos.poly import (Polynomial, PopProblem, basis_index, build_homogenized,
-                         monomial_basis)
+                         exponent_array, monomial_basis, monomial_positions)
 from homsos import relax, sdp
 
-from conftest import (biquadratic_escape, chain_with_product, choi_lam_augmented,
-                      choi_like_cubic, cubic_unbounded, motzkin_like_cubic,
-                      norm_over_hyperbolas, perturbed_robinson_3d, product_quartic,
-                      robinson_like_cubic, sextic_on_line, shifted_cubic_corner,
-                      unattained_quartic)
+from conftest import (ALL_PROBLEMS, chain_with_product, cubic_unbounded,
+                      norm_over_hyperbolas, product_quartic, robinson_like_cubic,
+                      sextic_on_line)
 
 
 def lift_point(point, nvars, k):
@@ -136,7 +136,7 @@ def test_denominator_power_zero_matches_standard():
     r1 = relax.assemble(relax.DENOMINATOR, prob, 2)
     r2 = relax.assemble(relax.STANDARD, prob, 2)
     assert np.allclose(r1.objective_vector, r2.objective_vector)
-    assert np.allclose(r1.eq_A, r2.eq_A)
+    assert np.allclose(r1.eq_A.toarray(), r2.eq_A.toarray())
     assert np.allclose(r1.eq_b, r2.eq_b)
     for p1, p2 in zip(r1.psd_pencils, r2.psd_pencils):
         assert (p1.coeffs != p2.coeffs).nnz == 0
@@ -238,7 +238,8 @@ def quadratic_multipliers(rel, sol):
     """Multipliers and residual of ``sos_certificate_from_dual`` by its
     former loop, which added one monomial at a time to each multiplier."""
     _, kept = relax.to_sdp_instance(rel)
-    norms = np.linalg.norm(rel.eq_A, axis=1)
+    rows = rel.eq_A.toarray()
+    norms = np.linalg.norm(rows, axis=1)
     resid = rel.objective_vector.copy()
     for pen, gram in zip(rel.psd_pencils, sol.pencil_duals):
         resid -= pen.coeffs.T @ gram.reshape(-1)
@@ -246,7 +247,7 @@ def quadratic_multipliers(rel, sol):
     for dual, row_id in zip(sol.eq_duals, kept):
         coef = dual / norms[row_id]
         kind_, i, g = rel.eq_row_meta[row_id]
-        resid -= coef * rel.eq_A[row_id]
+        resid -= coef * rows[row_id]
         if kind_ != "normalizer":
             phi = multipliers.get(i, Polynomial.zero(rel.nvars))
             multipliers[i] = phi + Polynomial.monomial(rel.nvars, g, coef)
@@ -311,7 +312,7 @@ def test_power_zero_assembles_homogenized(k):
     rh = relax.assemble(relax.HOMOGENIZED, prob, k)
     assert np.array_equal(r0.objective_vector, rh.objective_vector)
     assert np.array_equal(r0.normalizer_vector, rh.normalizer_vector)
-    assert np.array_equal(r0.eq_A, rh.eq_A)
+    assert np.array_equal(r0.eq_A.toarray(), rh.eq_A.toarray())
     assert r0.normalizer_power == rh.normalizer_power == 1
     assert len(r0.psd_pencils) == len(rh.psd_pencils)
     for p0, ph in zip(r0.psd_pencils, rh.psd_pencils):
@@ -380,12 +381,6 @@ def test_guard_keeps_the_unreduced_estimate_without_symmetry(monkeypatch):
     assert exc.value.needed == relax._dense_bytes(nv, 3, eqs, ineqs)
 
 
-ALL_PROBLEMS = [cubic_unbounded, product_quartic, motzkin_like_cubic, choi_like_cubic,
-                robinson_like_cubic, sextic_on_line, norm_over_hyperbolas,
-                perturbed_robinson_3d, shifted_cubic_corner, biquadratic_escape,
-                choi_lam_augmented, chain_with_product, unattained_quartic]
-
-
 def loop_localizing_coeffs(p, k):
     """The coefficients of ``localizing_pencil(p, k)`` as the former triple
     loop over rows, columns and terms built them."""
@@ -431,5 +426,168 @@ def test_equality_rows_match_the_loop(prob):
                     row[idx[tuple(a + b for a, b in zip(mono, g))]] += c
                 rows.append(row)
         rows.append(rel.normalizer_vector)
-        assert np.array_equal(rel.eq_A, np.array(rows))
-        assert rel.eq_A.flags.c_contiguous
+        assert np.array_equal(rel.eq_A.toarray(), np.array(rows))
+        assert rel.eq_A.has_sorted_indices
+
+
+KINDS = [relax.HOMOGENIZED, relax.HOMOGENIZED_EVEN, relax.DENOMINATOR, relax.STANDARD,
+         relax.power_x0(1)]
+
+
+def assembled(kind, prob, k, **kwargs):
+    """``relax.assemble``, or None where the kind or order does not apply."""
+    try:
+        return relax.assemble(kind, prob, k, **kwargs)
+    except ValueError:  # odd degrees for the even kind, or OrderTooSmallError
+        return None
+
+
+def dense_equality_rows(kind, prob, k):
+    """The rows of ``eq_A`` as the former dense construction wrote them:
+    each equality's shifted terms assigned into a zero (rows, m) array."""
+    eqs = relax._relaxed_space(kind, prob, k)[2]
+    rel = relax.assemble(kind, prob, k, _symmetry=False)
+    nv, two_k = rel.nvars, 2 * k
+    shifts = [monomial_basis(nv, two_k - p.degree()) if not p.is_zero else ()
+              for p in eqs]
+    eq_A = np.zeros((sum(map(len, shifts)) + 1, rel.tms_dim))
+    top = 0
+    for p, gs in zip(eqs, shifts):
+        if not gs:
+            continue
+        terms = np.array(list(p.terms), dtype=np.int64)
+        cols = monomial_positions(exponent_array(nv, two_k - p.degree())[:, None] + terms)
+        eq_A[top + np.arange(len(gs))[:, None], cols] = list(p.terms.values())
+        top += len(gs)
+    eq_A[-1] = rel.normalizer_vector
+    return eq_A
+
+
+@pytest.mark.parametrize("prob", ALL_PROBLEMS)
+def test_sparse_equality_rows_match_the_dense_construction(prob):
+    for kind, k in itertools.product(KINDS, (2, 3, 4)):
+        rel = assembled(kind, prob(), k)
+        if rel is None:
+            continue
+        assert rel.eq_A.format == "csr"
+        assert rel.eq_A.has_sorted_indices and np.all(rel.eq_A.data != 0.0)
+        assert np.array_equal(rel.eq_A.toarray(), dense_equality_rows(kind, prob(), k))
+
+
+def dense_solved_rows(rel, eq_A):
+    """The former ``_solved_rows`` of the dense rows ``eq_A``."""
+    if rel.symmetry is None:
+        return eq_A
+    return np.asarray((rel.symmetry.orbit_map.T @ eq_A.T).T)
+
+
+def dense_sdp_instance(rel, row_tol=1e-10):
+    """``to_sdp_instance`` as it was with dense rows: c, A, b, the pencil
+    coefficients and the kept rows."""
+    sym, eq_A = rel.symmetry, rel.eq_A.toarray()
+    rows = dense_solved_rows(rel, eq_A)
+    norms = np.linalg.norm(rows, axis=1)
+    if sym is None:
+        ids = np.arange(rows.shape[0])
+        c, coeffs = rel.objective_vector.copy(), [pen.coeffs for pen in rel.psd_pencils]
+    else:
+        full = np.linalg.norm(eq_A[:-1], axis=1)
+        ids = np.append(np.flatnonzero(norms[:-1] > row_tol * full), rows.shape[0] - 1)
+        c = sym.orbit_map.T @ rel.objective_vector
+        coeffs = [(pen.coeffs @ sym.orbit_map).tocsr() for pen in rel.psd_pencils]
+    scaled = rows[ids] / norms[ids, None]
+    kept = relax._independent_rows(scaled[:-1], row_tol)
+    kept_all = [int(i) for i in ids[kept]] + [rows.shape[0] - 1]
+    return (c, scaled[kept + [ids.size - 1]], rel.eq_b[kept_all] / norms[kept_all],
+            coeffs, kept_all)
+
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.strides == want.strides
+    assert got.tobytes() == want.tobytes()
+
+
+def swap_symmetric_equality():
+    """A problem fixed by x1 <-> x2 whose equality has irrational-looking
+    coefficients: its rows' squared norms are rounded, so how they are
+    summed shows in the scaled rows."""
+    rng = np.random.default_rng(3)
+    terms = {}
+    for i in range(5):
+        for j in range(i, 5 - i):
+            terms[(i, j)] = terms[(j, i)] = float(rng.uniform(0.1, 1.0))
+    a, b = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    return PopProblem(2, a**4 + b**4 + a * b, (Polynomial(2, terms),), ())
+
+
+@pytest.mark.parametrize("prob", ALL_PROBLEMS + [swap_symmetric_equality])
+def test_to_sdp_instance_matches_the_dense_rows(prob):
+    # values, dtype and memory layout: the IPM's arithmetic depends on all three
+    for kind, k, symmetric in itertools.product(
+            (relax.HOMOGENIZED, relax.STANDARD), (2, 3), (True, False)):
+        rel = assembled(kind, prob(), k, _symmetry=symmetric)
+        if rel is None:
+            continue
+        inst, kept = relax.to_sdp_instance(rel)
+        c, A, b, coeffs, kept_want = dense_sdp_instance(rel)
+        assert kept == kept_want
+        for got, want in ((inst.c, c), (inst.A, A), (inst.b, b)):
+            assert_same_array(got, want)
+        for pen, want in zip(inst.pencils, coeffs, strict=True):
+            for name in ("indptr", "indices", "data"):
+                assert_same_array(getattr(pen.coeffs, name), getattr(want, name))
+
+
+def dense_certificate(rel, sol):
+    """Residual, gamma and multipliers of ``sos_certificate_from_dual`` by
+    its former loop, which subtracted each multiplier's dense row."""
+    eq_A = rel.eq_A.toarray()
+    _, kept = relax.to_sdp_instance(rel)
+    norms = np.linalg.norm(dense_solved_rows(rel, eq_A), axis=1)
+    lam = np.zeros(eq_A.shape[0])
+    lam[kept] = sol.eq_duals / norms[kept]
+    grams = sol.pencil_duals
+    if rel.symmetry is not None:
+        lam = relax._orbit_average(rel.symmetry.row_orbits, lam)
+        grams = rel.symmetry.average_grams(grams)
+    resid = rel.objective_vector.copy()
+    for pen, gram in zip(rel.psd_pencils, grams):
+        resid -= pen.coeffs.T @ gram.reshape(-1)
+    gamma, shifts = 0.0, {}
+    for row_id in np.flatnonzero(lam):
+        coef = lam[row_id]
+        resid -= coef * eq_A[row_id]
+        kind_, i, g = rel.eq_row_meta[row_id]
+        if kind_ == "normalizer":
+            gamma = coef
+        else:
+            terms = shifts.setdefault(i, {})
+            terms[g] = terms.get(g, 0.0) + coef
+    return float(np.max(np.abs(resid))), gamma, shifts
+
+
+@pytest.mark.parametrize("prob, k", [(cubic_unbounded, 3), (product_quartic, 3),
+                                     (norm_over_hyperbolas, 2)])
+def test_certificate_residual_matches_the_dense_rows(prob, k):
+    rel = relax.assemble(relax.HOMOGENIZED, prob(), k)
+    inst, _ = relax.to_sdp_instance(rel)
+    sol = sdp.solve(inst)
+    cert = relax.sos_certificate_from_dual(rel, sol)
+    residual, gamma, shifts = dense_certificate(rel, sol)
+    assert cert.residual == residual and cert.gamma == gamma
+    assert {i: phi.terms for i, phi in cert.multipliers.items()} == \
+        {i: Polynomial(rel.nvars, terms).terms for i, terms in shifts.items()}
+
+
+def test_sparse_rows_keep_assembly_below_the_dense_rows():
+    """product_quartic at order 5: its dense rows alone took 29.5 MiB, and
+    assembly with preprocessing peaked at 65 MiB."""
+    tracemalloc.start()
+    try:
+        rel = relax.assemble(relax.HOMOGENIZED, product_quartic(), 5)
+        relax.to_sdp_instance(rel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * rel.eq_A.shape[0] * rel.tms_dim

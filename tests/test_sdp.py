@@ -398,6 +398,9 @@ def test_schur_matches_trace_definition():
     schur = sdp._schur(astk, lxs, qs)
     assert np.array_equal(schur, schur.T)
     assert np.max(np.abs(schur - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # the IPM's reused buffers, larger than needed, give the same bits
+    work = [np.full(mz * 36 + 7, np.nan) for _ in range(2)]
+    assert np.array_equal(sdp._schur(astk, lxs, qs, work), schur)
 
 
 def test_max_step_is_generalized_eigenvalue():
@@ -1007,6 +1010,32 @@ def test_reduce_peak_stays_inside_the_resource_estimate():
     finally:
         tracemalloc.stop()
     assert 0 < peak <= relax._dense_bytes(nv, 3, eqs, ineqs)
+
+
+def test_coverage_test_stays_inside_the_resource_estimate():
+    """Standard relaxation with no equalities whose five pencils (28 and
+    4 x 21) keep full rank: joining their stacks for the coverage test
+    peaked at 1.58 times the estimate."""
+    xs = [Polynomial.variable(2, i) for i in range(2)]
+    rng = np.random.default_rng(1)
+    f = sum((float(c) * x + x**4 for c, x in zip(rng.standard_normal(2), xs)),
+            Polynomial.zero(2))
+    ineqs = tuple(Polynomial.constant(2, 1.0 + j)
+                  - sum((float(w) * x**2 for w, x in zip(rng.uniform(0.5, 2.0, 2), xs)),
+                        Polynomial.zero(2))
+                  for j in range(4))
+    prob = PopProblem(2, f, (), ineqs)
+    inst, _ = relax.to_sdp_instance(relax.assemble(relax.STANDARD, prob, 6))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        red = sdp._reduce(inst, 1e-8)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert [blk.glin.shape for blk in red.blocks] == [(90, 28, 28)] + [(90, 21, 21)] * 4
+    assert 0 < peak <= relax._dense_bytes(2, 6, (), ineqs)
 
 
 def test_physical_memory_honours_cgroup_limits(tmp_path, monkeypatch):

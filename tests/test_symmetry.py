@@ -198,10 +198,11 @@ def test_reduced_and_full_paths_agree(prob, k):
 def test_unaveraged_duals_satisfy_only_orbit_sums():
     # the duals of the kept rows alone, mapped to y, leave a large residual
     (rel, _, kept, sol, cert), _ = solve_both_paths(product_quartic(), 3)
-    lam = np.zeros(rel.eq_A.shape[0])
-    lam[kept] = sol.eq_duals / np.linalg.norm(rel.eq_A[kept] @ rel.symmetry.orbit_map, axis=1)
+    rows = rel.eq_A.toarray()
+    lam = np.zeros(rows.shape[0])
+    lam[kept] = sol.eq_duals / np.linalg.norm(rows[kept] @ rel.symmetry.orbit_map, axis=1)
     resid = dual_residual(rel.objective_vector, rel.psd_pencils, sol.pencil_duals,
-                          rel.eq_A, lam)
+                          rows, lam)
     assert np.max(np.abs(resid)) > 1e-2
     assert np.max(np.abs(rel.symmetry.orbit_map.T @ resid)) < 5e-8
     assert cert.residual < 5e-8
