@@ -23,6 +23,7 @@ VALUE_TOL = 1e-4           # |f(u) - bound| of a minimizer, relative
 INFINITY_VALUE_TOL = 1e-4  # |f_top(v)| of a minimizer at infinity
 OPTCOND_ACTIVE_TOL = 1e-4  # activity and first-order tests of optcond
 OPTCOND_FOOC_TOL = 1e-4
+POSITIVITY_TOL = 1e-6      # a certified probe value above this proves positivity
 
 
 @dataclass
@@ -49,6 +50,7 @@ class OrderRecord:
     status: str
     f_k: float | None            # certificate-side bound
     f_k_prime: float | None      # moment-side value
+    bound: float | None = None   # the order's bound, decided by _solve_order
     flat_t: int | None = None
     flat_gap: int | None = None
     atom_set: extract.AtomSet | None = None
@@ -60,10 +62,6 @@ class OrderRecord:
     notes: str = ""
     symmetry: dict | None = None    # relax.describe_symmetry of the solve
     blocks: dict | None = None      # sdp.describe_blocks of the solve
-
-    @property
-    def bound(self):
-        return self.f_k if self.f_k is not None else self.f_k_prime
 
     def to_dict(self) -> dict:
         return {
@@ -128,7 +126,11 @@ def _solve_order(prob, kind, k, opts, dump_path=None):
     """Assemble and solve one order; returns (record, rel, sol) with
     ``sol.y`` in the moment coordinates of ``rel``.  The solved instance,
     in orbit coordinates when the relaxation has a symmetry group, is
-    written to ``dump_path`` in SDPA format when one is given."""
+    written to ``dump_path`` in SDPA format when one is given.
+
+    This is the one place that decides the order's ``bound``: the
+    certificate value ``f_k``, else the moment value ``f_k_prime`` once the
+    moment side converged, else None."""
     rec = OrderRecord(k=k, kind=str(kind), status="", f_k=None, f_k_prime=None)
     try:
         rel = relax.assemble(kind, prob, k)
@@ -160,6 +162,8 @@ def _solve_order(prob, kind, k, opts, dump_path=None):
         if sol.status is not sdp.SdpStatus.OPTIMAL and sol.moment_converged \
                 and rec.f_k_prime is not None:
             rec.f_k = min(rec.f_k, rec.f_k_prime)
+    rec.bound = rec.f_k if rec.f_k is not None else (
+        rec.f_k_prime if sol.moment_converged else None)
     return rec, rel, sol
 
 
@@ -220,6 +224,48 @@ def _verify_minimizer(prob, u, bound, opts):
     return val
 
 
+def _verified_atoms(rec, rel, sol, prob, opts):
+    """Extract and classify the atoms of one solved order and check each
+    regular one.  Returns (atom set, [(minimizer, value)], [optcond report
+    or None per minimizer]), or None when extraction or a check fails."""
+    kind = rel.kind
+    atoms = _attempt_extraction(rec, rel, sol, prob, opts)
+    if atoms is None:
+        return None
+    if kind.has_x0:
+        atom_set = extract.classify(atoms, rel.normalizer_power,
+                                    tau_tol=opts.atom_tol, flip_negative=kind.even)
+    else:
+        # no x0 coordinate: every atom is a direct minimizer candidate
+        atom_set = extract.AtomSet(
+            atoms=atoms, regular=[(a.point, a.weight) for a in atoms],
+            at_infinity=[], flagged=[], d=0)
+    if kind.even:
+        atom_set.regular = _merge_close(atom_set.regular)
+    if not (atom_set.regular and not atom_set.flagged
+            and abs(atom_set.regular_weight - 1.0) < 1e-4):
+        return None
+    minimizers, reports = [], []
+    for u, _nu in atom_set.regular:
+        val = _verify_minimizer(prob, u, rec.f_k_prime, opts)
+        if val is None:
+            rec.notes = "an extracted point failed feasibility or value checks"
+            return None
+        try:
+            rep = optcond.check_regular(prob, u, active_tol=OPTCOND_ACTIVE_TOL,
+                                        fooc_tol=OPTCOND_FOOC_TOL)
+        except ValueError:
+            rep = None
+        # a stalled solve only earns its atoms if they are critical points
+        if sol.status is not sdp.SdpStatus.OPTIMAL and (rep is None or not rep.fooc_ok):
+            rec.notes = ("extracted point is not a first-order critical "
+                         "point; treating the rank condition as spurious")
+            return None
+        minimizers.append((u, val))
+        reports.append(rep)
+    return atom_set, minimizers, reports
+
+
 def solve_pop(prob: PopProblem, opts: DriverOptions | None = None) -> HierarchyReport:
     """Run the hierarchy from k_min to k_max with early stop on verified
     convergence (flat truncation, value agreement, optionally the
@@ -230,12 +276,11 @@ def solve_pop(prob: PopProblem, opts: DriverOptions | None = None) -> HierarchyR
     k_hi = opts.k_max or k_lo
     if k_hi < k_lo:
         raise ValueError("k_max must be at least k_min")
+    checker = optcond.check_at_infinity_even if kind.even else optcond.check_at_infinity
 
     records = []
     best_bound = None
-    converged = False
     convergence_order = None
-
     with sdp._one_blas_thread():
         for k in range(k_lo, k_hi + 1):
             dump = opts.dump_sdpa
@@ -243,96 +288,39 @@ def solve_pop(prob: PopProblem, opts: DriverOptions | None = None) -> HierarchyR
                 dump = f"{dump}.k{k}"
             rec, rel, sol = _solve_order(prob, kind, k, opts, dump)
             records.append(rec)
-            usable = sol is not None and (sol.status is sdp.SdpStatus.OPTIMAL
-                                           or sol.moment_converged)
-            bound_k = rec.f_k if rec.f_k is not None else (
-                rec.f_k_prime if usable else None)
-            if bound_k is not None and (best_bound is None or bound_k > best_bound):
-                best_bound = bound_k
-            if not usable:
+            if rec.bound is not None and (best_bound is None or rec.bound > best_bound):
+                best_bound = rec.bound
+            if sol is None or not sol.moment_converged:
                 continue
             try:
-                cert = relax.sos_certificate_from_dual(rel, sol)
-                rec.certificate_residual = cert.residual
+                rec.certificate_residual = relax.sos_certificate_from_dual(rel, sol).residual
             except ValueError:
                 pass
-            if not kind.extracts:
+            found = _verified_atoms(rec, rel, sol, prob, opts) if kind.extracts else None
+            if found is None:
+                rec.flat_t = rec.flat_gap = None
                 continue
-
-            atoms = _attempt_extraction(rec, rel, sol, prob, opts)
-            if atoms is None:
-                rec.flat_t = None
-                rec.flat_gap = None
-                continue
-            if kind.has_x0:
-                atom_set = extract.classify(atoms, rel.normalizer_power,
-                                            tau_tol=opts.atom_tol,
-                                            flip_negative=kind.even)
-            else:
-                # no x0 coordinate: every atom is a direct minimizer candidate
-                atom_set = extract.AtomSet(
-                    atoms=atoms, regular=[(a.point, a.weight) for a in atoms],
-                    at_infinity=[], flagged=[], d=0)
-            if kind.even:
-                atom_set.regular = _merge_close(atom_set.regular)
-            bound = rec.f_k_prime if rec.f_k_prime is not None else rec.f_k
-            clean = sol.status is sdp.SdpStatus.OPTIMAL
-            verified = bool(atom_set.regular) and not atom_set.flagged \
-                and abs(atom_set.regular_weight - 1.0) < 1e-4
-            minimizers = []
-            reg_reports = []
-            for u, _nu in atom_set.regular:
-                if not verified:
-                    break
-                val = _verify_minimizer(prob, u, bound, opts)
-                if val is None:
-                    verified = False
-                    rec.notes = "an extracted point failed feasibility or value checks"
-                    break
-                try:
-                    rep = optcond.check_regular(prob, u,
-                                                active_tol=OPTCOND_ACTIVE_TOL,
-                                                fooc_tol=OPTCOND_FOOC_TOL)
-                except ValueError:
-                    rep = None
-                # a stalled solve only earns its atoms if they are critical points
-                if not clean and (rep is None or not rep.fooc_ok):
-                    verified = False
-                    rec.notes = ("extracted point is not a first-order critical "
-                                 "point; treating the rank condition as spurious")
-                    break
-                minimizers.append((u, val))
-                reg_reports.append(rep)
-            if not verified:
-                rec.flat_t = None
-                rec.flat_gap = None
-                continue
-
-            rec.atom_set = atom_set
-            rec.minimizers = minimizers
-            rec.minimizers_at_infinity = [v for v, _nu in atom_set.at_infinity]
-            f_min_est = best_bound if best_bound is not None else bound
+            rec.atom_set, rec.minimizers, reports = found
+            rec.minimizers_at_infinity = [v for v, _nu in rec.atom_set.at_infinity]
             all_pass = True
-            for rep in reg_reports:
+            for rep in reports:
                 if rep is None:
                     rec.notes = "optcond check rejected an extracted point"
                     all_pass = False
                 else:
                     rec.optcond.append(rep)
                     all_pass = all_pass and rep.passed
-            for v, _nu in atom_set.at_infinity:
-                checker = optcond.check_at_infinity_even if kind.even \
-                    else optcond.check_at_infinity
+            for v in rec.minimizers_at_infinity:
                 try:
-                    rec.optcond.append(checker(prob, v, f_min_est, tol=1e-4,
+                    rec.optcond.append(checker(prob, v, best_bound, tol=1e-4,
                                                fooc_tol=OPTCOND_FOOC_TOL))
                 except ValueError as exc:
                     rec.notes = (rec.notes + f" infinity check rejected: {exc}").strip()
             if all_pass or not opts.verify:
-                converged = True
                 convergence_order = k
                 break
 
+    converged = convergence_order is not None
     if converged:
         diagnosis = f"converged at order {convergence_order} with verified minimizers"
     elif any(r.flat_t is not None for r in records):
@@ -362,19 +350,13 @@ class InfinityReport(HierarchyReport):
     """Report of the minimizers-at-infinity solve: one record of kind
     ``standard(sphere)`` whose ``minimizers_at_infinity`` are the unit
     vectors found, and ``values``, the top-degree objective at each.
-
-    Both ``bound`` and ``best_bound`` hold the moment-side value ``f_k_prime``
-    of the sphere problem, not a certified lower bound; this differs from
-    ``OrderRecord.bound`` and from the ``best_bound`` of ``solve_pop``, which
-    take the certificate-side ``f_k`` first."""
+    Both ``bound`` and ``best_bound`` are the record's ``bound``."""
 
     values: list = field(default_factory=list)
 
     @property
     def bound(self):
-        """Moment-side optimum ``f_k_prime`` of the sphere problem (not the
-        certified ``f_k`` that ``records[0].bound`` prefers)."""
-        return self.records[0].f_k_prime
+        return self.records[0].bound
 
     @property
     def status(self) -> str:
@@ -399,8 +381,7 @@ def minimizers_at_infinity(prob: PopProblem, k: int,
     with sdp._one_blas_thread():
         rec, rel, sol = _solve_order(sph, relax.STANDARD, k, opts, opts.dump_sdpa)
         rec.kind = "standard(sphere)"
-        if sol is not None and (sol.status is sdp.SdpStatus.OPTIMAL
-                                or sol.moment_converged):
+        if sol is not None and sol.moment_converged:
             atoms = _attempt_extraction(rec, rel, sol, sph, opts)
             if atoms is None:
                 rec.notes = (rec.notes + " no atoms extracted").strip()
@@ -415,19 +396,18 @@ def minimizers_at_infinity(prob: PopProblem, k: int,
                 values.append(val)
                 try:
                     rec.optcond.append(optcond.check_at_infinity(
-                        prob, v, rec.f_k_prime or 0.0, tol=1e-4,
+                        prob, v, rec.f_k_prime, tol=1e-4,
                         fooc_tol=OPTCOND_FOOC_TOL))
                 except ValueError:
                     pass
     ok = rec.status == sdp.SdpStatus.OPTIMAL.value
-    return InfinityReport(records=[rec], best_bound=rec.f_k_prime,
+    return InfinityReport(records=[rec], best_bound=rec.bound,
                           converged=ok and bool(rec.minimizers_at_infinity),
                           convergence_order=k if ok else None,
                           diagnosis="minimizers-at-infinity solve", values=values)
 
 
 def positivity_at_infinity_probe(prob: PopProblem, k: int,
-                                 probe_tol: float = 1e-6,
                                  opts: DriverOptions | None = None) -> dict:
     """Lower-bound the top-degree objective part over the sphere-restricted
     feasible directions; a positive certified bound ``f_k`` certifies that
@@ -445,7 +425,7 @@ def positivity_at_infinity_probe(prob: PopProblem, k: int,
     if rec.f_k is None or rec.f_k != sol.dual_obj:
         return {"bound": None, "verdict": False,
                 "diagnosis": f"no certified bound ({rec.status}); verdict unavailable"}
-    verdict = rec.f_k > probe_tol
+    verdict = rec.f_k > POSITIVITY_TOL
     return {"bound": rec.f_k, "verdict": bool(verdict),
             "diagnosis": "positive at infinity" if verdict
             else "top-degree part is not strictly positive on the feasible "

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .poly import (basis_index, basis_size, exponent_array, monomial_basis,
-                   monomial_positions)
+from .poly import basis_size, exponent_array, monomial_basis, monomial_positions
 
 NU_TOL = 1e-5   # normalizer weight a * tau^d below which an atom is not regular
 
@@ -103,7 +102,6 @@ def extract_atoms(y: np.ndarray, nvars: int, k: int, t: int,
         raise AtomExtractionError("moment matrix is numerically zero")
     fac = q[:, keep] * np.sqrt(w[keep])          # (s, r) with M_t ~ fac fac^T
 
-    rows = monomial_basis(nvars, t)
     low = basis_size(nvars, t - 1)
     _, rr, piv = scipy.linalg.qr(fac[:low].T, mode="economic", pivoting=True)
     diag = np.abs(np.diag(rr))
@@ -115,14 +113,10 @@ def extract_atoms(y: np.ndarray, nvars: int, k: int, t: int,
     base = fac[pivots]                           # (r, r)
     cond = np.linalg.cond(base)
 
-    idx_t = {m: i for i, m in enumerate(rows)}
+    piv_exps = exponent_array(nvars, t)[pivots]
     mults = []
     for v in range(nvars):
-        shifted = np.empty((r, r))
-        for jj, pi in enumerate(pivots):
-            mono = list(rows[pi])
-            mono[v] += 1
-            shifted[jj] = fac[idx_t[tuple(mono)]]
+        shifted = fac[monomial_positions(piv_exps + np.eye(nvars, dtype=np.int64)[v])]
         # columns express x_v * basis monomials in the pivot basis
         mults.append(np.linalg.solve(base.T, shifted.T).T)
 
@@ -145,7 +139,6 @@ def extract_atoms(y: np.ndarray, nvars: int, k: int, t: int,
     if len(monos) < r:
         raise AtomExtractionError(
             f"{r} atoms cannot be weighted from degree-{deg_fit} moments")
-    idx = basis_index(nvars, 2 * k)
     phi = np.empty((len(monos), r))
     for i, mono in enumerate(monos):
         col = np.ones(r)
@@ -153,7 +146,7 @@ def extract_atoms(y: np.ndarray, nvars: int, k: int, t: int,
             if e:
                 col = col * points[:, v] ** e
         phi[i] = col
-    ysub = np.array([y[idx[m]] for m in monos])
+    ysub = np.array(y[:len(monos)], dtype=float)   # graded order: a prefix
     weights, *_ = np.linalg.lstsq(phi, ysub, rcond=None)
     resid = float(np.max(np.abs(phi @ weights - ysub)))
     scale = 1.0 + float(np.max(np.abs(ysub)))

@@ -275,50 +275,23 @@ class Polynomial:
             total += v
         return total
 
-    def gradient(self, point) -> np.ndarray:
-        x = np.asarray(point, dtype=float)
-        if x.shape != (self.nvars,):
-            raise ValueError(f"point must have length {self.nvars}")
-        g = np.zeros(self.nvars)
+    def derivative(self, i: int) -> "Polynomial":
+        """Partial derivative in variable i; its terms keep the order of
+        the terms they come from."""
+        if not 0 <= i < self.nvars:
+            raise ValueError("variable index out of range")
+        terms = {}
         for mono, c in self.terms.items():
-            for i, e in enumerate(mono):
-                if e == 0:
-                    continue
-                v = c * e
-                for j, ej in enumerate(mono):
-                    p = ej - 1 if j == i else ej
-                    if p:
-                        v *= x[j] ** p
-                g[i] += v
-        return g
+            if mono[i]:
+                terms[mono[:i] + (mono[i] - 1,) + mono[i + 1:]] = c * mono[i]
+        return Polynomial(self.nvars, terms)
+
+    def gradient(self, point) -> np.ndarray:
+        return np.array([self.derivative(i).eval(point) for i in range(self.nvars)])
 
     def hessian(self, point) -> np.ndarray:
-        x = np.asarray(point, dtype=float)
-        if x.shape != (self.nvars,):
-            raise ValueError(f"point must have length {self.nvars}")
-        h = np.zeros((self.nvars, self.nvars))
-        for mono, c in self.terms.items():
-            for i, ei in enumerate(mono):
-                if ei == 0:
-                    continue
-                for j, ej in enumerate(mono):
-                    if i == j:
-                        if ei < 2:
-                            continue
-                        v = c * ei * (ei - 1)
-                    else:
-                        if ej == 0:
-                            continue
-                        v = c * ei * ej
-                    for l, el in enumerate(mono):
-                        p = el
-                        if l == i:
-                            p -= 1
-                        if l == j:
-                            p -= 1
-                        if p:
-                            v *= x[l] ** p
-                    h[i, j] += v
+        h = np.array([[di.derivative(j).eval(point) for j in range(self.nvars)]
+                      for di in map(self.derivative, range(self.nvars))])
         return 0.5 * (h + h.T)
 
     # -- printing --------------------------------------------------------

@@ -53,6 +53,8 @@ from .poly import (Polynomial, PopProblem, basis_size, build_homogenized,
                    sum_of_squares_norm)
 from . import sdp
 
+ROW_TOL = 1e-10   # relative size below which an equality row is dependent
+
 
 class OrderTooSmallError(ValueError):
     """The relaxation order cannot accommodate some constraint degree."""
@@ -507,7 +509,7 @@ def _solved_rows(rel: MomentRelaxation) -> np.ndarray:
     return (rel.eq_A @ rel.symmetry.orbit_map).toarray(order="F")
 
 
-def to_sdp_instance(rel: MomentRelaxation, row_tol: float = 1e-10):
+def to_sdp_instance(rel: MomentRelaxation):
     """Preprocess the relaxation into a full-row-rank SDP instance.
 
     With a symmetry group the instance is in orbit coordinates z (y = P z):
@@ -535,19 +537,19 @@ def to_sdp_instance(rel: MomentRelaxation, row_tol: float = 1e-10):
     else:
         # an invariant y satisfies a row whose orbit sums cancel
         full = np.sqrt(rel.eq_A.power(2) @ np.ones(rel.tms_dim))[:-1]
-        ids = np.append(np.flatnonzero(norms[:-1] > row_tol * full),
+        ids = np.append(np.flatnonzero(norms[:-1] > ROW_TOL * full),
                         rows.shape[0] - 1)
         c = sym.orbit_map.T @ rel.objective_vector
         pencils = [replace(pen, coeffs=(pen.coeffs @ sym.orbit_map).tocsr())
                    for pen in rel.psd_pencils]
         scaled = rows[ids] / norms[ids, None]
     data = scaled[:-1]
-    kept = _independent_rows(data, row_tol)
+    kept = _independent_rows(data, ROW_TOL)
     nu_row = scaled[-1]
     if kept:
         resid = nu_row - data[kept].T @ np.linalg.lstsq(
             data[kept].T, nu_row, rcond=None)[0]
-        if np.linalg.norm(resid) <= row_tol:
+        if np.linalg.norm(resid) <= ROW_TOL:
             raise InfeasibleRelaxationError(
                 "normalizer lies in the span of the equality rows; "
                 "<nu, y> = 1 is inconsistent with the moment equalities")

@@ -65,6 +65,9 @@ from scipy.linalg import lapack
 
 _log = logging.getLogger(__name__)
 
+FEAS_TOL = 1e-8   # relative residual of a converged side
+NORM_CAP = 1e8    # moment norm past which convergence means an unattained optimum
+
 
 class SdpStatus(enum.Enum):
     OPTIMAL = "optimal"
@@ -115,7 +118,7 @@ class SdpInstance:
     def dim(self) -> int:
         return self.c.size
 
-    def validate(self, rng=None):
+    def validate(self):
         """Reject rank-deficient equality systems and asymmetric pencils."""
         p = self.A.shape[0]
         if p:
@@ -123,8 +126,7 @@ class SdpInstance:
             if sv[-1] <= 1e-10 * max(1.0, sv[0]):
                 raise ValueError("equality system A is rank deficient; "
                                  "remove redundant rows before solving")
-        rng = rng or np.random.default_rng(12345)
-        probe = rng.standard_normal(self.dim)
+        probe = np.random.default_rng(12345).standard_normal(self.dim)
         for pen in self.pencils:
             s_mat = pen.evaluate(probe)
             if np.max(np.abs(s_mat - s_mat.T)) > 1e-9 * (1.0 + np.max(np.abs(s_mat))):
@@ -134,12 +136,10 @@ class SdpInstance:
 @dataclass
 class SolveOptions:
     gap_tol: float = 1e-8
-    feas_tol: float = 1e-8
     max_iter: int = 200
     step_frac: float = 0.98
     init_scale: float = 1.0
     seed: int = 0
-    norm_cap: float = 1e8
 
 
 @dataclass
@@ -433,7 +433,6 @@ class _Reduced:
     chat: np.ndarray      # objective over z
     cy0: float
     blocks: list
-    dropped: list         # pencil indices vacuous on the subspace
 
 
 # Columns of the null-space basis per sparse product in ``_pencil_chunks``.
@@ -460,7 +459,7 @@ def _pencil_chunks(pen: SdpPencil, nullmap: np.ndarray):
         yield lo, mats
 
 
-def _reduce(inst: SdpInstance, feas_tol: float):
+def _reduce(inst: SdpInstance):
     """Null-space elimination plus facial compression.  Returns either a
     ``_Reduced`` problem or a shortcut ``SdpSolution``."""
     m = inst.dim
@@ -489,16 +488,17 @@ def _reduce(inst: SdpInstance, feas_tol: float):
             vals.append(s_mat)
             if pen.size:
                 viol = max(viol, -float(scipy.linalg.eigvalsh(s_mat)[0]))
-        status = SdpStatus.OPTIMAL if viol <= feas_tol else SdpStatus.PRIMAL_INFEASIBLE
+        status = SdpStatus.OPTIMAL if viol <= FEAS_TOL else SdpStatus.PRIMAL_INFEASIBLE
         obj = float(inst.c @ y0)
         return SdpSolution(
             status=status, y=y0, pencil_values=vals,
             pencil_duals=[np.zeros((pen.size, pen.size)) for pen in inst.pencils],
             eq_duals=np.zeros(p), primal_obj=obj, dual_obj=obj, gap=0.0,
             primal_infeas=viol, dual_infeas=0.0, iterations=0,
-            message="variable fully determined by equalities")
+            message="variable fully determined by equalities",
+            moment_converged=status is SdpStatus.OPTIMAL)
 
-    blocks, dropped = [], []
+    blocks = []
     for j, pen in enumerate(inst.pencils):
         s = pen.size
         g0 = _sym(pen.evaluate(y0))
@@ -516,8 +516,7 @@ def _reduce(inst: SdpInstance, feas_tol: float):
         tri = scipy.linalg.qr(stacked, mode="raw", overwrite_a=True)[1]
         del stacked
         sv, vt = scipy.linalg.svd(tri)[1:]
-        if sv.size == 0 or sv[0] <= 1e-13:
-            dropped.append(j)
+        if sv.size == 0 or sv[0] <= 1e-13:   # vacuous on the subspace
             continue
         rank = int(np.sum(sv > 1e-9 * sv[0]))
         if rank == s:
@@ -537,7 +536,7 @@ def _reduce(inst: SdpInstance, feas_tol: float):
 
     chat = nullmap.T @ inst.c
     red = _Reduced(y0=y0, nullmap=nullmap, chat=chat, cy0=float(inst.c @ y0),
-                   blocks=blocks, dropped=dropped)
+                   blocks=blocks)
 
     if not blocks:
         if np.linalg.norm(chat) <= 1e-10 * (1.0 + np.linalg.norm(inst.c)):
@@ -556,7 +555,9 @@ def _reduce(inst: SdpInstance, feas_tol: float):
     sv = scipy.linalg.svdvals(flat) if mz else np.array([])
     rank = int(np.sum(sv > 1e-11 * max(1.0, sv[0]))) if sv.size else 0
     if rank < mz:
-        _, _, vt = scipy.linalg.svd(flat.T, full_matrices=True)
+        # only the mz x mz right factor is read; with N = flat.shape[1] >= mz
+        # the thin SVD gives it without the N x N left factor
+        _, _, vt = scipy.linalg.svd(flat.T, full_matrices=flat.shape[1] < mz)
         kernel = vt[rank:].T
         if np.max(np.abs(kernel.T @ chat)) > 1e-9 * (1.0 + np.linalg.norm(chat)):
             return SdpSolution(
@@ -754,7 +755,8 @@ def _finish_trivial(inst: SdpInstance, red: _Reduced) -> SdpSolution:
         eq_duals=np.linalg.lstsq(inst.A.T, inst.c, rcond=None)[0]
         if inst.A.shape[0] else np.zeros(0),
         primal_obj=obj, dual_obj=obj, gap=0.0, primal_infeas=0.0,
-        dual_infeas=0.0, iterations=0, message="objective constant on the fiber")
+        dual_infeas=0.0, iterations=0, message="objective constant on the fiber",
+        moment_converged=True)
 
 
 def _joint_norm(parts, axis=None):
@@ -846,9 +848,9 @@ def _ipm(red: _Reduced, opts: SolveOptions):
 
         znorm = np.linalg.norm(z)
         mu_rel = mu / (1.0 + abs(pobj) + abs(dobj))
-        mom_ok = rd_rel <= opts.feas_tol and mu_rel <= 10.0 * opts.gap_tol
-        if relgap <= opts.gap_tol and rp_rel <= opts.feas_tol and rd_rel <= opts.feas_tol:
-            if znorm > opts.norm_cap:
+        mom_ok = rd_rel <= FEAS_TOL and mu_rel <= 10.0 * opts.gap_tol
+        if relgap <= opts.gap_tol and rp_rel <= FEAS_TOL and rd_rel <= FEAS_TOL:
+            if znorm > NORM_CAP:
                 tostatus(SdpStatus.NUMERICAL_TROUBLE,
                          "converged only with a diverging moment vector; "
                          "the optimum is likely unattained")
@@ -859,26 +861,26 @@ def _ipm(red: _Reduced, opts: SolveOptions):
         # on the stalled side); detect it and stop instead of grinding on.
         if mu_rel <= 1e-2 * opts.gap_tol and len(history) >= 5:
             prev = history[-5]
-            if rd_rel <= opts.feas_tol and rp_rel > opts.feas_tol \
+            if rd_rel <= FEAS_TOL and rp_rel > FEAS_TOL \
                     and rp_rel > 0.5 * prev["rp"]:
                 tostatus(SdpStatus.NUMERICAL_TROUBLE,
                          "moment side converged but the certificate side "
                          "stalled (certificate likely unattained)")
                 break
-            if rp_rel <= opts.feas_tol and rd_rel > opts.feas_tol \
+            if rp_rel <= FEAS_TOL and rd_rel > FEAS_TOL \
                     and rd_rel > 0.5 * prev["rd"]:
                 tostatus(SdpStatus.NUMERICAL_TROUBLE,
                          "certificate side converged but the moment side stalled")
                 break
-        if dobj > 1e10 * (1.0 + abs(pobj)) and rd_rel <= opts.feas_tol:
+        if dobj > 1e10 * (1.0 + abs(pobj)) and rd_rel <= FEAS_TOL:
             tostatus(SdpStatus.DUAL_INFEASIBLE,
                      "moment objective unbounded below (certificate side infeasible)")
             break
-        if pobj < -1e10 * (1.0 + abs(dobj)) and rp_rel <= opts.feas_tol:
+        if pobj < -1e10 * (1.0 + abs(dobj)) and rp_rel <= FEAS_TOL:
             tostatus(SdpStatus.PRIMAL_INFEASIBLE,
                      "certificate objective unbounded (moment side infeasible)")
             break
-        if znorm > 100.0 * opts.norm_cap:
+        if znorm > 100.0 * NORM_CAP:
             tostatus(SdpStatus.NUMERICAL_TROUBLE, "moment iterate norm diverged")
             break
         if stall >= 6:
@@ -961,7 +963,7 @@ def _ipm(red: _Reduced, opts: SolveOptions):
             stall = 0
         z = z + ad * dz
 
-    return status, message, xs, z, zs, it, history, mom_ok
+    return status, message, xs, z, it, history, mom_ok
 
 
 def solve(inst: SdpInstance, opts: SolveOptions | None = None,
@@ -978,13 +980,13 @@ def solve(inst: SdpInstance, opts: SolveOptions | None = None,
             red = _reduction[0]
         else:
             inst.validate()
-            red = _reduce(inst, opts.feas_tol)
+            red = _reduce(inst)
             if _reduction is not None:
                 _reduction.append(red)
         if isinstance(red, SdpSolution):
             return red
 
-        status, message, xs, z, zs, iters, history, mom_ok = _ipm(red, opts)
+        status, message, xs, z, iters, history, mom_ok = _ipm(red, opts)
 
         y = red.y0 + red.nullmap @ z
         pencil_values = [_sym(pen.evaluate(y)) for pen in inst.pencils]

@@ -1,14 +1,17 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from homsos.poly import Polynomial, PopProblem
-from homsos import driver, relax, sdp
+from homsos import cli, driver, relax, sdp
 
 from conftest import (biquadratic_escape, chain_with_product, choi_like_cubic,
                       cubic_unbounded, match_points, product_quartic,
                       sextic_on_line, unattained_quartic)
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def test_min_square_bound_exact_at_order_one():
@@ -46,6 +49,33 @@ def test_stalled_certificate_value_capped_by_moment_value(monkeypatch, status,
                                       1, driver.DriverOptions())
     assert rec.f_k_prime == sol.primal_obj
     assert rec.f_k == (sol.primal_obj if capped else sol.dual_obj)
+
+
+def test_unconverged_moment_side_gives_no_bound(monkeypatch):
+    # a moment value without a converged moment side bounds nothing
+    a = Polynomial.variable(1, 0)
+    solve = sdp.solve_with_restarts
+
+    def unconverged(inst, opts):
+        sol = solve(inst, opts)
+        return replace(sol, status=sdp.SdpStatus.NUMERICAL_TROUBLE,
+                       moment_converged=False, dual_infeas=1e-3)
+
+    monkeypatch.setattr(sdp, "solve_with_restarts", unconverged)
+    prob = PopProblem(1, a**2 - 2 * a)
+    rec, _, sol = driver._solve_order(prob, relax.STANDARD, 1, driver.DriverOptions())
+    assert rec.f_k is None and rec.f_k_prime == sol.primal_obj
+    assert rec.bound is None
+    rep = driver.solve_pop(prob, driver.DriverOptions(kind=relax.STANDARD, k_min=1))
+    assert rep.records[0].bound is None and rep.best_bound is None
+
+
+def test_infinity_bound_is_the_certificate_value():
+    prob, _, _ = cli.parse_problem((PROBLEMS / "escape_directions.pop").read_text())
+    rep = driver.minimizers_at_infinity(prob, 3)
+    rec, = rep.records
+    assert rep.bound == rep.best_bound == rec.bound == rec.f_k
+    assert rec.f_k <= 0.0
 
 
 def test_chain_order2_certificate_value_below_moment_value():

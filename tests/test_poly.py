@@ -86,6 +86,21 @@ def test_gradient_simple():
     assert np.allclose(p.hessian([0.3, -0.7]), 2.0 * np.eye(2))
 
 
+def test_derivative():
+    # 3 x^2 y - x + 2 y^3 + 5
+    p = Polynomial(2, {(2, 1): 3.0, (1, 0): -1.0, (0, 3): 2.0, (0, 0): 5.0})
+    dx, dy = p.derivative(0), p.derivative(1)
+    assert list(dx.terms.items()) == [((1, 1), 6.0), ((0, 0), -1.0)]
+    assert list(dy.terms.items()) == [((2, 0), 3.0), ((0, 2), 6.0)]
+    assert dx.derivative(0).derivative(1) == Polynomial.constant(2, 6.0)
+    assert Polynomial.constant(2, 5.0).derivative(1).is_zero
+    with pytest.raises(ValueError):
+        p.derivative(2)
+    x = np.array([0.7, -1.3])
+    assert p.gradient(x).tolist() == [dx.eval(x), dy.eval(x)]
+    assert p.hessian(x)[0, 1] == 0.5 * (dx.derivative(1).eval(x) + dy.derivative(0).eval(x))
+
+
 def finite_difference_gradient(p, x, h=1e-5):
     g = np.zeros(len(x))
     for i in range(len(x)):

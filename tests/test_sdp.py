@@ -381,7 +381,7 @@ def test_schur_matches_trace_definition():
                             random_pd(rng, s)) for j, s in enumerate((5, 3))]
     inst = sdp.SdpInstance(c=rng.standard_normal(mz), A=np.zeros((0, mz)),
                            b=np.zeros(0), pencils=pencils)
-    red = sdp._reduce(inst, 1e-8)
+    red = sdp._reduce(inst)
     assert red.chat.size == mz and len(red.blocks) == 2
     astk = [-blk.glin for blk in red.blocks]
     xs = [random_pd(rng, blk.g0.shape[0]) for blk in red.blocks]
@@ -444,7 +444,7 @@ def test_history_records_step_lengths_and_centering():
 def test_reduce_compression_matches_tall_svd():
     rel = relax.assemble(relax.HOMOGENIZED, cubic_unbounded(), 3)
     inst, _ = relax.to_sdp_instance(rel)
-    red = sdp._reduce(inst, 1e-8)
+    red = sdp._reduce(inst)
     # reference: the rank and row space of the tall stack [g0; glin] by SVD
     y0 = np.linalg.lstsq(inst.A, inst.b, rcond=None)[0]
     nullmap = scipy.linalg.null_space(inst.A)
@@ -656,14 +656,14 @@ def count_svdvals(monkeypatch):
 def test_coverage_gram_test_decides_full_rank(monkeypatch):
     rel = relax.assemble(relax.HOMOGENIZED, product_quartic(), 3)
     inst, _ = relax.to_sdp_instance(rel)
-    red = sdp._reduce(inst, 1e-8)
+    red = sdp._reduce(inst)
     mz = red.chat.size
     flat = np.concatenate([blk.glin.reshape(mz, -1) for blk in red.blocks], axis=1)
     assert sdp._gram_full_rank(flat) and svd_rank(flat) == mz
     inst, flat = coverage_instance(0.5, [1.0, 1.0])
     assert sdp._gram_full_rank(flat) and svd_rank(flat) == 2
     calls = count_svdvals(monkeypatch)
-    assert sdp._reduce(inst, 1e-8).chat.size == 2
+    assert sdp._reduce(inst).chat.size == 2
     assert calls == []
 
 
@@ -673,9 +673,42 @@ def test_coverage_falls_back_to_svd_near_rank_deficiency(monkeypatch, delta, ran
     assert not sdp._gram_full_rank(flat)
     assert svd_rank(flat) == rank
     calls = count_svdvals(monkeypatch)
-    red = sdp._reduce(inst, 1e-8)
+    red = sdp._reduce(inst)
     assert calls == [(2, 4)]
     assert red.chat.size == rank
+
+
+def test_coverage_fallback_forms_no_left_singular_vectors():
+    """12 moments, one 60 x 60 pencil that sees 11 of them: the full SVD of
+    the 3600 x 12 coverage stack built a 3600 x 3600 left factor (101 MiB)."""
+    rng = np.random.default_rng(7)
+    mats = [random_sym(rng, 60) for _ in range(11)] + [np.zeros((60, 60))]
+    inst = sdp.SdpInstance(c=np.zeros(12), A=np.zeros((0, 12)), b=np.zeros(0),
+                           pencils=[dense_pencil("m", mats, np.eye(60))])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        red = sdp._reduce(inst)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert red.chat.size == 11
+    assert peak < 10 * 2**20
+
+
+def test_shortcut_optimal_solutions_have_a_converged_moment_side():
+    # every coordinate fixed by the equalities (mz = 0)
+    fixed = sdp.SdpInstance(c=np.ones(2), A=np.eye(2), b=np.array([1.0, 2.0]),
+                            pencils=[dense_pencil("m", [np.eye(1), np.eye(1)])])
+    # the objective is constant on the pencil-free fiber y0 = 2
+    fiber = sdp.SdpInstance(c=np.array([3.0, 0.0]), A=np.array([[1.0, 0.0]]),
+                            b=np.array([2.0]), pencils=[])
+    for inst, message in [(fixed, "variable fully determined by equalities"),
+                          (fiber, "objective constant on the fiber")]:
+        sol = sdp.solve(inst)
+        assert sol.status is sdp.SdpStatus.OPTIMAL and sol.message == message
+        assert sol.moment_converged
 
 
 # -- splitting compressed pencils into simultaneous blocks -------------------
@@ -769,7 +802,7 @@ def test_split_refuses_a_coupling_that_verification_sees():
 def test_product_quartic_splits_into_isotypic_blocks(monkeypatch):
     rel = relax.assemble(relax.HOMOGENIZED, product_quartic(), 4)
     inst, _ = relax.to_sdp_instance(rel)
-    red = sdp._reduce(inst, 1e-8)
+    red = sdp._reduce(inst)
     sizes = {}
     for blk in red.blocks:
         sizes.setdefault(blk.orig, []).append((blk.g0.shape[0], blk.copies))
@@ -777,7 +810,7 @@ def test_product_quartic_splits_into_isotypic_blocks(monkeypatch):
     assert {j: sorted(v) for j, v in sizes.items()} == {
         0: [(4, 3), (7, 2), (19, 1), (20, 3)], 1: [(1, 3), (3, 2), (10, 3), (11, 1)]}
     monkeypatch.setattr(sdp, "_split_block", lambda blk: [blk])
-    whole = sdp._reduce(inst, 1e-8)
+    whole = sdp._reduce(inst)
     assert [blk.g0.shape[0] for blk in whole.blocks] == [105, 50]
     for ref in whole.blocks:
         proj = sum(blk.basis @ blk.basis.T for blk in red.blocks if blk.orig == ref.orig)
@@ -805,11 +838,11 @@ def test_unsplit_solve_keeps_its_bits(monkeypatch):
                                      (unattained_quartic, 2), (unattained_quartic, 4)])
 def test_small_symmetric_blocks_stay_whole(monkeypatch, prob, k):
     inst, _ = relax.to_sdp_instance(relax.assemble(relax.HOMOGENIZED, prob(), k))
-    red = sdp._reduce(inst, 1e-8)
+    red = sdp._reduce(inst)
     assert len(red.blocks) == len({blk.orig for blk in red.blocks})
     # they have parts: only the cost of the extra blocks keeps them whole
     monkeypatch.setattr(sdp, "_SPLIT_FLOPS", 0.0)
-    assert len(sdp._reduce(inst, 1e-8).blocks) > len(red.blocks)
+    assert len(sdp._reduce(inst).blocks) > len(red.blocks)
 
 
 COPIES, COPY_SIZE, OTHER_SIZE = 3, 10, 20
@@ -954,7 +987,7 @@ def assert_streamed_blocks_equal(monkeypatch, inst):
     split = sdp._split_block
     monkeypatch.setattr(sdp, "_split_block", lambda blk: seen.append(
         (blk.orig, blk.g0, blk.basis, blk.glin)) or split(blk))
-    sdp._reduce(inst, 1e-8)
+    sdp._reduce(inst)
     ref = whole_stack_blocks(inst)
     assert [j for j, *_ in seen] == [j for j, *_ in ref]
     for got, want in zip(seen, ref):
@@ -1005,7 +1038,7 @@ def test_reduce_peak_stays_inside_the_resource_estimate():
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        sdp._reduce(inst, 1e-8)
+        sdp._reduce(inst)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -1030,7 +1063,7 @@ def test_coverage_test_stays_inside_the_resource_estimate():
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        red = sdp._reduce(inst, 1e-8)
+        red = sdp._reduce(inst)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
