@@ -24,6 +24,7 @@ INFINITY_VALUE_TOL = 1e-4  # |f_top(v)| of a minimizer at infinity
 OPTCOND_ACTIVE_TOL = 1e-4  # activity and first-order tests of optcond
 OPTCOND_FOOC_TOL = 1e-4
 POSITIVITY_TOL = 1e-6      # a certified probe value above this proves positivity
+MERGE_TOL = 1e-6           # relative distance of atoms merged by the even kind
 
 
 @dataclass
@@ -200,13 +201,13 @@ def _attempt_extraction(rec, rel, sol, prob, opts):
     return atoms
 
 
-def _merge_close(pairs, tol=1e-6):
-    """Merge (point, weight) pairs whose points coincide up to tol (the even
-    variant maps antipodal atom pairs onto one projective point)."""
+def _merge_close(pairs):
+    """Merge (point, weight) pairs whose points coincide up to MERGE_TOL
+    (the even variant maps antipodal atom pairs onto one projective point)."""
     merged = []
     for pt, wt in pairs:
         for i, (q, w) in enumerate(merged):
-            if np.linalg.norm(pt - q) <= tol * (1.0 + np.linalg.norm(q)):
+            if np.linalg.norm(pt - q) <= MERGE_TOL * (1.0 + np.linalg.norm(q)):
                 merged[i] = (q, w + wt)
                 break
         else:

@@ -95,8 +95,7 @@ class Polynomial:
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Mapping | None = None,
-                 drop_tol: float = DROP_TOL):
+    def __init__(self, nvars: int, terms: Mapping | None = None):
         if nvars < 1:
             raise ValueError("nvars must be positive")
         clean = {}
@@ -107,7 +106,7 @@ class Polynomial:
             if any(e < 0 for e in mono):
                 raise ValueError(f"negative exponent in {mono}")
             c = float(coef)
-            if abs(c) > drop_tol:
+            if abs(c) > DROP_TOL:
                 clean[mono] = c
         self.nvars = nvars
         self.terms = clean

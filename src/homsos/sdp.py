@@ -34,7 +34,9 @@ on every pencil.  The solver therefore preprocesses the instance by
   3. dropping the directions of the subspace that no pencil sees (a Gram
      matrix eigensolve settles full coverage when it can, else an SVD),
 
-which restores strict feasibility for well-posed instances, and then
+which restores strict feasibility for well-posed instances.  Where no pencil
+then sees a free moment, the y0 of step 1 settles the instance (OPTIMAL if
+every pencil is psd there within ``FEAS_TOL``, else PRIMAL_INFEASIBLE); else by
 
   4. splitting each compressed pencil into the parts that block-diagonalize
      all of its matrices at once, where the Schur flops saved pay for the
@@ -44,7 +46,8 @@ which restores strict feasibility for well-posed instances, and then
 
 Solutions are reported in the original y coordinates with duals lifted back
 accordingly; a block solved for d copies has X' = d X_M, since
-<A, I_d (x) X_M> = <A_M, d X_M>, and lifts to (1/d) sum_i U_i X' U_i^T.
+<A, I_d (x) X_M> = <A_M, d X_M>, and lifts to (1/d) sum_i U_i X' U_i^T.  The
+equality multipliers solve A^T lambda = c - sum_j coeffs_j^T X_j in least squares.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ import logging
 import math
 import os
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -178,23 +182,34 @@ class ResourceError(MemoryError):
         self.limit = limit
 
 
-# Memory limits of the process's control group: cgroup v2, then v1.
-_CGROUP_LIMITS = ("/sys/fs/cgroup/memory.max",
-                  "/sys/fs/cgroup/memory/memory.limit_in_bytes")
+# The cgroup mount, and the process's cgroups, "hierarchy:controllers:path".
+_CGROUP_ROOT = "/sys/fs/cgroup"
+_SELF_CGROUP = "/proc/self/cgroup"
 
 
 def physical_memory() -> int:
     """Bytes of physical memory the process may use: the machine's, or the
-    memory limit of its cgroup where that is lower (a container's)."""
+    lowest memory limit of its cgroup and the cgroup's ancestors where that
+    is lower (a container's): of the v2 cgroup (``0::path``) under the mount,
+    and of the v1 ``memory`` cgroup under its ``memory`` directory."""
     limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    for path in _CGROUP_LIMITS:
-        try:
-            with open(path) as fh:
-                text = fh.read().strip()
-        except OSError:
+    try:
+        own = Path(_SELF_CGROUP).read_text().splitlines()
+    except OSError:
+        own = []
+    for line in ["0::/", "0:memory:/"] + own:
+        _, controllers, path = line.split(":", 2)
+        if controllers and "memory" not in controllers.split(","):
             continue
-        if text.isdigit():  # v2 writes "max" for no limit
-            limit = min(limit, int(text))
+        sub, name = ("memory", "memory.limit_in_bytes") if controllers else ("", "memory.max")
+        parts = [part for part in path.split("/") if part]
+        for depth in range(len(parts) + 1):
+            try:
+                text = Path(_CGROUP_ROOT, sub, *parts[:depth], name).read_text().strip()
+            except OSError:
+                continue
+            if text.isdigit():  # v2 writes "max" for no limit
+                limit = min(limit, int(text))
     return limit
 
 
@@ -459,44 +474,40 @@ def _pencil_chunks(pen: SdpPencil, nullmap: np.ndarray):
         yield lo, mats
 
 
+def _no_point(status: SdpStatus, message: str, primal_obj=-np.inf, primal_infeas=0.0):
+    """An outcome without a point: an inconsistent ``A y = b`` or a ray."""
+    return SdpSolution(status=status, y=None, pencil_values=None, pencil_duals=None,
+                       eq_duals=None, primal_obj=primal_obj, dual_obj=np.nan, gap=np.nan,
+                       primal_infeas=primal_infeas, dual_infeas=np.nan, iterations=0,
+                       message=message)
+
+
 def _reduce(inst: SdpInstance):
-    """Null-space elimination plus facial compression.  Returns either a
-    ``_Reduced`` problem or a shortcut ``SdpSolution``."""
+    """Null-space elimination plus facial compression.  Returns a shortcut
+    ``SdpSolution`` where there is no point to report, else a ``_Reduced``
+    problem.  Its ``blocks`` are empty when no pencil sees a free moment (no
+    free moment at all, no block left and a constant objective, or no seen
+    direction left after the coverage step): the instance is then settled
+    at y0, and ``solve`` gives it its status from the pencils at y0 and its
+    equality multipliers by least squares."""
     m = inst.dim
     p = inst.A.shape[0]
     if p:
         y0, *_ = np.linalg.lstsq(inst.A, inst.b, rcond=None)
         resid = inst.A @ y0 - inst.b
         if np.linalg.norm(resid) > 1e-8 * (1.0 + np.linalg.norm(inst.b)):
-            return SdpSolution(
-                status=SdpStatus.PRIMAL_INFEASIBLE, y=None, pencil_values=None,
-                pencil_duals=None, eq_duals=None, primal_obj=np.nan,
-                dual_obj=np.nan, gap=np.nan, primal_infeas=float(np.linalg.norm(resid)),
-                dual_infeas=np.nan, iterations=0,
-                message="equality system A y = b is inconsistent")
+            return _no_point(SdpStatus.PRIMAL_INFEASIBLE,
+                             "equality system A y = b is inconsistent",
+                             np.nan, float(np.linalg.norm(resid)))
         nullmap = scipy.linalg.null_space(inst.A)
     else:
         y0 = np.zeros(m)
         nullmap = np.eye(m)
     mz = nullmap.shape[1]
-
+    red = _Reduced(y0=y0, nullmap=nullmap, chat=nullmap.T @ inst.c,
+                   cy0=float(inst.c @ y0), blocks=[])
     if mz == 0:
-        viol = 0.0
-        vals = []
-        for pen in inst.pencils:
-            s_mat = _sym(pen.evaluate(y0))
-            vals.append(s_mat)
-            if pen.size:
-                viol = max(viol, -float(scipy.linalg.eigvalsh(s_mat)[0]))
-        status = SdpStatus.OPTIMAL if viol <= FEAS_TOL else SdpStatus.PRIMAL_INFEASIBLE
-        obj = float(inst.c @ y0)
-        return SdpSolution(
-            status=status, y=y0, pencil_values=vals,
-            pencil_duals=[np.zeros((pen.size, pen.size)) for pen in inst.pencils],
-            eq_duals=np.zeros(p), primal_obj=obj, dual_obj=obj, gap=0.0,
-            primal_infeas=viol, dual_infeas=0.0, iterations=0,
-            message="variable fully determined by equalities",
-            moment_converged=status is SdpStatus.OPTIMAL)
+        return red
 
     blocks = []
     for j, pen in enumerate(inst.pencils):
@@ -534,44 +545,35 @@ def _reduce(inst: SdpInstance):
                 glin[lo:lo + len(rot)] = 0.5 * (rot + rot.transpose(0, 2, 1))
         blocks.extend(_split_block(_Block(orig=j, basis=basis, g0=g0, glin=glin)))
 
-    chat = nullmap.T @ inst.c
-    red = _Reduced(y0=y0, nullmap=nullmap, chat=chat, cy0=float(inst.c @ y0),
-                   blocks=blocks)
-
     if not blocks:
-        if np.linalg.norm(chat) <= 1e-10 * (1.0 + np.linalg.norm(inst.c)):
-            return _finish_trivial(inst, red)
-        return SdpSolution(
-            status=SdpStatus.DUAL_INFEASIBLE, y=None, pencil_values=None,
-            pencil_duals=None, eq_duals=None, primal_obj=-np.inf, dual_obj=np.nan,
-            gap=np.nan, primal_infeas=0.0, dual_infeas=np.nan, iterations=0,
-            message="objective is unbounded along the pencil-free subspace")
+        if np.linalg.norm(red.chat) <= 1e-10 * (1.0 + np.linalg.norm(inst.c)):
+            return red
+        return _no_point(SdpStatus.DUAL_INFEASIBLE,
+                         "objective is unbounded along the pencil-free subspace")
+    red.blocks = blocks
 
     # Directions of z unseen by any pencil make the problem linear there.
     parts = [blk.glin.reshape(mz, -1) for blk in blocks]
     if _gram_full_rank(*parts):
         return red
     flat = np.concatenate(parts, axis=1)
-    sv = scipy.linalg.svdvals(flat) if mz else np.array([])
-    rank = int(np.sum(sv > 1e-11 * max(1.0, sv[0]))) if sv.size else 0
+    sv = scipy.linalg.svdvals(flat)
+    rank = int(np.sum(sv > 1e-11 * max(1.0, sv[0])))
     if rank < mz:
         # only the mz x mz right factor is read; with N = flat.shape[1] >= mz
         # the thin SVD gives it without the N x N left factor
         _, _, vt = scipy.linalg.svd(flat.T, full_matrices=flat.shape[1] < mz)
         kernel = vt[rank:].T
-        if np.max(np.abs(kernel.T @ chat)) > 1e-9 * (1.0 + np.linalg.norm(chat)):
-            return SdpSolution(
-                status=SdpStatus.DUAL_INFEASIBLE, y=None, pencil_values=None,
-                pencil_duals=None, eq_duals=None, primal_obj=-np.inf,
-                dual_obj=np.nan, gap=np.nan, primal_infeas=0.0, dual_infeas=np.nan,
-                iterations=0, message="improving ray in the pencil null directions")
+        if np.max(np.abs(kernel.T @ red.chat)) > 1e-9 * (1.0 + np.linalg.norm(red.chat)):
+            return _no_point(SdpStatus.DUAL_INFEASIBLE,
+                             "improving ray in the pencil null directions")
         keep = vt[:rank].T
         red.nullmap = red.nullmap @ keep
-        red.chat = keep.T @ chat
+        red.chat = keep.T @ red.chat
         for blk in blocks:
             blk.glin = np.tensordot(keep.T, blk.glin, axes=(1, 0))
         if red.chat.size == 0:
-            return _finish_trivial(inst, red)
+            red.blocks = []
     return red
 
 
@@ -743,20 +745,6 @@ def _gram_full_rank(*parts: np.ndarray) -> bool:
     cols = sum(f.shape[1] for f in parts)
     err = 2 * (cols + gram.shape[0]) * np.finfo(float).eps * np.trace(gram)
     return bool(lam[0] - err > 1e-20 * max(1.0, lam[-1] + err))
-
-
-def _finish_trivial(inst: SdpInstance, red: _Reduced) -> SdpSolution:
-    y = red.y0
-    vals = [_sym(pen.evaluate(y)) for pen in inst.pencils]
-    obj = float(inst.c @ y)
-    return SdpSolution(
-        status=SdpStatus.OPTIMAL, y=y, pencil_values=vals,
-        pencil_duals=[np.zeros((pen.size, pen.size)) for pen in inst.pencils],
-        eq_duals=np.linalg.lstsq(inst.A.T, inst.c, rcond=None)[0]
-        if inst.A.shape[0] else np.zeros(0),
-        primal_obj=obj, dual_obj=obj, gap=0.0, primal_infeas=0.0,
-        dual_infeas=0.0, iterations=0, message="objective constant on the fiber",
-        moment_converged=True)
 
 
 def _joint_norm(parts, axis=None):
@@ -986,9 +974,11 @@ def solve(inst: SdpInstance, opts: SolveOptions | None = None,
         if isinstance(red, SdpSolution):
             return red
 
-        status, message, xs, z, iters, history, mom_ok = _ipm(red, opts)
-
-        y = red.y0 + red.nullmap @ z
+        if red.blocks:
+            status, message, xs, z, iters, history, mom_ok = _ipm(red, opts)
+            y = red.y0 + red.nullmap @ z
+        else:   # settled: y0 is the only point
+            xs, iters, history, mom_ok, y = [], 0, [], False, red.y0
         pencil_values = [_sym(pen.evaluate(y)) for pen in inst.pencils]
         lifted = {}
         for blk, x in zip(red.blocks, xs):
@@ -1003,21 +993,25 @@ def solve(inst: SdpInstance, opts: SolveOptions | None = None,
         grad = inst.c.copy()
         for pen, dual in zip(inst.pencils, pencil_duals):
             grad -= np.asarray(pen.coeffs.T @ dual.reshape(-1)).reshape(-1)
-        if inst.A.shape[0]:
-            eq_duals, *_ = np.linalg.lstsq(inst.A.T, grad, rcond=None)
-        else:
-            eq_duals = np.zeros(0)
+        eq_duals = (np.linalg.lstsq(inst.A.T, grad, rcond=None)[0] if inst.A.shape[0]
+                    else np.zeros(0))
 
         primal_obj = float(inst.c @ y)
-        cert = history[-1]["cert_obj"] if history else primal_obj
+        if red.blocks:
+            last = history[-1]
+        else:   # feasible when every pencil is psd at y0
+            viol = max([0.0] + [-float(np.linalg.eigvalsh(v)[0])
+                                for v in pencil_values if v.size])
+            status = SdpStatus.OPTIMAL if viol <= FEAS_TOL else SdpStatus.PRIMAL_INFEASIBLE
+            message = ("variable fully determined by equalities" if inst.A.shape[0] == inst.dim
+                       else "objective constant on the fiber")
+            last = {"cert_obj": primal_obj, "gap": 0.0, "rd": viol, "rp": 0.0}
         return SdpSolution(
             status=status, y=y, pencil_values=pencil_values,
             pencil_duals=pencil_duals, eq_duals=eq_duals,
-            primal_obj=primal_obj, dual_obj=float(cert),
-            gap=float(history[-1]["gap"]) if history else 0.0,
-            primal_infeas=float(history[-1]["rd"]) if history else 0.0,
-            dual_infeas=float(history[-1]["rp"]) if history else 0.0,
-            iterations=iters, message=message,
+            primal_obj=primal_obj, dual_obj=float(last["cert_obj"]),
+            gap=float(last["gap"]), primal_infeas=float(last["rd"]),
+            dual_infeas=float(last["rp"]), iterations=iters, message=message,
             moment_converged=bool(mom_ok or status is SdpStatus.OPTIMAL),
             history=history,
             blocks=[(blk.orig, blk.g0.shape[0], blk.copies) for blk in red.blocks])
@@ -1081,8 +1075,9 @@ def _solution_rank(sol: SdpSolution):
 def write_sdpa(inst: SdpInstance, path: str):
     """Dump the instance in SDPA sparse (SDPA-S) format.
 
-    Pencils become dense blocks; the equality system contributes one
-    diagonal block with paired rows  a.y - b >= 0  and  b - a.y >= 0.
+    Pencils become dense blocks, written from the nonzeros of their upper
+    triangles; the equality system contributes one diagonal block with
+    paired rows  a.y - b >= 0  and  b - a.y >= 0.
     """
     m = inst.dim
     p = inst.A.shape[0]
@@ -1094,29 +1089,29 @@ def write_sdpa(inst: SdpInstance, path: str):
              " ".join(repr(float(v)) for v in inst.c)]
 
     def emit(matno, blockno, i, j, value):
-        if value != 0.0:
-            lines.append(f"{matno} {blockno} {i} {j} {repr(float(value))}")
+        keep = value != 0.0
+        lines.extend(f"{a} {blockno} {r} {c} {v!r}" for a, r, c, v in zip(
+            *(np.broadcast_to(x, keep.shape)[keep].tolist() for x in (matno, i, j, value))))
 
     for bno, pen in enumerate(inst.pencils, start=1):
         s = pen.size
         if pen.const is not None:
-            f0 = -pen.const
-            for i in range(s):
-                for j in range(i, s):
-                    emit(0, bno, i + 1, j + 1, f0[i, j])
-        coeffs = pen.coeffs.toarray() if scipy.sparse.issparse(pen.coeffs) else np.asarray(pen.coeffs)
-        for var in range(m):
-            mat = coeffs[:, var].reshape(s, s)
-            for i in range(s):
-                for j in range(i, s):
-                    emit(var + 1, bno, i + 1, j + 1, mat[i, j])
+            i, j = np.triu_indices(s)
+            emit(0, bno, i + 1, j + 1, -pen.const[i, j])
+        # column var holds matrix var + 1 row-major, its rows in order
+        coeffs = scipy.sparse.csc_array(pen.coeffs, copy=True)
+        coeffs.sum_duplicates()
+        var = np.repeat(np.arange(m), np.diff(coeffs.indptr))
+        i, j = np.divmod(coeffs.indices, s)
+        upper = i <= j
+        emit(var[upper] + 1, bno, i[upper] + 1, j[upper] + 1, coeffs.data[upper])
     if p:
-        bno = len(blocks)
-        for r in range(p):
-            emit(0, bno, 2 * r + 1, 2 * r + 1, inst.b[r])
-            emit(0, bno, 2 * r + 2, 2 * r + 2, -inst.b[r])
-            for var in range(m):
-                emit(var + 1, bno, 2 * r + 1, 2 * r + 1, inst.A[r, var])
-                emit(var + 1, bno, 2 * r + 2, 2 * r + 2, -inst.A[r, var])
+        # row r holds b_r (matrix 0), then a_r, each value v as the pair
+        # v at 2r+1 and -v at 2r+2
+        table = np.column_stack([inst.b, inst.A])
+        rows, matno = np.nonzero(table)
+        vals = table[rows, matno]
+        diag = (2 * rows[:, None] + [1, 2]).reshape(-1)
+        emit(np.repeat(matno, 2), len(blocks), diag, diag, np.column_stack([vals, -vals]).ravel())
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -28,6 +28,22 @@ def test_min_square_bound_exact_at_order_one():
     assert rep.best_bound == pytest.approx(0.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("kind", [relax.STANDARD, relax.DENOMINATOR])
+def test_relaxation_fixed_by_its_equalities_has_a_certificate(kind):
+    # min x s.t. x - 1 = 0 at order 1: the equalities fix every moment, and
+    # the certificate x - 1 = 1 * (x - 1) has gamma 1 and only a multiplier
+    x = Polynomial.variable(1, 0)
+    prob = PopProblem(1, x, (x - 1,), ())
+    rec = driver.solve_pop(prob, driver.DriverOptions(kind=kind, k_min=1, k_max=1)).records[0]
+    assert rec.status == "optimal" and rec.bound == pytest.approx(1.0)
+    assert rec.certificate_residual <= 1e-12
+    rel = relax.assemble(kind, prob, 1)
+    inst, _ = relax.to_sdp_instance(rel)
+    sol = sdp.solve_with_restarts(inst)
+    assert inst.A.T @ sol.eq_duals == pytest.approx(inst.c, abs=1e-12)
+    assert relax.sos_certificate_from_dual(rel, sol).gamma == pytest.approx(1.0)
+
+
 @pytest.mark.parametrize("status, moment_converged, capped", [
     (sdp.SdpStatus.NUMERICAL_TROUBLE, True, True),
     (sdp.SdpStatus.NUMERICAL_TROUBLE, False, False),

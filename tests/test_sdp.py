@@ -273,6 +273,29 @@ def test_fixed_variable_fiber():
                             b=np.array([-2.0]),
                             pencils=[dense_pencil("m", mats)])
     assert sdp.solve(inst2).status is sdp.SdpStatus.PRIMAL_INFEASIBLE
+    # a constant pencil diag(1, -1) with y free: no pencil sees y, and the
+    # pencil at y0 decides the status
+    flip = np.diag([1.0, -1.0])
+    inst3 = sdp.SdpInstance(c=np.zeros(1), A=np.zeros((0, 1)), b=np.zeros(0),
+                            pencils=[dense_pencil("m", [np.zeros((2, 2))], flip)])
+    sol = sdp.solve(inst3)
+    assert sol.status is sdp.SdpStatus.PRIMAL_INFEASIBLE
+    assert sol.primal_infeas == pytest.approx(1.0)
+    assert not sol.moment_converged
+    # two moments, y1 fixed by an equality and y2 seen by no pencil: the
+    # coverage step drops y2 and leaves no free moment
+    for b, status, viol in [(2.0, sdp.SdpStatus.PRIMAL_INFEASIBLE, 1.0),
+                            (0.5, sdp.SdpStatus.OPTIMAL, 0.0)]:
+        pencil = dense_pencil("m", [flip, np.zeros((2, 2))], np.eye(2))  # I + y1 flip
+        inst4 = sdp.SdpInstance(c=np.array([3.0, 0.0]), A=np.array([[1.0, 0.0]]),
+                                b=np.array([b]), pencils=[pencil])
+        red = sdp._reduce(inst4)
+        assert red.nullmap.shape == (2, 0) and red.blocks == []
+        sol = sdp.solve(inst4)
+        assert sol.status is status and sol.iterations == 0
+        assert sol.primal_infeas == pytest.approx(viol)
+        assert sol.message == "objective constant on the fiber"
+        assert sol.eq_duals == pytest.approx([3.0])
 
 
 def test_unattained_instance_never_reports_clean_optimum():
@@ -351,6 +374,69 @@ def test_write_sdpa_round_trip(tmp_path):
     row = np.array([mats[(i + 1, eqno)][0, 0] for i in range(m)])
     assert np.allclose(row, inst.A[0])
     assert mats[(0, eqno)][0, 0] == inst.b[0]
+
+
+def loop_sdpa(inst):
+    """SDPA-S text of ``inst``, written entry by entry from dense matrices."""
+    m, p = inst.dim, inst.A.shape[0]
+    blocks = [pen.size for pen in inst.pencils] + ([-2 * p] if p else [])
+    lines = [f"{m}", f"{len(blocks)}", " ".join(str(s) for s in blocks),
+             " ".join(repr(float(v)) for v in inst.c)]
+
+    def emit(matno, blockno, i, j, value):
+        if value != 0.0:
+            lines.append(f"{matno} {blockno} {i} {j} {repr(float(value))}")
+
+    for bno, pen in enumerate(inst.pencils, start=1):
+        s = pen.size
+        if pen.const is not None:
+            for i in range(s):
+                for j in range(i, s):
+                    emit(0, bno, i + 1, j + 1, -pen.const[i, j])
+        coeffs = pen.coeffs.toarray() if scipy.sparse.issparse(pen.coeffs) else pen.coeffs
+        for var in range(m):
+            mat = coeffs[:, var].reshape(s, s)
+            for i in range(s):
+                for j in range(i, s):
+                    emit(var + 1, bno, i + 1, j + 1, mat[i, j])
+    for r in range(p):
+        emit(0, len(blocks), 2 * r + 1, 2 * r + 1, inst.b[r])
+        emit(0, len(blocks), 2 * r + 2, 2 * r + 2, -inst.b[r])
+        for var in range(m):
+            emit(var + 1, len(blocks), 2 * r + 1, 2 * r + 1, inst.A[r, var])
+            emit(var + 1, len(blocks), 2 * r + 2, 2 * r + 2, -inst.A[r, var])
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("prob, k", [(chain_with_product, 2), (product_quartic, 3)])
+def test_write_sdpa_matches_the_entrywise_writer(tmp_path, prob, k):
+    inst, _ = relax.to_sdp_instance(relax.assemble(relax.HOMOGENIZED, prob(), k))
+    assert inst.A.shape[0]
+    path = tmp_path / "dump.dat-s"
+    sdp.write_sdpa(inst, str(path))
+    assert path.read_text() == loop_sdpa(inst)
+    # a pencil with a constant term, given as a dense array
+    rng = np.random.default_rng(8)
+    dense = random_strictly_feasible(rng, m=3, s=3)
+    dense = sdp.SdpInstance(c=dense.c, A=np.array([[1.0, 0.0, 0.5]]), b=np.array([0.7]),
+                            pencils=dense.pencils)
+    sdp.write_sdpa(dense, str(path))
+    assert path.read_text() == loop_sdpa(dense)
+
+
+def test_write_sdpa_forms_no_dense_coefficients(tmp_path):
+    """The homogenized chain_with_product relaxation at order 3: its dense
+    pencil coefficient matrices took 55.5 MiB."""
+    inst, _ = relax.to_sdp_instance(relax.assemble(relax.HOMOGENIZED, chain_with_product(), 3))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        sdp.write_sdpa(inst, str(tmp_path / "chain.dat-s"))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_medium_scale_random_instance():
@@ -1072,8 +1158,10 @@ def test_coverage_test_stays_inside_the_resource_estimate():
 
 
 def test_physical_memory_honours_cgroup_limits(tmp_path, monkeypatch):
-    v2, v1 = tmp_path / "memory.max", tmp_path / "memory.limit_in_bytes"
-    monkeypatch.setattr(sdp, "_CGROUP_LIMITS", (str(v2), str(v1)))
+    v2, v1 = tmp_path / "memory.max", tmp_path / "memory" / "memory.limit_in_bytes"
+    v1.parent.mkdir()
+    monkeypatch.setattr(sdp, "_CGROUP_ROOT", str(tmp_path))
+    monkeypatch.setattr(sdp, "_SELF_CGROUP", str(tmp_path / "missing"))
     machine = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     assert sdp.physical_memory() == machine      # neither file readable
     v2.write_text("max\n")
@@ -1083,3 +1171,22 @@ def test_physical_memory_honours_cgroup_limits(tmp_path, monkeypatch):
     assert sdp.physical_memory() == 3000000
     v2.write_text("1048576\n")
     assert sdp.physical_memory() == 1048576
+
+
+@pytest.mark.parametrize("sub, name, line, limits, expected", [
+    ("memory", "memory.limit_in_bytes", "4:memory:/api/job",
+     {"api/job": "3000000", "api": "5000000"}, 3000000),
+    ("", "memory.max", "0::/api/job", {"api/job": "max", "api": "2000000"}, 2000000)])
+def test_physical_memory_reads_the_process_cgroup(tmp_path, monkeypatch, sub, name, line,
+                                                  limits, expected):
+    """A limit set only on the process's own cgroup (v1) or on an ancestor
+    below the root (v2) counts; "max" and other controllers' cgroups do not."""
+    root, own = tmp_path / "cgroup", tmp_path / "self_cgroup"
+    monkeypatch.setattr(sdp, "_CGROUP_ROOT", str(root))
+    monkeypatch.setattr(sdp, "_SELF_CGROUP", str(own))
+    own.write_text(f"5:cpu,cpuacct:/jobs\n{line}\n")
+    limits = {**limits, "jobs": "1000"}
+    for path, text in limits.items():
+        (root / sub / path).mkdir(parents=True, exist_ok=True)
+        (root / sub / path / name).write_text(text + "\n")
+    assert sdp.physical_memory() == expected
