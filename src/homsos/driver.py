@@ -20,9 +20,7 @@ UNATTAINED_DIAGNOSIS = (
     "run the minimizers-at-infinity solve")
 
 VALUE_TOL = 1e-4           # |f(u) - bound| of a minimizer, relative
-INFINITY_VALUE_TOL = 1e-4  # |f_top(v)| of a minimizer at infinity
-OPTCOND_ACTIVE_TOL = 1e-4  # activity and first-order tests of optcond
-OPTCOND_FOOC_TOL = 1e-4
+OPTCOND_FOOC_TOL = 1e-4    # first-order test of optcond
 POSITIVITY_TOL = 1e-6      # a certified probe value above this proves positivity
 MERGE_TOL = 1e-6           # relative distance of atoms merged by the even kind
 
@@ -35,7 +33,7 @@ class DriverOptions:
     gap_tol: float = 1e-8
     rank_tol: float = 1e-6
     extract_tol: float = 1e-5
-    atom_tol: float = 1e-4       # atom feasibility and the x0 test of classify
+    atom_tol: float = 1e-4       # x0 test of classify; admission and activity in optcond
     verify: bool = True
     seed: int = 0
     dump_sdpa: str | None = None
@@ -131,7 +129,8 @@ def _solve_order(prob, kind, k, opts, dump_path=None):
 
     This is the one place that decides the order's ``bound``: the
     certificate value ``f_k``, else the moment value ``f_k_prime`` once the
-    moment side converged, else None."""
+    moment side converged, else None.  Once the moment side converged it
+    also fills ``certificate_residual`` from the solve's duals."""
     rec = OrderRecord(k=k, kind=str(kind), status="", f_k=None, f_k_prime=None)
     try:
         rel = relax.assemble(kind, prob, k)
@@ -165,6 +164,11 @@ def _solve_order(prob, kind, k, opts, dump_path=None):
             rec.f_k = min(rec.f_k, rec.f_k_prime)
     rec.bound = rec.f_k if rec.f_k is not None else (
         rec.f_k_prime if sol.moment_converged else None)
+    if sol.moment_converged:
+        try:
+            rec.certificate_residual = relax.sos_certificate_from_dual(rel, sol).residual
+        except ValueError:
+            pass
     return rec, rel, sol
 
 
@@ -215,20 +219,12 @@ def _merge_close(pairs):
     return merged
 
 
-def _verify_minimizer(prob, u, bound, opts):
-    tolscale = 1.0 + abs(bound)
-    if prob.feasibility_violation(u) > opts.atom_tol * tolscale:
-        return None
-    val = prob.objective.eval(u)
-    if abs(val - bound) > max(VALUE_TOL * tolscale, 10 * opts.gap_tol):
-        return None
-    return val
-
-
 def _verified_atoms(rec, rel, sol, prob, opts):
     """Extract and classify the atoms of one solved order and check each
-    regular one.  Returns (atom set, [(minimizer, value)], [optcond report
-    or None per minimizer]), or None when extraction or a check fails."""
+    regular one.  A regular atom is admitted when ``check_regular`` accepts
+    it as feasible (with ``opts.atom_tol``) and its value is within VALUE_TOL
+    of the moment value.  Returns (atom set, [(minimizer, value)], [optcond
+    report per minimizer]), or None when extraction or a check fails."""
     kind = rel.kind
     atoms = _attempt_extraction(rec, rel, sol, prob, opts)
     if atoms is None:
@@ -247,18 +243,19 @@ def _verified_atoms(rec, rel, sol, prob, opts):
             and abs(atom_set.regular_weight - 1.0) < 1e-4):
         return None
     minimizers, reports = [], []
+    value_tol = max(VALUE_TOL * (1.0 + abs(rec.f_k_prime)), 10 * opts.gap_tol)
     for u, _nu in atom_set.regular:
-        val = _verify_minimizer(prob, u, rec.f_k_prime, opts)
-        if val is None:
-            rec.notes = "an extracted point failed feasibility or value checks"
-            return None
+        val = prob.objective.eval(u)
         try:
-            rep = optcond.check_regular(prob, u, active_tol=OPTCOND_ACTIVE_TOL,
+            rep = optcond.check_regular(prob, u, active_tol=opts.atom_tol,
                                         fooc_tol=OPTCOND_FOOC_TOL)
         except ValueError:
             rep = None
+        if rep is None or abs(val - rec.f_k_prime) > value_tol:
+            rec.notes = "an extracted point failed feasibility or value checks"
+            return None
         # a stalled solve only earns its atoms if they are critical points
-        if sol.status is not sdp.SdpStatus.OPTIMAL and (rep is None or not rep.fooc_ok):
+        if sol.status is not sdp.SdpStatus.OPTIMAL and not rep.fooc_ok:
             rec.notes = ("extracted point is not a first-order critical "
                          "point; treating the rank condition as spurious")
             return None
@@ -267,17 +264,37 @@ def _verified_atoms(rec, rel, sol, prob, opts):
     return atom_set, minimizers, reports
 
 
+def _directions_at_infinity(rec, prob, points, f_min, opts, even):
+    """Admit escape directions into ``rec``: a unit vector of ``points`` is
+    kept, with its report in ``rec.optcond``, only when ``check_at_infinity``
+    (``check_at_infinity_even`` when ``even``) accepts it with
+    ``tol=opts.atom_tol``; every other vector is dropped with a note."""
+    check = optcond.check_at_infinity_even if even else optcond.check_at_infinity
+    for v in points:
+        try:
+            rec.optcond.append(check(prob, v, f_min, tol=opts.atom_tol,
+                                     fooc_tol=OPTCOND_FOOC_TOL))
+        except ValueError as exc:
+            rec.notes = (rec.notes + f" infinity check rejected: {exc}").strip()
+            continue
+        rec.minimizers_at_infinity.append(v)
+
+
 def solve_pop(prob: PopProblem, opts: DriverOptions | None = None) -> HierarchyReport:
     """Run the hierarchy from k_min to k_max with early stop on verified
     convergence (flat truncation, value agreement, optionally the
-    optimality-condition checks at every regular minimizer)."""
+    optimality-condition checks at every regular minimizer).
+
+    A record reports a minimizer only when ``check_regular`` accepts it and
+    an escape direction only when the at-infinity check accepts it, both
+    with ``opts.atom_tol``; ``optcond`` holds the report of every point the
+    record reports, and ``notes`` name the directions that were dropped."""
     opts = opts or DriverOptions()
     kind = opts.kind
     k_lo = opts.k_min or default_k_min(prob, kind)
     k_hi = opts.k_max or k_lo
     if k_hi < k_lo:
         raise ValueError("k_max must be at least k_min")
-    checker = optcond.check_at_infinity_even if kind.even else optcond.check_at_infinity
 
     records = []
     best_bound = None
@@ -293,30 +310,14 @@ def solve_pop(prob: PopProblem, opts: DriverOptions | None = None) -> HierarchyR
                 best_bound = rec.bound
             if sol is None or not sol.moment_converged:
                 continue
-            try:
-                rec.certificate_residual = relax.sos_certificate_from_dual(rel, sol).residual
-            except ValueError:
-                pass
             found = _verified_atoms(rec, rel, sol, prob, opts) if kind.extracts else None
             if found is None:
                 rec.flat_t = rec.flat_gap = None
                 continue
-            rec.atom_set, rec.minimizers, reports = found
-            rec.minimizers_at_infinity = [v for v, _nu in rec.atom_set.at_infinity]
-            all_pass = True
-            for rep in reports:
-                if rep is None:
-                    rec.notes = "optcond check rejected an extracted point"
-                    all_pass = False
-                else:
-                    rec.optcond.append(rep)
-                    all_pass = all_pass and rep.passed
-            for v in rec.minimizers_at_infinity:
-                try:
-                    rec.optcond.append(checker(prob, v, best_bound, tol=1e-4,
-                                               fooc_tol=OPTCOND_FOOC_TOL))
-                except ValueError as exc:
-                    rec.notes = (rec.notes + f" infinity check rejected: {exc}").strip()
+            rec.atom_set, rec.minimizers, rec.optcond = found
+            all_pass = all(rep.passed for rep in rec.optcond)
+            _directions_at_infinity(rec, prob, [v for v, _nu in rec.atom_set.at_infinity],
+                                    best_bound, opts, kind.even)
             if all_pass or not opts.verify:
                 convergence_order = k
                 break
@@ -373,12 +374,14 @@ def minimizers_at_infinity(prob: PopProblem, k: int,
     """Solve the sphere-restricted top-degree problem and extract its atoms.
 
     When the original optimum is finite, minimizers at infinity are exactly
-    the sphere points with vanishing top-degree objective, so the extracted
-    points are filtered accordingly.
+    the sphere points with vanishing top-degree objective.  The normalized
+    atoms are admitted as in ``solve_pop``: a direction is reported, with its
+    ``check_at_infinity`` report, only when that check accepts it with
+    ``opts.atom_tol``, and is otherwise dropped with a note.  ``values`` are
+    the top-degree objective at the reported directions.
     """
     opts = opts or DriverOptions()
     sph = sphere_restriction(prob)
-    values = []
     with sdp._one_blas_thread():
         rec, rel, sol = _solve_order(sph, relax.STANDARD, k, opts, opts.dump_sdpa)
         rec.kind = "standard(sphere)"
@@ -386,21 +389,10 @@ def minimizers_at_infinity(prob: PopProblem, k: int,
             atoms = _attempt_extraction(rec, rel, sol, sph, opts)
             if atoms is None:
                 rec.notes = (rec.notes + " no atoms extracted").strip()
-            for atom in atoms or ():
-                v = atom.point / np.linalg.norm(atom.point)
-                val = sph.objective.eval(v)
-                if abs(val) > INFINITY_VALUE_TOL:
-                    continue
-                if sph.feasibility_violation(v) > opts.atom_tol:
-                    continue
-                rec.minimizers_at_infinity.append(v)
-                values.append(val)
-                try:
-                    rec.optcond.append(optcond.check_at_infinity(
-                        prob, v, rec.f_k_prime, tol=1e-4,
-                        fooc_tol=OPTCOND_FOOC_TOL))
-                except ValueError:
-                    pass
+            _directions_at_infinity(
+                rec, prob, [a.point / np.linalg.norm(a.point) for a in atoms or ()],
+                rec.f_k_prime, opts, even=False)
+    values = [sph.objective.eval(v) for v in rec.minimizers_at_infinity]
     ok = rec.status == sdp.SdpStatus.OPTIMAL.value
     return InfinityReport(records=[rec], best_bound=rec.bound,
                           converged=ok and bool(rec.minimizers_at_infinity),

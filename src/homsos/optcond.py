@@ -75,19 +75,6 @@ class OptCondReport:
         }
 
 
-def _null_basis(rows: np.ndarray, n: int, basis_seed=None) -> np.ndarray:
-    """Orthonormal basis of the null space of the stacked row vectors."""
-    if rows.size == 0:
-        basis = np.eye(n)
-    else:
-        basis = scipy.linalg.null_space(rows)
-    if basis_seed is not None and basis.shape[1] > 1:
-        rng = np.random.default_rng(basis_seed)
-        q, _ = np.linalg.qr(rng.standard_normal((basis.shape[1],) * 2))
-        basis = basis @ q
-    return basis
-
-
 def _licq(rows: np.ndarray):
     """LICQ and the smallest singular value of the active gradients as a
     map from the multipliers, which is 0 when they outnumber the variables."""
@@ -98,8 +85,9 @@ def _licq(rows: np.ndarray):
     return bool(min_sv > 1e-8 * max(1.0, sv[0])), min_sv
 
 
-def _projected_min_eig(hess: np.ndarray, rows: np.ndarray, basis_seed=None):
-    basis = _null_basis(rows, hess.shape[0], basis_seed)
+def _projected_min_eig(hess: np.ndarray, rows: np.ndarray):
+    """Smallest eigenvalue of hess on the null space of the row vectors."""
+    basis = scipy.linalg.null_space(rows) if rows.size else np.eye(hess.shape[0])
     if basis.shape[1] == 0:
         return np.inf
     return float(scipy.linalg.eigvalsh(basis.T @ hess @ basis)[0])
@@ -114,7 +102,7 @@ def _active_constraints(prob: PopProblem, cvals_in, active_tol: float) -> list:
 
 
 def _kkt(prob: PopProblem, x, active: list, cvals_in, fooc_tol: float,
-         basis_seed, location_kind: str) -> OptCondReport:
+         location_kind: str) -> OptCondReport:
     """LICQ, first-order, strict complementarity and projected second-order
     tests at the feasible point x, with least-squares multipliers of the
     active constraints; ``cvals_in`` are the inequality values at x."""
@@ -142,7 +130,7 @@ def _kkt(prob: PopProblem, x, active: list, cvals_in, fooc_tol: float,
     hess = prob.objective.hessian(x)
     for (_, con), l_i in zip(active, lam):
         hess = hess - l_i * con.hessian(x)
-    sosc_margin = _projected_min_eig(hess, grads, basis_seed)
+    sosc_margin = _projected_min_eig(hess, grads)
     sosc = sosc_margin > 1e-8 * (1.0 + float(np.linalg.norm(hess)))
 
     return OptCondReport(
@@ -153,8 +141,10 @@ def _kkt(prob: PopProblem, x, active: list, cvals_in, fooc_tol: float,
 
 
 def check_regular(prob: PopProblem, point, active_tol: float | None = None,
-                  fooc_tol: float = 1e-6, basis_seed=None) -> OptCondReport:
-    """KKT verification at a feasible point of the original problem."""
+                  fooc_tol: float = 1e-6) -> OptCondReport:
+    """KKT verification at a feasible point of the original problem; raises
+    ValueError when its violation exceeds both active_tol and FEAS_TOL
+    relative."""
     x = np.asarray(point, dtype=float)
     cvals_eq = [c.eval(x) for c in prob.equalities]
     cvals_in = [c.eval(x) for c in prob.inequalities]
@@ -166,19 +156,12 @@ def check_regular(prob: PopProblem, point, active_tol: float | None = None,
     if viol > max(FEAS_TOL * scale, active_tol):
         raise ValueError(f"point is infeasible (violation {viol:.3e})")
 
-    active = _active_constraints(prob, cvals_in, active_tol)
-    if len(active) > prob.nvars:
-        return OptCondReport(
-            location_kind="regular", point=x, active_set=[lab for lab, _ in active],
-            licq=False, licq_min_sv=0.0, multipliers={}, fooc_ok=False,
-            fooc_residual=np.nan, scc=False, scc_margin=np.nan, sosc=False,
-            sosc_margin=np.nan,
-            notes="more active constraints than variables; multipliers undefined")
-    return _kkt(prob, x, active, cvals_in, fooc_tol, basis_seed, "regular")
+    return _kkt(prob, x, _active_constraints(prob, cvals_in, active_tol), cvals_in,
+                fooc_tol, "regular")
 
 
 def _check_lifted(prob: PopProblem, point, f_min_estimate: float, tol: float,
-                  fooc_tol: float, basis_seed, even_variant: bool) -> OptCondReport:
+                  fooc_tol: float, even_variant: bool) -> OptCondReport:
     """The KKT tests of ``homogenized_nlp`` at (0, v), reported in the
     original problem's labels."""
     lifted = homogenized_nlp(prob, f_min_estimate, even_variant)
@@ -201,8 +184,7 @@ def _check_lifted(prob: PopProblem, point, f_min_estimate: float, tol: float,
             raise ValueError(f"inequality {j} top part negative at the point")
 
     rep = _kkt(lifted, x, _active_constraints(lifted, cvals_in, tol), cvals_in,
-               fooc_tol, basis_seed,
-               "at_infinity_even" if even_variant else "at_infinity")
+               fooc_tol, "at_infinity_even" if even_variant else "at_infinity")
     sphere, x0 = f"eq{n_eq}", f"ineq{n_in}"
     rep.point = v
     rep.active_set = [lab for lab in rep.active_set if lab not in (sphere, x0)]
@@ -213,25 +195,21 @@ def _check_lifted(prob: PopProblem, point, f_min_estimate: float, tol: float,
 
 
 def check_at_infinity(prob: PopProblem, point, f_min_estimate: float,
-                      tol: float = 1e-6, fooc_tol: float = 1e-6,
-                      basis_seed=None) -> OptCondReport:
+                      tol: float = 1e-6, fooc_tol: float = 1e-6) -> OptCondReport:
     """Optimality conditions at a minimizer at infinity (x0 >= 0 retained).
 
     The point must be a unit vector in the zero set of the top-degree
     objective part, feasible for the top-degree constraint parts."""
-    return _check_lifted(prob, point, f_min_estimate, tol, fooc_tol, basis_seed,
-                         even_variant=False)
+    return _check_lifted(prob, point, f_min_estimate, tol, fooc_tol, even_variant=False)
 
 
 def check_at_infinity_even(prob: PopProblem, point, f_min_estimate: float,
-                           tol: float = 1e-6, fooc_tol: float = 1e-6,
-                           basis_seed=None) -> OptCondReport:
+                           tol: float = 1e-6, fooc_tol: float = 1e-6) -> OptCondReport:
     """Even-degree variant of ``check_at_infinity``: the homogenized program
     drops x0 >= 0, and the report has no ``lambda0``."""
     if prob.objective.degree() < 2:
         raise ValueError("objective degree must be at least 2")
-    return _check_lifted(prob, point, f_min_estimate, tol, fooc_tol, basis_seed,
-                         even_variant=True)
+    return _check_lifted(prob, point, f_min_estimate, tol, fooc_tol, even_variant=True)
 
 
 def homogenized_nlp(prob: PopProblem, f_min_estimate: float,

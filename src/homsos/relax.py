@@ -66,43 +66,38 @@ class InfeasibleRelaxationError(ValueError):
 
 @dataclass(frozen=True)
 class HierarchyKind:
-    """One member family of the relaxation hierarchy.  Its capabilities are
-    read-only properties derived from ``name``: ``has_x0`` (the data lift to
-    the sphere in (x0, x), theta = x0^(2 power) f~, nu = x0^(2 power + d)),
-    ``even`` (the lift drops x0 >= 0; atoms come in antipodal pairs) and
-    ``extracts`` (flat truncations yield minimizer candidates)."""
+    """One member family of the relaxation hierarchy, described by data.
+    ``name`` is the report label.  ``has_x0``: the data lift to the sphere in
+    (x0, x), theta = x0^(2 power) f~, nu = x0^(2 power + d); ``even``: the
+    lift drops x0 >= 0 and atoms come in antipodal pairs.  Without the lift,
+    theta = (1+|x|^2)^m f and nu = (1+|x|^2)^m, with m = k - ceil(d/2) when
+    ``denominator`` and m = 0 otherwise."""
 
     name: str
-    power: int = 0  # x0 exponent parameter, used by power_x0 only
-
-    @property
-    def has_x0(self) -> bool:
-        return self.name in ("homogenized", "homogenized_even", "power_x0")
-
-    @property
-    def even(self) -> bool:
-        return self.name == "homogenized_even"
+    has_x0: bool = False
+    even: bool = False
+    power: int = 0
+    denominator: bool = False
 
     @property
     def extracts(self) -> bool:
-        return self.name != "denominator"
+        """Flat truncations yield minimizer candidates."""
+        return not self.denominator
 
     def __str__(self):
-        if self.name == "power_x0":
-            return f"power_x0({self.power})"
         return self.name
 
 
-HOMOGENIZED = HierarchyKind("homogenized")
-HOMOGENIZED_EVEN = HierarchyKind("homogenized_even")
-DENOMINATOR = HierarchyKind("denominator")
+HOMOGENIZED = HierarchyKind("homogenized", has_x0=True)
+HOMOGENIZED_EVEN = HierarchyKind("homogenized_even", has_x0=True, even=True)
+DENOMINATOR = HierarchyKind("denominator", denominator=True)
 STANDARD = HierarchyKind("standard")
 
 
 def power_x0(ell: int) -> HierarchyKind:
     if ell < 0:
         raise ValueError("power must be nonnegative")
-    return HierarchyKind("power_x0", power=ell)
+    return HierarchyKind(f"power_x0({ell})", has_x0=True, power=ell)
 
 
 def localizing_pencil(p: Polynomial, k: int, label: str = "") -> sdp.SdpPencil:
@@ -155,18 +150,12 @@ def _relaxed_space(kind: HierarchyKind, prob: PopProblem, k: int):
         nu_pow = 2 * kind.power + d
         return (lift.objective * x0 ** (2 * kind.power), x0 ** nu_pow,
                 lift.equalities, lift.inequalities, lift.nvars, nu_pow)
-    if kind.name == "denominator":
-        m = k - math.ceil(d / 2)
-        if m < 0:
-            raise OrderTooSmallError(f"order {k} below ceil(deg(f)/2)")
-        den = (1.0 + sum_of_squares_norm(prob.nvars)) ** m
-        return (den * prob.objective, den, prob.equalities, prob.inequalities,
-                prob.nvars, None)
-    if kind.name == "standard":
-        one = Polynomial.constant(prob.nvars, 1.0)
-        return (prob.objective, one, prob.equalities, prob.inequalities,
-                prob.nvars, None)
-    raise ValueError(f"unknown hierarchy kind {kind.name!r}")
+    m = k - math.ceil(d / 2) if kind.denominator else 0
+    if m < 0:
+        raise OrderTooSmallError(f"order {k} below ceil(deg(f)/2)")
+    den = (1.0 + sum_of_squares_norm(prob.nvars)) ** m
+    return (den * prob.objective, den, prob.equalities, prob.inequalities,
+            prob.nvars, None)
 
 
 def assemble(kind: HierarchyKind, prob: PopProblem, k: int, *,

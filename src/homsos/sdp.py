@@ -1045,7 +1045,7 @@ def solve_with_restarts(inst: SdpInstance, opts: SolveOptions | None = None) -> 
     rng = np.random.default_rng(opts.seed)
     fracs = [opts.step_frac, 0.95, 0.9]
     reduction = []
-    best = None
+    stalled = []
     with _one_blas_thread():
         for attempt in range(3):
             if attempt == 0:
@@ -1057,19 +1057,11 @@ def solve_with_restarts(inst: SdpInstance, opts: SolveOptions | None = None) -> 
             sol = solve(inst, cur, _reduction=reduction)
             if attempt:
                 sol.message = (sol.message + f" (attempt {attempt + 1})").strip()
-            if best is None or _solution_rank(sol) < _solution_rank(best):
-                best = sol
             if sol.status is not SdpStatus.NUMERICAL_TROUBLE:
                 return sol
-    return best
-
-
-def _solution_rank(sol: SdpSolution):
-    order = {SdpStatus.OPTIMAL: 0, SdpStatus.PRIMAL_INFEASIBLE: 1,
-             SdpStatus.DUAL_INFEASIBLE: 1, SdpStatus.ITER_LIMIT: 2,
-             SdpStatus.NUMERICAL_TROUBLE: 3}
-    gap = sol.gap if np.isfinite(sol.gap) else np.inf
-    return (order[sol.status], gap)
+            stalled.append(sol)
+    # the first stalled attempt with the smallest finite gap
+    return min(stalled, key=lambda s: s.gap if np.isfinite(s.gap) else np.inf)
 
 
 def write_sdpa(inst: SdpInstance, path: str):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from homsos.poly import Polynomial, PopProblem
-from homsos import cli, driver, relax, sdp
+from homsos import cli, driver, extract, relax, sdp
 
 from conftest import (biquadratic_escape, chain_with_product, choi_like_cubic,
                       cubic_unbounded, match_points, product_quartic,
@@ -157,6 +157,67 @@ def test_chain_escape_direction_fails_licq():
     assert check.location_kind == "at_infinity"
     assert check.active_set == ["ineq0", "ineq1", "ineq2", "ineq3", "ineq5"]
     assert not check.licq and check.licq_min_sv == 0.0
+
+
+def test_solve_pop_drops_a_direction_the_infinity_check_rejects(monkeypatch):
+    # f = x1 + x2 has top-degree part 1 at (1, 0), so (1, 0) is no escape
+    # direction; a spurious at-infinity atom there is dropped with a note
+    classify = extract.classify
+
+    def with_direction(*args, **kwargs):
+        atom_set = classify(*args, **kwargs)
+        atom_set.at_infinity.append((np.array([1.0, 0.0]), 0.0))
+        return atom_set
+
+    monkeypatch.setattr(extract, "classify", with_direction)
+    rep = driver.solve_pop(cubic_unbounded(), driver.DriverOptions(k_min=3, k_max=3))
+    rec, = rep.records
+    assert rec.minimizers
+    assert rec.minimizers_at_infinity == []
+    assert all(r.location_kind == "regular" for r in rec.optcond)
+    assert "infinity check rejected: top-degree objective part" in rec.notes
+
+
+def test_minimizers_at_infinity_drops_a_rejected_atom_with_a_note(monkeypatch):
+    # (1, 0) is on the sphere but a^4 + a^2 b^2 is 1 there
+    extract_atoms = extract.extract_atoms
+
+    def with_spurious(*args, **kwargs):
+        return extract_atoms(*args, **kwargs) + [extract.Atom(0.0, np.array([1.0, 0.0]))]
+
+    monkeypatch.setattr(extract, "extract_atoms", with_spurious)
+    rep = driver.minimizers_at_infinity(unattained_quartic(), 3)
+    assert not match_points(rep.points, [(1.0, 0.0)], 1e-3)
+    assert match_points(rep.points, [(0.0, 1.0)], 1e-3) \
+        or match_points(rep.points, [(0.0, -1.0)], 1e-3)
+    assert len(rep.values) == len(rep.points) == len(rep.records[0].optcond)
+    assert "infinity check rejected: top-degree objective part" in rep.records[0].notes
+
+
+def test_minimizer_admitted_only_when_check_regular_accepts_it(monkeypatch):
+    # min x s.t. x >= 10: a regular atom at 10 - 5e-4 violates the constraint
+    # by more than atom_tol = 1e-4 but less than atom_tol * (1 + |bound|)
+    x = Polynomial.variable(1, 0)
+    classify = extract.classify
+
+    def off_by_5e4(*args, **kwargs):
+        atom_set = classify(*args, **kwargs)
+        atom_set.regular = [(np.array([10.0 - 5e-4]), 1.0)]
+        return atom_set
+
+    monkeypatch.setattr(extract, "classify", off_by_5e4)
+    rep = driver.solve_pop(PopProblem(1, x, (), (x - 10.0,)),
+                           driver.DriverOptions(k_min=2, k_max=2))
+    rec, = rep.records
+    assert rec.bound == pytest.approx(10.0, abs=1e-5)
+    assert rec.minimizers == [] and rec.optcond == []
+    assert rec.flat_t is None and not rep.converged
+
+
+@pytest.mark.parametrize("make, k", [(unattained_quartic, 3), (chain_with_product, 2)])
+def test_infinity_record_has_a_certificate_residual(make, k):
+    rec = driver.minimizers_at_infinity(make(), k).records[0]
+    assert rec.certificate_residual <= 1e-6
 
 
 def test_infinity_report_round_trips_json():

@@ -43,13 +43,15 @@ def test_regular_rejects_infeasible_point():
         optcond.check_regular(prob, np.array([-10.0, -10.0]))
 
 
-def test_regular_degenerate_active_set_short_circuits():
+def test_regular_degenerate_active_set_fails_licq():
+    # three active constraints in one variable go through the KKT tests
+    # like any other active set, and LICQ fails
     a = Polynomial.variable(1, 0)
     prob = PopProblem(1, a, (), (a, -1.0 * a, a * a))
     rep = optcond.check_regular(prob, np.zeros(1))
-    assert not rep.licq
-    assert rep.multipliers == {}
-    assert "more active constraints" in rep.notes
+    assert not rep.licq and not rep.passed
+    assert sorted(rep.multipliers) == ["ineq0", "ineq1", "ineq2"]
+    assert np.isfinite(rep.fooc_residual)
 
 
 def test_infinity_chain_example_formula_oracle():
@@ -181,19 +183,6 @@ def test_equivalence_probe_random_quadratic():
         assert orig.licq and lifted.licq
         assert orig.sosc and lifted.sosc
         assert orig.scc and lifted.scc
-
-
-def test_sosc_invariant_under_rebasing():
-    prob = cubic_unbounded()
-    reps = [optcond.check_regular(prob, CUBIC_ARGMIN, basis_seed=s)
-            for s in (11, 97)]
-    assert reps[0].sosc == reps[1].sosc
-    assert reps[0].sosc_margin == pytest.approx(reps[1].sosc_margin, rel=1e-9)
-    prob5 = chain_with_product()
-    v = np.array([0.0, 0, 0, 0, 1.0])
-    reps = [optcond.check_at_infinity(prob5, v, 0.0, basis_seed=s)
-            for s in (11, 97)]
-    assert reps[0].sosc == reps[1].sosc
 
 
 def test_report_serialization():

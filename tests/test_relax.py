@@ -320,6 +320,18 @@ def test_power_zero_assembles_homogenized(k):
         assert (p0.coeffs != ph.coeffs).nnz == 0
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_standard_kind_assembles_f_and_one(k):
+    # the standard kind is the denominator form with m = 0: theta = f, nu = 1
+    prob = cubic_unbounded()
+    rel = relax.assemble(relax.STANDARD, prob, k)
+    e0 = np.zeros(rel.tms_dim)
+    e0[0] = 1.0
+    assert np.array_equal(rel.objective_vector, prob.objective.coefficient_vector(2 * k))
+    assert np.array_equal(rel.normalizer_vector, e0)
+    assert rel.normalizer_power is None
+
+
 def test_to_sdp_instance_passes_pencils_through():
     rel = relax.assemble(relax.HOMOGENIZED, cubic_unbounded(), 2)
     inst, _ = relax.to_sdp_instance(rel)

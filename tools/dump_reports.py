@@ -4,8 +4,10 @@
 
 Runs each operation of ``ROOT/bench/workloads.py`` at each seed with the code
 of ``ROOT/src``.  Equal outputs from two checkouts mean the same bits: every
-``to_dict()`` or CLI JSON, each record's ``bound``, and an infinity report's
-``bound``, ``status``, ``points`` and ``values``.
+``to_dict()`` or CLI JSON, each record's ``bound``, an infinity report's
+``bound``, ``status``, ``points`` and ``values``, and under ``gate`` the
+labels of the benchmark gate checks the operation fails
+(``workloads.check``).
 """
 
 import json
@@ -49,7 +51,9 @@ def main(root, seeds):
     for name in workloads.WORKLOADS:
         for op in workloads.build(name, root):
             for seed in range(int(lo), int(hi or lo) + 1):
-                dump[f"{name}/{op.name}/{seed}"] = report(op.call(seed), driver)
+                result = op.call(seed)
+                dump[f"{name}/{op.name}/{seed}"] = dict(
+                    report(result, driver), gate=workloads.check(op, result))
     print(json.dumps(hexed(dump), sort_keys=True, indent=1))
 
 
