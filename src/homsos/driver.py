@@ -57,6 +57,7 @@ class OrderRecord:
     minimizers_at_infinity: list = field(default_factory=list)  # points
     optcond: list = field(default_factory=list)
     certificate_residual: float | None = None
+    iterations: int | None = None   # IPM iterations of the kept attempt
     solver_message: str = ""
     notes: str = ""
     symmetry: dict | None = None    # relax.describe_symmetry of the solve
@@ -78,6 +79,7 @@ class OrderRecord:
             "optcond": [r.to_dict() for r in self.optcond],
             "certificate_residual": None if self.certificate_residual is None
             else float(self.certificate_residual),
+            "iterations": self.iterations,
             "solver_message": self.solver_message,
             "notes": self.notes,
             "symmetry": self.symmetry,
@@ -150,11 +152,12 @@ def _solve_order(prob, kind, k, opts, dump_path=None):
     sol = relax.full_solution(rel, sdp.solve_with_restarts(inst, opts.sdp_options()))
     rec.blocks = sdp.describe_blocks(inst, sol)
     rec.status = sol.status.value
+    rec.iterations = sol.iterations
     rec.solver_message = sol.message
     if sol.y is not None and np.isfinite(sol.primal_obj) \
-            and sol.primal_infeas <= 1e-6:
+            and sol.primal_infeas <= sdp.REPORT_TOL:
         rec.f_k_prime = float(sol.primal_obj)
-    if np.isfinite(sol.dual_obj) and sol.dual_infeas <= 1e-6:
+    if np.isfinite(sol.dual_obj) and sol.dual_infeas <= sdp.REPORT_TOL:
         rec.f_k = float(sol.dual_obj)
         # weak duality: when a solve that is not optimal leaves the moment
         # side converged, its value is the relaxation's, and a certificate
@@ -405,7 +408,8 @@ def positivity_at_infinity_probe(prob: PopProblem, k: int,
     """Lower-bound the top-degree objective part over the sphere-restricted
     feasible directions; a positive certified bound ``f_k`` certifies that
     the objective grows along every feasible escape direction (hence is
-    coercive there)."""
+    coercive there).  With a bound comes the ``certificate_residual`` of
+    the sphere solve's record (None when its moment side did not converge)."""
     opts = opts or DriverOptions()
     sph = sphere_restriction(prob)
     with sdp._one_blas_thread():
@@ -419,7 +423,8 @@ def positivity_at_infinity_probe(prob: PopProblem, k: int,
         return {"bound": None, "verdict": False,
                 "diagnosis": f"no certified bound ({rec.status}); verdict unavailable"}
     verdict = rec.f_k > POSITIVITY_TOL
-    return {"bound": rec.f_k, "verdict": bool(verdict),
+    return {"bound": rec.f_k, "certificate_residual": rec.certificate_residual,
+            "verdict": bool(verdict),
             "diagnosis": "positive at infinity" if verdict
             else "top-degree part is not strictly positive on the feasible "
                  "directions at infinity"}

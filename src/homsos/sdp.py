@@ -44,6 +44,21 @@ every pencil is psd there within ``FEAS_TOL``, else PRIMAL_INFEASIBLE); else by
      holds d identical copies of one irreducible block, I_d (x) M (the
      second stage of Murota, Kanno, Kojima & Kojima 2010).
 
+The interior-point run ends OPTIMAL when both sides have converged (gap,
+primal and dual residuals within tolerance); PRIMAL_INFEASIBLE or
+DUAL_INFEASIBLE when one side's objective runs off with the other side
+feasible; NUMERICAL_TROUBLE when it converges only with a diverging moment
+vector, when one side converged and the other stalled, when the moment
+iterate diverges, when the step lengths collapse, or when a factorization
+fails or no positive definite step is found; and ITER_LIMIT when it spends
+either iteration budget: ``SolveOptions.max_iter`` iterations in all, or
+``MOMENT_BUDGET`` iterations after its moment side first converged.  The
+second budget ends runs whose certificate side is not attained: their
+moment side converges, and the steps after it change neither the gap nor
+the residuals nor the value.  If the certificate residual was within
+``REPORT_TOL`` at some iterate since the moment side converged, such a run
+goes on past the budget until it is again.
+
 Solutions are reported in the original y coordinates with duals lifted back
 accordingly; a block solved for d copies has X' = d X_M, since
 <A, I_d (x) X_M> = <A_M, d X_M>, and lifts to (1/d) sum_i U_i X' U_i^T.  The
@@ -71,9 +86,19 @@ _log = logging.getLogger(__name__)
 
 FEAS_TOL = 1e-8   # relative residual of a converged side
 NORM_CAP = 1e8    # moment norm past which convergence means an unattained optimum
+REPORT_TOL = 1e-6    # relative residual up to which a side's value is reported
+MOMENT_BUDGET = 50   # iterations a run may take after its moment side converged
 
 
 class SdpStatus(enum.Enum):
+    """How a solve ended (see the module docstring).  ITER_LIMIT covers both
+    iteration budgets: ``SolveOptions.max_iter`` iterations in all, with the
+    message ``iteration limit reached``, and ``MOMENT_BUDGET`` iterations
+    after the moment side converged, with the message ``iteration limit
+    reached: <N> iterations since the moment side converged``.  Either way
+    the moment side may have converged (``SdpSolution.moment_converged``),
+    and ``solve_with_restarts`` does not restart."""
+
     OPTIMAL = "optimal"
     PRIMAL_INFEASIBLE = "primal_infeasible"
     DUAL_INFEASIBLE = "dual_infeasible"
@@ -144,6 +169,10 @@ class SolveOptions:
     step_frac: float = 0.98
     init_scale: float = 1.0
     seed: int = 0
+
+    def __post_init__(self):
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
 
 
 @dataclass
@@ -809,6 +838,8 @@ def _ipm(red: _Reduced, opts: SolveOptions):
     message = ""
     status = SdpStatus.ITER_LIMIT
     mom_ok = False
+    mom_first = None   # first iteration at which the moment side converged
+    cert_seen = False  # a reportable certificate side since then
     it = 0
 
     def tostatus(s, msg):
@@ -837,6 +868,9 @@ def _ipm(red: _Reduced, opts: SolveOptions):
         znorm = np.linalg.norm(z)
         mu_rel = mu / (1.0 + abs(pobj) + abs(dobj))
         mom_ok = rd_rel <= FEAS_TOL and mu_rel <= 10.0 * opts.gap_tol
+        if mom_ok and mom_first is None:
+            mom_first = it
+        cert_seen = cert_seen or (mom_first is not None and rp_rel <= REPORT_TOL)
         if relgap <= opts.gap_tol and rp_rel <= FEAS_TOL and rd_rel <= FEAS_TOL:
             if znorm > NORM_CAP:
                 tostatus(SdpStatus.NUMERICAL_TROUBLE,
@@ -876,6 +910,15 @@ def _ipm(red: _Reduced, opts: SolveOptions):
             break
         if it == opts.max_iter:
             tostatus(SdpStatus.ITER_LIMIT, "iteration limit reached")
+            break
+        # An unattained certificate leaves the run idling once the moment
+        # side has converged.  Stopping where rp is not reportable would
+        # cost the driver a certificate value that the idle phase had.
+        if mom_first is not None and it - mom_first >= MOMENT_BUDGET \
+                and (rp_rel <= REPORT_TOL or not cert_seen):
+            tostatus(SdpStatus.ITER_LIMIT,
+                     f"iteration limit reached: {it - mom_first} iterations "
+                     "since the moment side converged")
             break
 
         try:

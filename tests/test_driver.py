@@ -102,6 +102,28 @@ def test_chain_order2_certificate_value_below_moment_value():
     assert rec.f_k <= rec.f_k_prime
 
 
+
+def test_no_battery_solve_ends_on_the_moment_budget(hierarchy_reports):
+    for name, (_prob, rep) in hierarchy_reports.items():
+        for rec in rep.records:
+            assert "since the moment side converged" not in rec.solver_message, name
+
+
+def test_record_iterations_are_those_of_the_kept_attempt(monkeypatch):
+    solve, kept = sdp.solve_with_restarts, []
+
+    def recorded(inst, opts):
+        kept.append(solve(inst, opts))
+        return kept[-1]
+
+    monkeypatch.setattr(sdp, "solve_with_restarts", recorded)
+    rep = driver.solve_pop(cubic_unbounded(), driver.DriverOptions(k_min=1, k_max=3))
+    assert rep.records[0].status == "order_too_small"
+    iters = [None] + [sol.iterations for sol in kept]
+    assert [rec.iterations for rec in rep.records] == iters
+    assert [rec["iterations"] for rec in rep.to_dict()["records"]] == iters
+    assert all(n > 0 for n in iters[1:])
+
 def test_driver_entry_points_restore_blas_threads(blas_threads):
     before = blas_threads()
     a = Polynomial.variable(1, 0)
@@ -245,6 +267,22 @@ def test_positivity_probe_cubic_example():
     out = driver.positivity_at_infinity_probe(cubic_unbounded(), 3)
     assert out["verdict"] is True
     assert out["bound"] > 0.5
+
+
+def test_positivity_probe_reports_the_certificate_residual(monkeypatch):
+    # the residual is that of the sphere solve's record
+    solve_order, residuals = driver._solve_order, []
+
+    def recorded(*args, **kwargs):
+        rec, rel, sol = solve_order(*args, **kwargs)
+        residuals.append(rec.certificate_residual)
+        return rec, rel, sol
+
+    monkeypatch.setattr(driver, "_solve_order", recorded)
+    out = driver.positivity_at_infinity_probe(cubic_unbounded(), 3)
+    assert out["bound"] is not None
+    assert out["certificate_residual"] == residuals[0]
+    assert 0.0 <= out["certificate_residual"] < 1e-6
 
 
 def test_positivity_probe_coercive_but_not_positive():

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -308,6 +309,39 @@ def test_unattained_instance_never_reports_clean_optimum():
                           sdp.SdpStatus.ITER_LIMIT)
     assert abs(sol.primal_obj) < 1e-2
 
+
+
+def test_negative_max_iter_is_rejected():
+    with pytest.raises(ValueError, match="max_iter"):
+        sdp.SolveOptions(max_iter=-1)
+    assert sdp.SolveOptions(max_iter=0).max_iter == 0
+
+
+def test_idle_run_stops_within_the_moment_budget(monkeypatch):
+    # chain_with_product's order-2 certificate is not attained: the moment
+    # side converges, and the steps after it change nothing
+    inst, _ = relax.to_sdp_instance(relax.assemble(relax.HOMOGENIZED, chain_with_product(), 2))
+    solve, attempts = sdp.solve, []
+
+    def counted(*args, **kwargs):
+        attempts.append(solve(*args, **kwargs))
+        return attempts[-1]
+
+    monkeypatch.setattr(sdp, "solve", counted)
+    sol = sdp.solve_with_restarts(inst)
+    assert len(attempts) == 1
+    assert sol.status is sdp.SdpStatus.ITER_LIMIT and sol.moment_converged
+    idle = re.fullmatch(r"iteration limit reached: (\d+) iterations since "
+                        r"the moment side converged", sol.message)
+    assert idle, sol.message
+    assert sol.iterations < sdp.SolveOptions().max_iter
+    # past the budget the run goes on only while its certificate side is
+    # not reportable, since the idle phase had a reportable one
+    first = sol.iterations - int(idle.group(1))
+    rps = [h["rp"] for h in sol.history]
+    assert min(rps[first:]) <= sdp.REPORT_TOL
+    assert all(rp > sdp.REPORT_TOL for rp in rps[first + sdp.MOMENT_BUDGET:-1])
+    assert sol.dual_infeas == rps[-1] <= sdp.REPORT_TOL
 
 def test_write_sdpa(tmp_path):
     mats = [np.zeros((2, 2)) for _ in range(3)]
