@@ -308,6 +308,10 @@ def run(argv, out=None, err=None) -> int:
     if args.order is not None and args.max_order is not None:
         print("error: --order and --max-order are mutually exclusive", file=err)
         return 2
+    for flag, k in (("--order", args.order), ("--max-order", args.max_order)):
+        if k is not None and k < 1:
+            print(f"error: {flag} must be at least 1, got {k}", file=err)
+            return 2
     try:
         if args.problem == "-":
             text = sys.stdin.read()
@@ -319,16 +323,15 @@ def run(argv, out=None, err=None) -> int:
         print(f"error: {exc}", file=err)
         return 2
 
-    k_single = args.order
-    k_max = args.max_order if args.max_order is not None else k_single
+    k_max = args.order if args.max_order is None else args.max_order
     opts = driver.DriverOptions(
         kind=args.kind, gap_tol=args.tol_gap, rank_tol=args.tol_rank,
         atom_tol=args.tol_atom, verify=not args.no_verify, seed=args.seed,
-        dump_sdpa=args.dump_sdpa, k_min=k_single, k_max=k_max)
+        dump_sdpa=args.dump_sdpa, k_min=args.order, k_max=k_max)
 
     try:
         if args.infinity:
-            k = k_single or k_max or driver.default_k_min(
+            k = k_max if k_max is not None else driver.default_k_min(
                 driver.sphere_restriction(prob), relax.STANDARD)
             result = driver.minimizers_at_infinity(prob, k, opts)
         else:

@@ -294,8 +294,11 @@ def solve_pop(prob: PopProblem, opts: DriverOptions | None = None) -> HierarchyR
     record reports, and ``notes`` name the directions that were dropped."""
     opts = opts or DriverOptions()
     kind = opts.kind
-    k_lo = opts.k_min or default_k_min(prob, kind)
-    k_hi = opts.k_max or k_lo
+    for name, k in (("k_min", opts.k_min), ("k_max", opts.k_max)):
+        if k is not None and k < 1:
+            raise ValueError(f"{name} must be at least 1, got {k}")
+    k_lo = default_k_min(prob, kind) if opts.k_min is None else opts.k_min
+    k_hi = k_lo if opts.k_max is None else opts.k_max
     if k_hi < k_lo:
         raise ValueError("k_max must be at least k_min")
 
@@ -383,6 +386,8 @@ def minimizers_at_infinity(prob: PopProblem, k: int,
     ``opts.atom_tol``, and is otherwise dropped with a note.  ``values`` are
     the top-degree objective at the reported directions.
     """
+    if k < 1:
+        raise ValueError(f"order must be at least 1, got {k}")
     opts = opts or DriverOptions()
     sph = sphere_restriction(prob)
     with sdp._one_blas_thread():

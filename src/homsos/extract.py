@@ -14,6 +14,7 @@ weight a * tau^d) and minimizers at infinity (tau = 0, weight a).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,15 +46,15 @@ def moment_matrix(y: np.ndarray, nvars: int, k: int, t: int) -> np.ndarray:
 
 def flat_truncation(y: np.ndarray, nvars: int, k: int, d_k: int,
                     rank_tol: float = 1e-6):
-    """Smallest t in [d_k, k] with rank M_t = rank M_{t-d_k}, or None."""
+    """Smallest t in [d_k, k] with rank M_t = rank M_{t-d_k}, or None;
+    each order's rank is computed once, and none past the t found."""
     if d_k < 1:
         raise ValueError("rank gap must be >= 1")
     if len(y) != basis_size(nvars, 2 * k):
         raise ValueError("tms length does not match nvars and order")
+    rank = functools.cache(lambda t: numerical_rank(moment_matrix(y, nvars, k, t), rank_tol))
     for t in range(d_k, k + 1):
-        r_hi = numerical_rank(moment_matrix(y, nvars, k, t), rank_tol)
-        r_lo = numerical_rank(moment_matrix(y, nvars, k, t - d_k), rank_tol)
-        if r_hi == r_lo:
+        if rank(t) == rank(t - d_k):
             return t
     return None
 

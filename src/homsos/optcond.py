@@ -16,6 +16,9 @@ One KKT test serves three locations:
 An at-infinity report lists the constraints of the original problem only:
 ``lambda0`` is the multiplier of x0 >= 0 and ``lambda_bar`` twice that of
 the sphere.  Their rows still count in LICQ, ``licq_min_sv`` and SOSC.
+
+One SVD of the active gradients decides LICQ and gives the least-squares
+multipliers and the tangent space on which SOSC is tested.
 """
 
 from __future__ import annotations
@@ -75,24 +78,6 @@ class OptCondReport:
         }
 
 
-def _licq(rows: np.ndarray):
-    """LICQ and the smallest singular value of the active gradients as a
-    map from the multipliers, which is 0 when they outnumber the variables."""
-    if rows.shape[0] == 0:
-        return True, np.inf
-    sv = scipy.linalg.svdvals(rows)
-    min_sv = float(sv[-1]) if rows.shape[0] <= rows.shape[1] else 0.0
-    return bool(min_sv > 1e-8 * max(1.0, sv[0])), min_sv
-
-
-def _projected_min_eig(hess: np.ndarray, rows: np.ndarray):
-    """Smallest eigenvalue of hess on the null space of the row vectors."""
-    basis = scipy.linalg.null_space(rows) if rows.size else np.eye(hess.shape[0])
-    if basis.shape[1] == 0:
-        return np.inf
-    return float(scipy.linalg.eigvalsh(basis.T @ hess @ basis)[0])
-
-
 def _active_constraints(prob: PopProblem, cvals_in, active_tol: float) -> list:
     """(label, polynomial) of the equalities and of the inequalities within active_tol of 0."""
     active = [(f"eq{i}", c) for i, c in enumerate(prob.equalities)]
@@ -105,18 +90,20 @@ def _kkt(prob: PopProblem, x, active: list, cvals_in, fooc_tol: float,
          location_kind: str) -> OptCondReport:
     """LICQ, first-order, strict complementarity and projected second-order
     tests at the feasible point x, with least-squares multipliers of the
-    active constraints; ``cvals_in`` are the inequality values at x."""
+    active constraints; ``cvals_in`` are the inequality values at x.  The
+    rank of the gradients G has the cutoff of ``lstsq``, eps max(shape)
+    sigma_0; ``licq_min_sv`` is 0 when the rows outnumber the variables."""
     labels = [lab for lab, _ in active]
     grads = np.array([c.gradient(x) for _, c in active]).reshape(len(active), prob.nvars)
-    licq, min_sv = _licq(grads)
+    u, sv, vt = scipy.linalg.svd(grads)
+    sv_max = np.amax(sv, initial=0.0)
+    min_sv = float(sv[-1]) if 0 < len(active) <= prob.nvars else 0.0 if active else np.inf
+    licq = bool(min_sv > 1e-8 * max(1.0, sv_max))
+    rank = int(np.sum(sv > np.finfo(float).eps * max(grads.shape) * sv_max))
 
     gf = prob.objective.gradient(x)
-    if active:
-        lam, *_ = np.linalg.lstsq(grads.T, gf, rcond=None)
-        fooc_res = float(np.linalg.norm(grads.T @ lam - gf))
-    else:
-        lam = np.zeros(0)
-        fooc_res = float(np.linalg.norm(gf))
+    lam = u[:, :rank] @ ((vt[:rank] @ gf) / sv[:rank])
+    fooc_res = float(np.linalg.norm(grads.T @ lam - gf))
     multipliers = {lab: float(v) for lab, v in zip(labels, lam)}
     for j in range(len(prob.inequalities)):
         multipliers.setdefault(f"ineq{j}", 0.0)
@@ -130,7 +117,9 @@ def _kkt(prob: PopProblem, x, active: list, cvals_in, fooc_tol: float,
     hess = prob.objective.hessian(x)
     for (_, con), l_i in zip(active, lam):
         hess = hess - l_i * con.hessian(x)
-    sosc_margin = _projected_min_eig(hess, grads)
+    tangent = vt[rank:].T
+    sosc_margin = (float(scipy.linalg.eigvalsh(tangent.T @ hess @ tangent)[0])
+                   if rank < prob.nvars else np.inf)
     sosc = sosc_margin > 1e-8 * (1.0 + float(np.linalg.norm(hess)))
 
     return OptCondReport(

@@ -28,7 +28,8 @@ Moment relaxations over varieties (for instance the sphere) are never
 strictly feasible in y-space: the equality rows force common null vectors
 on every pencil.  The solver therefore preprocesses the instance by
 
-  1. eliminating ``A y = b`` through an orthonormal null-space basis,
+  1. eliminating ``A y = b`` through an orthonormal null-space basis, from
+     one SVD of A that also tests that A has full row rank,
   2. compressing each pencil onto the orthogonal complement of the null
      space its matrices share on that affine subspace, and
   3. dropping the directions of the subspace that no pencil sees (a Gram
@@ -62,7 +63,8 @@ goes on past the budget until it is again.
 Solutions are reported in the original y coordinates with duals lifted back
 accordingly; a block solved for d copies has X' = d X_M, since
 <A, I_d (x) X_M> = <A_M, d X_M>, and lifts to (1/d) sum_i U_i X' U_i^T.  The
-equality multipliers solve A^T lambda = c - sum_j coeffs_j^T X_j in least squares.
+equality multipliers solve A^T lambda = c - sum_j coeffs_j^T X_j in least
+squares, through the factors of step 1's SVD, which every restart reuses.
 """
 
 from __future__ import annotations
@@ -148,13 +150,8 @@ class SdpInstance:
         return self.c.size
 
     def validate(self):
-        """Reject rank-deficient equality systems and asymmetric pencils."""
-        p = self.A.shape[0]
-        if p:
-            sv = scipy.linalg.svdvals(self.A)
-            if sv[-1] <= 1e-10 * max(1.0, sv[0]):
-                raise ValueError("equality system A is rank deficient; "
-                                 "remove redundant rows before solving")
+        """Reject asymmetric pencils.  The rank of A is tested by ``_reduce``,
+        from the SVD that also eliminates ``A y = b``."""
         probe = np.random.default_rng(12345).standard_normal(self.dim)
         for pen in self.pencils:
             s_mat = pen.evaluate(probe)
@@ -474,6 +471,7 @@ class _Block:
 class _Reduced:
     y0: np.ndarray
     nullmap: np.ndarray   # (m, mz) orthonormal
+    eq_pinv: tuple        # (U/sigma, V1^T) of A: A^T lam = g by (U/sigma)(V1^T g)
     chat: np.ndarray      # objective over z
     cy0: float
     blocks: list
@@ -517,23 +515,27 @@ def _reduce(inst: SdpInstance):
     problem.  Its ``blocks`` are empty when no pencil sees a free moment (no
     free moment at all, no block left and a constant objective, or no seen
     direction left after the coverage step): the instance is then settled
-    at y0, and ``solve`` gives it its status from the pencils at y0 and its
-    equality multipliers by least squares."""
-    m = inst.dim
-    p = inst.A.shape[0]
-    if p:
-        y0, *_ = np.linalg.lstsq(inst.A, inst.b, rcond=None)
-        resid = inst.A @ y0 - inst.b
-        if np.linalg.norm(resid) > 1e-8 * (1.0 + np.linalg.norm(inst.b)):
-            return _no_point(SdpStatus.PRIMAL_INFEASIBLE,
-                             "equality system A y = b is inconsistent",
-                             np.nan, float(np.linalg.norm(resid)))
-        nullmap = scipy.linalg.null_space(inst.A)
-    else:
-        y0 = np.zeros(m)
-        nullmap = np.eye(m)
+    at y0, and ``solve`` gives it its status from the pencils at y0.
+
+    One SVD of A (the call ``null_space`` makes, and its rank cutoff) gives
+    the full-row-rank test, the null-space basis and ``eq_pinv``.  y0 is
+    placed by ``lstsq``, whose rounding the interior-point run depends on."""
+    p, m = inst.A.shape
+    u, sv, vt = scipy.linalg.svd(inst.A)
+    if p and sv[-1] <= 1e-10 * max(1.0, sv[0]):
+        raise ValueError("equality system A is rank deficient; "
+                         "remove redundant rows before solving")
+    y0, *_ = np.linalg.lstsq(inst.A, inst.b, rcond=None)
+    resid = inst.A @ y0 - inst.b
+    if np.linalg.norm(resid) > 1e-8 * (1.0 + np.linalg.norm(inst.b)):
+        return _no_point(SdpStatus.PRIMAL_INFEASIBLE,
+                         "equality system A y = b is inconsistent",
+                         np.nan, float(np.linalg.norm(resid)))
+    rank = int(np.sum(sv > np.finfo(float).eps * max(p, m) * np.amax(sv, initial=0.0)))
+    nullmap = vt[rank:].T
+    eq_pinv = (u[:, :rank] / sv[:rank], vt[:rank])
     mz = nullmap.shape[1]
-    red = _Reduced(y0=y0, nullmap=nullmap, chat=nullmap.T @ inst.c,
+    red = _Reduced(y0=y0, nullmap=nullmap, eq_pinv=eq_pinv, chat=nullmap.T @ inst.c,
                    cy0=float(inst.c @ y0), blocks=[])
     if mz == 0:
         return red
@@ -1036,8 +1038,7 @@ def solve(inst: SdpInstance, opts: SolveOptions | None = None,
         grad = inst.c.copy()
         for pen, dual in zip(inst.pencils, pencil_duals):
             grad -= np.asarray(pen.coeffs.T @ dual.reshape(-1)).reshape(-1)
-        eq_duals = (np.linalg.lstsq(inst.A.T, grad, rcond=None)[0] if inst.A.shape[0]
-                    else np.zeros(0))
+        eq_duals = red.eq_pinv[0] @ (red.eq_pinv[1] @ grad)
 
         primal_obj = float(inst.c @ y)
         if red.blocks:

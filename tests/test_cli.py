@@ -128,6 +128,31 @@ def test_run_conflicting_orders(tmp_path):
     assert "mutually exclusive" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--order", "0"), ("--max-order", "0"),
+                                         ("--order", "-1")])
+@pytest.mark.parametrize("infinity", [[], ["--infinity"]], ids=["hierarchy", "infinity"])
+def test_run_rejects_orders_below_one(tmp_path, flag, value, infinity):
+    path = tmp_path / "p.pop"
+    path.write_text(CUBIC_TEXT)
+    code, out, err = run_cli([str(path), flag, value] + infinity)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} must be at least 1, got {value}\n"
+
+
+@pytest.mark.parametrize("k_min, k_max", [(0, None), (None, 0), (0, 2), (-1, None)])
+def test_solve_pop_rejects_orders_below_one(k_min, k_max):
+    opts = driver.DriverOptions(k_min=k_min, k_max=k_max)
+    with pytest.raises(ValueError, match="at least 1"):
+        driver.solve_pop(parse_problem(CUBIC_TEXT)[0], opts)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_minimizers_at_infinity_rejects_orders_below_one(k):
+    with pytest.raises(ValueError, match="at least 1"):
+        driver.minimizers_at_infinity(parse_problem(CUBIC_TEXT)[0], k)
+
+
 def test_run_json_schema_and_determinism(tmp_path):
     path = tmp_path / "p.pop"
     path.write_text(CUBIC_TEXT)

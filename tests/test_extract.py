@@ -79,6 +79,45 @@ def test_flat_truncation_absent_for_full_rank():
     assert flat_truncation(y, 2, 3, 1) is None
 
 
+def pairwise_flat_truncation(y, nvars, k, d_k, rank_tol=1e-6):
+    """``flat_truncation`` as it was before: both ranks computed at every t."""
+    for t in range(d_k, k + 1):
+        if numerical_rank(moment_matrix(y, nvars, k, t), rank_tol) == \
+                numerical_rank(moment_matrix(y, nvars, k, t - d_k), rank_tol):
+            return t
+    return None
+
+
+def test_flat_truncation_ranks_each_order_once(monkeypatch):
+    sizes = {1: 0, 3: 1, 6: 2, 10: 3}
+    rng = np.random.default_rng(0)
+    full = build_tms([Atom(weight=rng.uniform(0.5, 1.5), point=rng.standard_normal(2))
+                      for _ in range(60)], 2, 3)
+    seen = []
+    rank = extract.numerical_rank
+    monkeypatch.setattr(extract, "numerical_rank",
+                        lambda mat, *args: seen.append(sizes[mat.shape[0]]) or rank(mat, *args))
+    assert flat_truncation(full, 2, 3, 1) is None
+    assert sorted(seen) == [0, 1, 2, 3]
+    # the early exit still leaves the larger orders alone
+    seen.clear()
+    flat = build_tms([Atom(1.0, np.array([0.6, 0.8]))], 2, 3)
+    assert flat_truncation(flat, 2, 3, 1) == 1
+    assert sorted(seen) == [0, 1]
+
+
+def test_flat_truncation_matches_pairwise_ranks():
+    rng = np.random.default_rng(1)
+    for _ in range(20):
+        atoms = [Atom(weight=rng.uniform(0.5, 1.5), point=rng.standard_normal(2))
+                 for _ in range(rng.integers(1, 12))]
+        y = build_tms(atoms, 2, 4)
+        for d_k in (1, 2, 3):
+            for tol in (1e-6, 1e-3):
+                assert flat_truncation(y, 2, 4, d_k, tol) == \
+                    pairwise_flat_truncation(y, 2, 4, d_k, tol)
+
+
 def test_flat_truncation_validates_input():
     with pytest.raises(ValueError):
         flat_truncation(np.zeros(5), 2, 2, 1)

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from homsos.poly import Polynomial, PopProblem
+from homsos.poly import Polynomial, PopProblem, monomial_basis
 from homsos import optcond
 
 from conftest import (CUBIC_ARGMIN, cubic_unbounded, chain_with_product,
@@ -255,3 +256,58 @@ def test_even_infinity_check_matches_lifted_nlp():
         if np.isfinite(reduced.sosc_margin) and np.isfinite(direct.sosc_margin):
             assert direct.sosc_margin == pytest.approx(reduced.sosc_margin,
                                                        rel=1e-7, abs=1e-9)
+
+
+def former_kkt(prob, x, active):
+    """LICQ, least-squares multipliers and the projected SOSC eigenvalue as
+    ``_kkt`` computed them with one factorization each: ``svdvals``,
+    ``lstsq`` and ``null_space``."""
+    grads = np.array([c.gradient(x) for _, c in active]).reshape(len(active), prob.nvars)
+    if active:
+        sv = scipy.linalg.svdvals(grads)
+        min_sv = float(sv[-1]) if grads.shape[0] <= grads.shape[1] else 0.0
+        lam = np.linalg.lstsq(grads.T, prob.objective.gradient(x), rcond=None)[0]
+    else:
+        min_sv, lam = np.inf, np.zeros(0)
+    hess = prob.objective.hessian(x)
+    for (_, con), l_i in zip(active, lam):
+        hess = hess - l_i * con.hessian(x)
+    basis = scipy.linalg.null_space(grads) if grads.size else np.eye(prob.nvars)
+    sosc = float(scipy.linalg.eigvalsh(basis.T @ hess @ basis)[0]) if basis.shape[1] else np.inf
+    return min_sv, lam, sosc
+
+
+def random_quadratic(rng, n):
+    monos = monomial_basis(n, 2)
+    return Polynomial(n, dict(zip(monos, rng.standard_normal(len(monos)))))
+
+
+def test_kkt_matches_the_former_factorizations():
+    """On random active sets, with duplicated and linearly dependent gradient
+    rows and more rows than variables, the one SVD of ``_kkt`` gives the
+    multipliers, ``licq_min_sv`` and ``sosc_margin`` of the former three
+    factorizations."""
+    rng = np.random.default_rng(7)
+    seen_dependent = seen_tall = 0
+    for _ in range(60):
+        n = int(rng.integers(1, 6))
+        cons = [random_quadratic(rng, n) for _ in range(rng.integers(0, n + 2))]
+        if cons and rng.random() < 0.5:
+            cons.append(cons[rng.integers(len(cons))])          # duplicated row
+        if len(cons) >= 2 and rng.random() < 0.5:
+            a, b = rng.standard_normal(2)
+            cons.append(a * cons[0] + b * cons[1])               # dependent row
+        prob = PopProblem(n, random_quadratic(rng, n), tuple(cons))
+        x = rng.standard_normal(n)
+        active = [(f"eq{i}", c) for i, c in enumerate(cons)]
+        rep = optcond._kkt(prob, x, active, [], 1e-6, "regular")
+        min_sv, lam, sosc = former_kkt(prob, x, active)
+
+        assert rep.licq_min_sv == pytest.approx(min_sv, abs=1e-12)
+        assert np.allclose([rep.multipliers[lab] for lab, _ in active], lam,
+                           rtol=0, atol=1e-12)
+        assert rep.sosc_margin == pytest.approx(sosc, abs=1e-12)
+        rank = np.linalg.matrix_rank(np.array([c.gradient(x) for c in cons]).reshape(-1, n))
+        seen_dependent += rank < len(cons) <= n
+        seen_tall += len(cons) > n
+    assert seen_dependent and seen_tall

@@ -209,6 +209,20 @@ def test_restarts_validate_and_reduce_once(monkeypatch):
     solve, reduce, validate = sdp.solve, sdp._reduce, sdp.SdpInstance.validate
     calls = {"reduce": 0, "validate": 0}
     attempts = []
+    factored = []   # (function, "A" or "A.T") for each factorization of inst.A
+
+    def watch(module, name):
+        func = getattr(module, name)
+
+        def counted(a, *args, **kwargs):
+            if a is inst.A or a.base is inst.A:
+                factored.append((name, "A" if a is inst.A else "A.T"))
+            return func(a, *args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("svd", "svdvals", "null_space"):
+        watch(scipy.linalg, name)
+    watch(np.linalg, "lstsq")
 
     def counted_reduce(*args):
         calls["reduce"] += 1
@@ -229,6 +243,9 @@ def test_restarts_validate_and_reduce_once(monkeypatch):
     sdp.solve_with_restarts(inst)
     assert len(attempts) == 3
     assert calls == {"reduce": 1, "validate": 1}
+    # one SVD gives the rank test, the null space and the multipliers; the
+    # lstsq places y0
+    assert sorted(factored) == [("lstsq", "A"), ("svd", "A")]
     # a shared reduction gives every attempt the numbers of a fresh solve
     for opts, sol in attempts:
         fresh = solve(inst, opts)
