@@ -9,13 +9,17 @@ Problem file grammar (one statement per line, ``#`` starts a comment):
     x2^3 - x1 + 1 == 0
 
 Expressions support ``+ - * ^`` with nonnegative integer exponents,
-parentheses and decimal literals.  Implicit multiplication is not allowed.
+parentheses and finite decimal literals.  Implicit multiplication is not
+allowed.  A sign binds looser than ``^`` and tighter than ``*`` wherever it
+stands: ``-x^2`` is ``-(x^2)`` and ``x * -2^2`` is ``-4 x``.  A power is not
+raised again: ``x^2^3`` and ``-x^2^3`` are errors; write ``(x^2)^3``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
@@ -82,13 +86,7 @@ class _ExprParser:
         return expr
 
     def _expr(self):
-        tok = self._peek()
-        if tok and tok[1] in "+-":
-            self.pos += 1
-            term = self._term()
-            acc = term if tok[1] == "+" else -term
-        else:
-            acc = self._term()
+        acc = self._term()
         while True:
             tok = self._peek()
             if tok is None or tok[1] not in "+-":
@@ -107,6 +105,11 @@ class _ExprParser:
             acc = acc * self._factor()
 
     def _factor(self):
+        """An optionally signed power; the sign binds looser than ``^``."""
+        tok = self._peek()
+        if tok is not None and tok[1] in "+-":
+            self.pos += 1
+            return -self._factor() if tok[1] == "-" else self._factor()
         base = self._base()
         tok = self._peek()
         if tok is not None and tok[1] == "^":
@@ -116,6 +119,10 @@ class _ExprParser:
                 raise ProblemParseError(
                     f"exponent must be a nonnegative integer, got {text!r}",
                     self.line, col)
+            tok = self._peek()
+            if tok is not None and tok[1] == "^":
+                raise ProblemParseError("a power cannot be raised again; use "
+                                        "parentheses", self.line, tok[2])
             return base ** int(text)
         return base
 
@@ -123,7 +130,11 @@ class _ExprParser:
         kind, text, col = self._next()
         n = len(self.vars)
         if kind == "num":
-            return Polynomial.constant(n, float(text))
+            value = float(text)
+            if not math.isfinite(value):
+                raise ProblemParseError(f"literal {text!r} is not a finite "
+                                        "number", self.line, col)
+            return Polynomial.constant(n, value)
         if kind == "name":
             if text not in self.vars:
                 raise ProblemParseError(f"undeclared variable {text!r}",
@@ -135,10 +146,6 @@ class _ExprParser:
             if text2 != ")":
                 raise ProblemParseError("expected ')'", self.line, col2)
             return expr
-        if text == "-":
-            return -self._factor()
-        if text == "+":
-            return self._factor()
         raise ProblemParseError(f"unexpected token {text!r}", self.line, col)
 
 
@@ -212,14 +219,10 @@ def parse_problem(text: str):
 
 def format_problem(prob: PopProblem, varnames) -> str:
     """Render a problem back into the file grammar (parse round-trips)."""
-    lines = ["vars: " + " ".join(varnames),
-             "minimize: " + prob.objective.to_string(varnames)]
-    if prob.equalities or prob.inequalities:
-        lines.append("subject_to:")
-        for c in prob.equalities:
-            lines.append(c.to_string(varnames) + " == 0")
-        for c in prob.inequalities:
-            lines.append(c.to_string(varnames) + " >= 0")
+    echo = _echo(prob, varnames)
+    lines = ["vars: " + " ".join(varnames), "minimize: " + echo["minimize"]]
+    if echo["constraints"]:
+        lines += ["subject_to:", *echo["constraints"]]
     return "\n".join(lines) + "\n"
 
 
@@ -331,9 +334,7 @@ def run(argv, out=None, err=None) -> int:
 
     try:
         if args.infinity:
-            k = k_max if k_max is not None else driver.default_k_min(
-                driver.sphere_restriction(prob), relax.STANDARD)
-            result = driver.minimizers_at_infinity(prob, k, opts)
+            result = driver.minimizers_at_infinity(prob, k_max, opts)
         else:
             result = driver.solve_pop(prob, opts)
     except sdp.ResourceError as exc:

@@ -238,8 +238,7 @@ def _verified_atoms(rec, rel, sol, prob, opts):
     else:
         # no x0 coordinate: every atom is a direct minimizer candidate
         atom_set = extract.AtomSet(
-            atoms=atoms, regular=[(a.point, a.weight) for a in atoms],
-            at_infinity=[], flagged=[], d=0)
+            regular=[(a.point, a.weight) for a in atoms], at_infinity=[], flagged=[])
     if kind.even:
         atom_set.regular = _merge_close(atom_set.regular)
     if not (atom_set.regular and not atom_set.flagged
@@ -286,7 +285,8 @@ def _directions_at_infinity(rec, prob, points, f_min, opts, even):
 def solve_pop(prob: PopProblem, opts: DriverOptions | None = None) -> HierarchyReport:
     """Run the hierarchy from k_min to k_max with early stop on verified
     convergence (flat truncation, value agreement, optionally the
-    optimality-condition checks at every regular minimizer).
+    optimality-condition checks at every regular minimizer).  k_min
+    defaults to ``default_k_min`` capped by k_max, and k_max to k_min.
 
     A record reports a minimizer only when ``check_regular`` accepts it and
     an escape direction only when the at-infinity check accepts it, both
@@ -298,6 +298,8 @@ def solve_pop(prob: PopProblem, opts: DriverOptions | None = None) -> HierarchyR
         if k is not None and k < 1:
             raise ValueError(f"{name} must be at least 1, got {k}")
     k_lo = default_k_min(prob, kind) if opts.k_min is None else opts.k_min
+    if opts.k_min is None and opts.k_max is not None:
+        k_lo = min(k_lo, opts.k_max)
     k_hi = k_lo if opts.k_max is None else opts.k_max
     if k_hi < k_lo:
         raise ValueError("k_max must be at least k_min")
@@ -375,7 +377,14 @@ class InfinityReport(HierarchyReport):
         return self.records[0].minimizers_at_infinity
 
 
-def minimizers_at_infinity(prob: PopProblem, k: int,
+def _sphere_order(sph: PopProblem, k: int | None) -> int:
+    """``k``, by default the standard kind's first order on ``sph``."""
+    if k is not None and k < 1:
+        raise ValueError(f"order must be at least 1, got {k}")
+    return default_k_min(sph, relax.STANDARD) if k is None else k
+
+
+def minimizers_at_infinity(prob: PopProblem, k: int | None = None,
                            opts: DriverOptions | None = None) -> InfinityReport:
     """Solve the sphere-restricted top-degree problem and extract its atoms.
 
@@ -384,12 +393,12 @@ def minimizers_at_infinity(prob: PopProblem, k: int,
     atoms are admitted as in ``solve_pop``: a direction is reported, with its
     ``check_at_infinity`` report, only when that check accepts it with
     ``opts.atom_tol``, and is otherwise dropped with a note.  ``values`` are
-    the top-degree objective at the reported directions.
+    the top-degree objective at the reported directions.  The order ``k``
+    defaults as in ``_sphere_order``.
     """
-    if k < 1:
-        raise ValueError(f"order must be at least 1, got {k}")
-    opts = opts or DriverOptions()
     sph = sphere_restriction(prob)
+    k = _sphere_order(sph, k)
+    opts = opts or DriverOptions()
     with sdp._one_blas_thread():
         rec, rel, sol = _solve_order(sph, relax.STANDARD, k, opts, opts.dump_sdpa)
         rec.kind = "standard(sphere)"
@@ -408,15 +417,17 @@ def minimizers_at_infinity(prob: PopProblem, k: int,
                           diagnosis="minimizers-at-infinity solve", values=values)
 
 
-def positivity_at_infinity_probe(prob: PopProblem, k: int,
+def positivity_at_infinity_probe(prob: PopProblem, k: int | None = None,
                                  opts: DriverOptions | None = None) -> dict:
     """Lower-bound the top-degree objective part over the sphere-restricted
     feasible directions; a positive certified bound ``f_k`` certifies that
     the objective grows along every feasible escape direction (hence is
     coercive there).  With a bound comes the ``certificate_residual`` of
-    the sphere solve's record (None when its moment side did not converge)."""
-    opts = opts or DriverOptions()
+    the sphere solve's record (None when its moment side did not converge).
+    The order ``k`` defaults as in ``_sphere_order``."""
     sph = sphere_restriction(prob)
+    k = _sphere_order(sph, k)
+    opts = opts or DriverOptions()
     with sdp._one_blas_thread():
         rec, _rel, sol = _solve_order(sph, relax.STANDARD, k, opts, opts.dump_sdpa)
     if rec.status == sdp.SdpStatus.PRIMAL_INFEASIBLE.value:

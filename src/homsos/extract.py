@@ -73,11 +73,9 @@ class AtomSet:
     coordinate tau: regular minimizers u = v/tau with weight a * tau^d,
     and minimizers at infinity v with weight a."""
 
-    atoms: list
     regular: list          # (u, nu) pairs
     at_infinity: list      # (v, nu) pairs
     flagged: list          # atoms with tau < -tau_tol (violating x0 >= 0)
-    d: int
 
     @property
     def regular_weight(self) -> float:
@@ -186,15 +184,13 @@ def classify(atoms: list, d: int, tau_tol: float = 1e-4,
     Without it, atoms with tau < -tau_tol are flagged as violations of
     x0 >= 0.
     """
-    regular, infinity, flagged, kept = [], [], [], []
+    regular, infinity, flagged = [], [], []
     for atom in atoms:
         tau = atom.point[0]
         point = atom.point
         if flip_negative and tau < 0.0:
             point = -point
             tau = -tau
-            atom = Atom(atom.weight, point)
-        kept.append(atom)
         nu = atom.weight * tau ** d
         if tau < -tau_tol:
             flagged.append(atom)
@@ -204,5 +200,4 @@ def classify(atoms: list, d: int, tau_tol: float = 1e-4,
             v = point[1:]
             nrm = np.linalg.norm(v)
             infinity.append((v / nrm if nrm > 0 else v, atom.weight))
-    return AtomSet(atoms=kept, regular=regular, at_infinity=infinity,
-                   flagged=flagged, d=d)
+    return AtomSet(regular=regular, at_infinity=infinity, flagged=flagged)

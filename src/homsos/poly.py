@@ -144,9 +144,6 @@ class Polynomial:
             return 0
         return max(sum(m) for m in self.terms)
 
-    def coefficient(self, mono: Sequence[int]) -> float:
-        return self.terms.get(tuple(mono), 0.0)
-
     def coefficient_vector(self, deg: int) -> np.ndarray:
         """Dense coefficients over ``monomial_basis(self.nvars, deg)``."""
         if self.degree() > deg:

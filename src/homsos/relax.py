@@ -100,6 +100,19 @@ def power_x0(ell: int) -> HierarchyKind:
     return HierarchyKind(f"power_x0({ell})", has_x0=True, power=ell)
 
 
+def _shifted_rows(p: Polynomial, shifts: np.ndarray, dim: int):
+    """CSR rows of p x^g over ``dim`` moments for each exponent row g of
+    ``shifts``, columns ascending; a row's terms land apart, so each stored
+    value is a coefficient of p."""
+    terms = np.array(list(p.terms), dtype=np.int64).reshape(-1, p.nvars)
+    pos = monomial_positions(shifts[:, None] + terms)
+    order = np.argsort(pos, axis=1)
+    vals = np.array(list(p.terms.values()), dtype=float)[order]
+    return scipy.sparse.csr_matrix(
+        (vals.reshape(-1), np.take_along_axis(pos, order, axis=1).reshape(-1),
+         np.arange(len(shifts) + 1) * len(terms)), shape=(len(shifts), dim))
+
+
 def localizing_pencil(p: Polynomial, k: int, label: str = "") -> sdp.SdpPencil:
     """Pencil of the localizing matrix of p at order k: entry (a, b) is the
     functional y -> sum_g p_g y_{g + a + b} over basis monomials of degree
@@ -109,15 +122,10 @@ def localizing_pencil(p: Polynomial, k: int, label: str = "") -> sdp.SdpPencil:
         raise OrderTooSmallError(f"order {k} too small for degree-{deg} polynomial")
     t = k - math.ceil(deg / 2)
     rows = exponent_array(p.nvars, t)
-    s = len(rows)
-    terms = np.array(list(p.terms), dtype=np.int64).reshape(-1, p.nvars)
-    # the triples of entry (i, j) and term g, ordered by i, then j, then g
-    cols = monomial_positions(rows[:, None, None] + rows[None, :, None] + terms)
-    coeffs = scipy.sparse.csr_matrix(
-        (np.tile(list(p.terms.values()), s * s),
-         (np.repeat(np.arange(s * s), len(terms)), cols.reshape(-1))),
-        shape=(s * s, basis_size(p.nvars, 2 * k)))
-    return sdp.SdpPencil(label or f"loc[{p.to_string()}]", s, coeffs,
+    # row i s + j of the coefficients is entry (i, j)
+    coeffs = _shifted_rows(p, (rows[:, None] + rows[None, :]).reshape(-1, p.nvars),
+                           basis_size(p.nvars, 2 * k))
+    return sdp.SdpPencil(label or f"loc[{p.to_string()}]", len(rows), coeffs,
                          basis=monomial_basis(p.nvars, t))
 
 
@@ -184,35 +192,22 @@ def assemble(kind: HierarchyKind, prob: PopProblem, k: int, *,
     for j, q in enumerate(ineqs):
         pencils.append(localizing_pencil(q, k, label=f"ineq{j}"))
 
-    cols, vals, lengths, meta = [], [], [], []
+    blocks, meta = [], []
     for i, p in enumerate(eqs):
         if p.is_zero:
             continue
-        gs = monomial_basis(nv, two_k - p.degree())
-        # row r is p times the monomial gs[r]; its terms land apart, and
-        # are stored in column order
-        terms = np.array(list(p.terms), dtype=np.int64)
-        pos = monomial_positions(exponent_array(nv, two_k - p.degree())[:, None] + terms)
-        order = np.argsort(pos, axis=1)
-        cols.append(np.take_along_axis(pos, order, axis=1).reshape(-1))
-        vals.append(np.array(list(p.terms.values()), dtype=float)[order].reshape(-1))
-        lengths += [len(terms)] * len(gs)
-        meta.extend(("eq", i, g) for g in gs)
-    nu_vec = nu.coefficient_vector(two_k)
-    cols.append(np.flatnonzero(nu_vec))
-    vals.append(nu_vec[cols[-1]])
-    lengths.append(cols[-1].size)
+        blocks.append(_shifted_rows(p, exponent_array(nv, two_k - p.degree()), dim))
+        meta.extend(("eq", i, g) for g in monomial_basis(nv, two_k - p.degree()))
+    blocks.append(_shifted_rows(nu, np.zeros((1, nv), dtype=np.int64), dim))
     meta.append(("normalizer", None, None))
-    eq_A = scipy.sparse.csr_matrix(
-        (np.concatenate(vals), np.concatenate(cols), np.cumsum([0] + lengths)),
-        shape=(len(meta), dim))
+    eq_A = scipy.sparse.vstack(blocks, format="csr")
     eq_b = np.zeros(len(meta))
     eq_b[-1] = 1.0
 
     return MomentRelaxation(
         kind=kind, nvars=nv, order=k, tms_dim=dim,
         objective_vector=theta.coefficient_vector(two_k),
-        normalizer_vector=nu_vec, normalizer_power=nu_pow,
+        normalizer_vector=nu.coefficient_vector(two_k), normalizer_power=nu_pow,
         eq_A=eq_A, eq_b=eq_b, eq_row_meta=meta, psd_pencils=pencils,
         symmetry=None if group is None
         else _symmetry_of(group, orbits, eqs, nv, k, meta, pencils))

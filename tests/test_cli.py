@@ -262,3 +262,35 @@ def test_run_reads_stdin(monkeypatch):
     code, out, _ = run_cli(["-", "--max-order", "2"])
     assert code == 0
     assert json.loads(out)["final"]["converged"] is True
+
+
+@pytest.mark.parametrize("expr", ["x1^2^2", "-x1^2^2", "x1 * -2^3^2", "1 - -x1^2^2",
+                                  "(x1)^2^2"])
+def test_parse_rejects_a_power_chain_wherever_it_stands(expr):
+    # a sign binds looser than ^, so a chain after a sign is a chain too
+    with pytest.raises(ProblemParseError, match="raised again") as exc:
+        parse_problem(f"vars: x1\nminimize: {expr}\n")
+    assert (exc.value.line, exc.value.col) == (2, 11 + expr.rindex("^"))
+
+
+def test_overflowing_literal_is_a_parse_error(tmp_path):
+    text = "vars: x\nminimize: 1e400*x^2 + x\n"
+    with pytest.raises(ProblemParseError, match="literal '1e400' is not a finite") as exc:
+        parse_problem(text)
+    assert (exc.value.line, exc.value.col) == (2, 11)
+    path = tmp_path / "p.pop"
+    path.write_text(text)
+    code, out, err = run_cli([str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: line 2, column 11: literal '1e400' is not a finite number\n"
+
+
+def test_run_max_order_below_the_first_order_runs_that_order():
+    # cubic_unbounded's first order is 2: --max-order 1 acts like --order 1
+    problem = Path(__file__).resolve().parents[1] / "problems" / "cubic_unbounded.pop"
+    runs = [run_cli([str(problem), flag, "1"]) for flag in ("--max-order", "--order")]
+    assert runs[0] == runs[1]
+    code, out, err = runs[0]
+    assert (code, err) == (3, "")
+    rec, = json.loads(out)["records"]
+    assert (rec["k"], rec["status"]) == (1, "order_too_small")

@@ -580,3 +580,31 @@ def test_variable_swap_swaps_minimizer():
     (pt, _), = rep.records[-1].minimizers
     (pt_swapped, _), = rep_swapped.records[-1].minimizers
     assert np.allclose(pt_swapped, pt[::-1], atol=1e-5)
+
+
+def test_solve_pop_starts_at_k_max_when_it_is_below_the_first_order():
+    prob = cubic_unbounded()
+    assert driver.default_k_min(prob, relax.HOMOGENIZED) == 2
+    rep = driver.solve_pop(prob, driver.DriverOptions(k_max=1))
+    assert [(r.k, r.status) for r in rep.records] == [(1, "order_too_small")]
+    with pytest.raises(ValueError, match="k_max must be at least k_min"):
+        driver.solve_pop(prob, driver.DriverOptions(k_min=2, k_max=1))
+
+
+@pytest.mark.parametrize("solve", [driver.minimizers_at_infinity,
+                                   driver.positivity_at_infinity_probe])
+def test_sphere_solves_default_to_the_first_standard_order(solve):
+    prob = cubic_unbounded()
+    k = driver.default_k_min(driver.sphere_restriction(prob), relax.STANDARD)
+    assert k == 2
+    default, explicit = solve(prob), solve(prob, k)
+    if isinstance(default, driver.InfinityReport):
+        assert default.records[0].k == k
+        default, explicit = default.to_dict(), explicit.to_dict()
+    assert default == explicit
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_positivity_probe_rejects_orders_below_one(k):
+    with pytest.raises(ValueError, match="order must be at least 1"):
+        driver.positivity_at_infinity_probe(cubic_unbounded(), k)
