@@ -9,10 +9,12 @@ Problem file grammar (one statement per line, ``#`` starts a comment):
     x2^3 - x1 + 1 == 0
 
 Expressions support ``+ - * ^`` with nonnegative integer exponents,
-parentheses and finite decimal literals.  Implicit multiplication is not
-allowed.  A sign binds looser than ``^`` and tighter than ``*`` wherever it
-stands: ``-x^2`` is ``-(x^2)`` and ``x * -2^2`` is ``-4 x``.  A power is not
-raised again: ``x^2^3`` and ``-x^2^3`` are errors; write ``(x^2)^3``.
+parentheses and finite decimal literals; every coefficient an operation
+yields must be finite too, and parentheses and signs nest at most
+``MAX_NESTING`` deep.  Implicit multiplication is not allowed.  A sign
+binds looser than ``^`` and tighter than ``*`` wherever it stands: ``-x^2``
+is ``-(x^2)`` and ``x * -2^2`` is ``-4 x``.  A power is not raised again:
+``x^2^3`` and ``-x^2^3`` are errors; write ``(x^2)^3``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import re
 import sys
 
 from . import driver, relax, sdp
-from .poly import Polynomial, PopProblem
+from .poly import Polynomial, PopProblem, even_variant_refusal
 
 
 class ProblemParseError(ValueError):
@@ -56,6 +58,9 @@ def _tokenize(text, line_no, col_offset=0):
     return tokens
 
 
+MAX_NESTING = 100   # open parentheses and signs around any factor
+
+
 class _ExprParser:
     """Recursive descent over + - * ^ ( ) with declared variables only."""
 
@@ -64,6 +69,26 @@ class _ExprParser:
         self.pos = 0
         self.vars = variables
         self.line = line_no
+        self.depth = 0
+
+    def _nested(self, col, parse):
+        """``parse()`` one nesting level deeper, refused past ``MAX_NESTING``
+        with the column of the opening token."""
+        if self.depth == MAX_NESTING:
+            raise ProblemParseError(f"expression nests deeper than {MAX_NESTING} "
+                                    "parentheses and signs", self.line, col)
+        self.depth += 1
+        out = parse()
+        self.depth -= 1
+        return out
+
+    def _finite(self, poly, tok):
+        """``poly``, after refusing a coefficient that the operation ``tok``
+        made infinite."""
+        if not all(math.isfinite(c) for c in poly.terms.values()):
+            raise ProblemParseError(f"a coefficient overflows at {tok[1]!r}",
+                                    self.line, tok[2])
+        return poly
 
     def _peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -93,7 +118,7 @@ class _ExprParser:
                 return acc
             self.pos += 1
             term = self._term()
-            acc = acc + term if tok[1] == "+" else acc - term
+            acc = self._finite(acc + term if tok[1] == "+" else acc - term, tok)
 
     def _term(self):
         acc = self._factor()
@@ -102,17 +127,18 @@ class _ExprParser:
             if tok is None or tok[1] != "*":
                 return acc
             self.pos += 1
-            acc = acc * self._factor()
+            acc = self._finite(acc * self._factor(), tok)
 
     def _factor(self):
         """An optionally signed power; the sign binds looser than ``^``."""
         tok = self._peek()
         if tok is not None and tok[1] in "+-":
             self.pos += 1
-            return -self._factor() if tok[1] == "-" else self._factor()
+            inner = self._nested(tok[2], self._factor)
+            return -inner if tok[1] == "-" else inner
         base = self._base()
-        tok = self._peek()
-        if tok is not None and tok[1] == "^":
+        caret = self._peek()
+        if caret is not None and caret[1] == "^":
             self.pos += 1
             kind, text, col = self._next()
             if kind != "num" or not re.fullmatch(r"\d+", text):
@@ -123,7 +149,7 @@ class _ExprParser:
             if tok is not None and tok[1] == "^":
                 raise ProblemParseError("a power cannot be raised again; use "
                                         "parentheses", self.line, tok[2])
-            return base ** int(text)
+            return self._finite(base ** int(text), caret)
         return base
 
     def _base(self):
@@ -141,7 +167,7 @@ class _ExprParser:
                                         self.line, col)
             return Polynomial.variable(n, self.vars.index(text))
         if text == "(":
-            expr = self._expr()
+            expr = self._nested(col, self._expr)
             kind2, text2, col2 = self._next()
             if text2 != ")":
                 raise ProblemParseError("expected ')'", self.line, col2)
@@ -298,9 +324,10 @@ def _pretty_report(report: dict, out):
 
 
 def run(argv, out=None, err=None) -> int:
-    """CLI entry; returns the exit code (0 ok, 2 parse error, 3 solver
-    failure at every order, 4 a relaxation too large for physical memory,
-    refused before it is assembled, with nothing written to ``out``)."""
+    """CLI entry; returns the exit code (0 ok, 2 parse error, bad order or
+    ``--kind even`` on data of odd degree, 3 solver failure at every order,
+    4 a relaxation too large for physical memory, refused before it is
+    assembled, with nothing written to ``out``)."""
     out = out or sys.stdout
     err = err or sys.stderr
     ap = _build_argparser()
@@ -324,6 +351,11 @@ def run(argv, out=None, err=None) -> int:
         prob, varnames, _ = parse_problem(text)
     except (OSError, ProblemParseError) as exc:
         print(f"error: {exc}", file=err)
+        return 2
+    # the sphere solve of --infinity does not read the kind
+    why = even_variant_refusal(prob) if args.kind.even and not args.infinity else ""
+    if why:
+        print(f"error: --kind even: {why}", file=err)
         return 2
 
     k_max = args.order if args.max_order is None else args.max_order

@@ -357,24 +357,31 @@ def sphere_equation(nvars: int) -> Polynomial:
     return sum_of_squares_norm(nvars) - 1.0
 
 
+def even_variant_refusal(prob: PopProblem) -> str:
+    """Why the even variant of ``build_homogenized`` refuses ``prob``, or ""
+    when it does not: it needs even degrees for the objective and every
+    inequality."""
+    bad = ["objective"] if prob.objective.degree() % 2 == 1 else []
+    bad += [f"inequality {j}" for j, c in enumerate(prob.inequalities)
+            if c.degree() % 2 == 1]
+    if not bad:
+        return ""
+    return ("even variant requires even degrees for the objective and all "
+            "inequalities; odd: " + ", ".join(bad))
+
+
 def build_homogenized(prob: PopProblem, even_variant: bool = False) -> PopProblem:
     """Lift the problem to the unit sphere in (x0, x) coordinates.
 
     The lifted problem has nvars+1 variables with x0 first and the
     homogenized objective and constraints.  Its equalities end with the
     sphere equation |x~|^2 - 1; unless ``even_variant``, its inequalities
-    end with the polynomial x0.
+    end with the polynomial x0.  The even variant raises ValueError on
+    data of odd degree (``even_variant_refusal``).
     """
-    if even_variant:
-        bad = []
-        if prob.objective.degree() % 2 == 1:
-            bad.append("objective")
-        bad += [f"inequality {j}" for j, c in enumerate(prob.inequalities)
-                if c.degree() % 2 == 1]
-        if bad:
-            raise ValueError(
-                "even variant requires even degrees for the objective and all "
-                "inequalities; odd: " + ", ".join(bad))
+    why = even_variant_refusal(prob) if even_variant else ""
+    if why:
+        raise ValueError(why)
     n1 = prob.nvars + 1
     eqs = [c.homogenize() for c in prob.equalities]
     eqs.append(sphere_equation(n1))

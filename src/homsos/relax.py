@@ -171,9 +171,17 @@ def assemble(kind: HierarchyKind, prob: PopProblem, k: int, *,
     """Assemble the order-k moment relaxation of the given kind, with the
     group of signed permutations of the variables that fixes its data
     (``_symmetry=False`` leaves the group out).  Raises ``sdp.ResourceError``
-    before building any pencil when the solve's dense arrays
-    (``_dense_bytes``, over the group's orbits) would exceed the memory
-    the process may use (``sdp.physical_memory``)."""
+    when the solve's dense arrays (``_dense_bytes``, over the group's
+    orbits) would exceed the memory the process may use
+    (``sdp.physical_memory``): before any pencil is built, and before
+    anything that grows with the order where the moment matrix alone
+    would."""
+    what = f"the order-{k} relaxation"
+    # The estimate holds at least the QR stack of the moment matrix, however
+    # few moments the group's orbits leave.  Refuse on that first, before the
+    # denominator kind's (1+|x|^2)^m and the group's monomial maps.
+    moment_size = basis_size(prob.nvars + 1 if kind.has_x0 else prob.nvars, k)
+    sdp.check_memory(sdp.dense_bytes(0, 0, [moment_size]), what)
     theta, nu, eqs, ineqs, nv, nu_pow = _relaxed_space(kind, prob, k)
     two_k = 2 * k
     for p in (theta, nu, *eqs, *ineqs):
@@ -186,7 +194,7 @@ def assemble(kind: HierarchyKind, prob: PopProblem, k: int, *,
     if group is not None:
         orbits = _orbits(dim, [mono for *_, mono in group])
         live = _live(orbits).size
-    sdp.check_memory(_dense_bytes(nv, k, eqs, ineqs, live), f"the order-{k} relaxation")
+    sdp.check_memory(_dense_bytes(nv, k, eqs, ineqs, live), what)
 
     pencils = [localizing_pencil(Polynomial.constant(nv, 1.0), k, label="moment")]
     for j, q in enumerate(ineqs):

@@ -64,7 +64,11 @@ Solutions are reported in the original y coordinates with duals lifted back
 accordingly; a block solved for d copies has X' = d X_M, since
 <A, I_d (x) X_M> = <A_M, d X_M>, and lifts to (1/d) sum_i U_i X' U_i^T.  The
 equality multipliers solve A^T lambda = c - sum_j coeffs_j^T X_j in least
-squares, through the factors of step 1's SVD, which every restart reuses.
+squares, through the factors of step 1's SVD.  One tail of ``solve`` lifts
+the duals, forms the multipliers and builds the solution, whether the
+interior-point run or y0 gave the point.  ``solve_with_restarts``
+validates and reduces the instance once and hands the reduction to each of
+its attempts, which differ only in the starting point and step fraction.
 """
 
 from __future__ import annotations
@@ -183,7 +187,6 @@ class SdpSolution:
 
     status: SdpStatus
     y: np.ndarray | None
-    pencil_values: list | None
     pencil_duals: list | None
     eq_duals: np.ndarray | None
     primal_obj: float
@@ -352,11 +355,11 @@ def _finite(a: np.ndarray) -> np.ndarray:
 
 def _solve_lower(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``solve_triangular(chol, b, lower=True)`` for a nonempty lower
-    triangular ``chol``."""
-    if chol.flags.f_contiguous:
-        x, info = lapack.dtrtrs(chol, b, lower=1)
-    else:  # dtrtrs reads Fortran order: solve with the transpose instead
-        x, info = lapack.dtrtrs(chol.T, b, lower=0, trans=1)
+    triangular ``chol`` in C order, as ``np.linalg.cholesky`` returns it.
+    dtrtrs reads Fortran order, so the solve is with the transpose, as
+    scipy makes it for a C-order matrix; a 1 x 1 factor, which scipy
+    passes as it is, gives the same single division either way."""
+    x, info = lapack.dtrtrs(chol.T, b, lower=0, trans=1)
     if info > 0:
         raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
     if info < 0:
@@ -503,8 +506,8 @@ def _pencil_chunks(pen: SdpPencil, nullmap: np.ndarray):
 
 def _no_point(status: SdpStatus, message: str, primal_obj=-np.inf, primal_infeas=0.0):
     """An outcome without a point: an inconsistent ``A y = b`` or a ray."""
-    return SdpSolution(status=status, y=None, pencil_values=None, pencil_duals=None,
-                       eq_duals=None, primal_obj=primal_obj, dual_obj=np.nan, gap=np.nan,
+    return SdpSolution(status=status, y=None, pencil_duals=None, eq_duals=None,
+                       primal_obj=primal_obj, dual_obj=np.nan, gap=np.nan,
                        primal_infeas=primal_infeas, dual_infeas=np.nan, iterations=0,
                        message=message)
 
@@ -636,8 +639,8 @@ def _split_block(blk: _Block, _plain=frozenset()) -> list:
     every matrix, rotated into the parts' basis, is seen to vanish outside
     them, and a component's copies only once they are seen to be uncoupled
     and equal; components in ``_plain`` or whose copies fail keep one block
-    of their eigenvectors.  The rotation runs on at most 16 matrices at a
-    time, so no copy of the whole stack is made."""
+    of their eigenvectors.  The rotation runs on at most ``_CHUNK`` matrices
+    at a time, so no copy of the whole stack is made."""
     g0, glin = blk.g0, blk.glin
     mz, s = glin.shape[0], g0.shape[0]
     if _schur_flops(mz, [s]) < 2 * _SPLIT_FLOPS:
@@ -685,12 +688,12 @@ def _split_block(blk: _Block, _plain=frozenset()) -> list:
     outside = np.ones((s, s), dtype=bool)
     for a, b in spans:
         outside[a:b, a:b] = False
-    # the rotated stack [g0; glin], at most 16 matrices at a time
+    # the rotated stack [g0; glin], at most _CHUNK matrices at a time
     rotated = [np.empty((mz + 1, n, n)) for n in solved]
     spread = [0.0] * len(spans)
     off = top = 0.0
-    for lo in range(0, mz + 1, 16):
-        mats = glin[max(lo - 1, 0):lo + 15]
+    for lo in range(0, mz + 1, _CHUNK):
+        mats = glin[max(lo - 1, 0):lo + _CHUNK - 1]
         if lo == 0:
             mats = np.concatenate([g0[None], mats])
         rot = np.matmul(np.matmul(vecs.T, mats), vecs)
@@ -702,7 +705,7 @@ def _split_block(blk: _Block, _plain=frozenset()) -> list:
             if d > 1:
                 part, err = _copy_mean(part, d)
                 spread[i] = max(spread[i], err)
-            out[lo:lo + 16] = part
+            out[lo:lo + _CHUNK] = part
     if off > 1e-11 * top:
         return [blk]
     failed = {i for i, err in enumerate(spread) if err > 1e-11 * top}
@@ -837,17 +840,9 @@ def _ipm(red: _Reduced, opts: SolveOptions):
     cnorm = 1.0 + math.sqrt(sum(np.linalg.norm(c) ** 2 for c in cmats))
     history = []
     stall = 0
-    message = ""
-    status = SdpStatus.ITER_LIMIT
-    mom_ok = False
     mom_first = None   # first iteration at which the moment side converged
     cert_seen = False  # a reportable certificate side since then
-    it = 0
-
-    def tostatus(s, msg):
-        nonlocal status, message
-        status, message = s, msg
-
+    # every run ends at a break: at the latest when it == opts.max_iter
     for it in range(opts.max_iter + 1):
         rp = bvec.copy()
         for a_f, x in zip(aflat, xs):
@@ -875,11 +870,11 @@ def _ipm(red: _Reduced, opts: SolveOptions):
         cert_seen = cert_seen or (mom_first is not None and rp_rel <= REPORT_TOL)
         if relgap <= opts.gap_tol and rp_rel <= FEAS_TOL and rd_rel <= FEAS_TOL:
             if znorm > NORM_CAP:
-                tostatus(SdpStatus.NUMERICAL_TROUBLE,
-                         "converged only with a diverging moment vector; "
-                         "the optimum is likely unattained")
+                status, message = (SdpStatus.NUMERICAL_TROUBLE,
+                                   "converged only with a diverging moment vector; "
+                                   "the optimum is likely unattained")
             else:
-                tostatus(SdpStatus.OPTIMAL, "")
+                status, message = SdpStatus.OPTIMAL, ""
             break
         # One side can converge while the other stalls (unattained optimum
         # on the stalled side); detect it and stop instead of grinding on.
@@ -887,40 +882,40 @@ def _ipm(red: _Reduced, opts: SolveOptions):
             prev = history[-5]
             if rd_rel <= FEAS_TOL and rp_rel > FEAS_TOL \
                     and rp_rel > 0.5 * prev["rp"]:
-                tostatus(SdpStatus.NUMERICAL_TROUBLE,
-                         "moment side converged but the certificate side "
-                         "stalled (certificate likely unattained)")
+                status, message = (SdpStatus.NUMERICAL_TROUBLE,
+                                   "moment side converged but the certificate side "
+                                   "stalled (certificate likely unattained)")
                 break
             if rp_rel <= FEAS_TOL and rd_rel > FEAS_TOL \
                     and rd_rel > 0.5 * prev["rd"]:
-                tostatus(SdpStatus.NUMERICAL_TROUBLE,
-                         "certificate side converged but the moment side stalled")
+                status, message = (SdpStatus.NUMERICAL_TROUBLE,
+                                   "certificate side converged but the moment side stalled")
                 break
         if dobj > 1e10 * (1.0 + abs(pobj)) and rd_rel <= FEAS_TOL:
-            tostatus(SdpStatus.DUAL_INFEASIBLE,
-                     "moment objective unbounded below (certificate side infeasible)")
+            status, message = (SdpStatus.DUAL_INFEASIBLE,
+                               "moment objective unbounded below (certificate side infeasible)")
             break
         if pobj < -1e10 * (1.0 + abs(dobj)) and rp_rel <= FEAS_TOL:
-            tostatus(SdpStatus.PRIMAL_INFEASIBLE,
-                     "certificate objective unbounded (moment side infeasible)")
+            status, message = (SdpStatus.PRIMAL_INFEASIBLE,
+                               "certificate objective unbounded (moment side infeasible)")
             break
         if znorm > 100.0 * NORM_CAP:
-            tostatus(SdpStatus.NUMERICAL_TROUBLE, "moment iterate norm diverged")
+            status, message = SdpStatus.NUMERICAL_TROUBLE, "moment iterate norm diverged"
             break
         if stall >= 6:
-            tostatus(SdpStatus.NUMERICAL_TROUBLE, "step lengths collapsed")
+            status, message = SdpStatus.NUMERICAL_TROUBLE, "step lengths collapsed"
             break
         if it == opts.max_iter:
-            tostatus(SdpStatus.ITER_LIMIT, "iteration limit reached")
+            status, message = SdpStatus.ITER_LIMIT, "iteration limit reached"
             break
         # An unattained certificate leaves the run idling once the moment
         # side has converged.  Stopping where rp is not reportable would
         # cost the driver a certificate value that the idle phase had.
         if mom_first is not None and it - mom_first >= MOMENT_BUDGET \
                 and (rp_rel <= REPORT_TOL or not cert_seen):
-            tostatus(SdpStatus.ITER_LIMIT,
-                     f"iteration limit reached: {it - mom_first} iterations "
-                     "since the moment side converged")
+            status, message = (SdpStatus.ITER_LIMIT,
+                               f"iteration limit reached: {it - mom_first} iterations "
+                               "since the moment side converged")
             break
 
         try:
@@ -939,8 +934,8 @@ def _ipm(red: _Reduced, opts: SolveOptions):
                 except np.linalg.LinAlgError:
                     continue
             if chol is None:
-                tostatus(SdpStatus.NUMERICAL_TROUBLE,
-                         "Schur complement not positive definite")
+                status, message = (SdpStatus.NUMERICAL_TROUBLE,
+                                   "Schur complement not positive definite")
                 break
             _finite(chol)  # potrf can pass a NaN pivot into the factor
 
@@ -977,7 +972,7 @@ def _ipm(red: _Reduced, opts: SolveOptions):
             ap = min((_max_step(lx, dx) for lx, dx in zip(lxs, dxm)), default=np.inf)
             ad = min((_max_step(lz, dw) for lz, dw in zip(lzs, dzm)), default=np.inf)
         except np.linalg.LinAlgError as exc:
-            tostatus(SdpStatus.NUMERICAL_TROUBLE, f"factorization failed: {exc}")
+            status, message = SdpStatus.NUMERICAL_TROUBLE, f"factorization failed: {exc}"
             break
         ap = min(1.0, opts.step_frac * ap)
         ad = min(1.0, opts.step_frac * ad)
@@ -986,7 +981,7 @@ def _ipm(red: _Reduced, opts: SolveOptions):
         xstep = _backtrack_pd(xs, dxm, ap)
         zstep = _backtrack_pd(zs, dzm, ad)
         if xstep is None or zstep is None:
-            tostatus(SdpStatus.NUMERICAL_TROUBLE, "no positive definite step")
+            status, message = SdpStatus.NUMERICAL_TROUBLE, "no positive definite step"
             break
         (ap, xs, lxs), (ad, zs, lzs) = xstep, zstep
         history[-1].update(ap=ap, ad=ad, sigma=sigma)
@@ -999,32 +994,42 @@ def _ipm(red: _Reduced, opts: SolveOptions):
     return status, message, xs, z, it, history, mom_ok
 
 
-def solve(inst: SdpInstance, opts: SolveOptions | None = None,
-          _reduction: list | None = None) -> SdpSolution:
+def solve(inst: SdpInstance, opts: SolveOptions | None = None, *,
+          _reduced: _Reduced | SdpSolution | None = None) -> SdpSolution:
     """Solve the instance; see the module docstring for the method.
 
-    ``_reduction`` lets ``solve_with_restarts`` preprocess once for all its
-    attempts: an empty list is filled with the validated reduction of
-    ``inst``, and a filled one is used instead of validating and reducing.
+    The instance is validated and reduced (``_reduce``) unless ``_reduced``
+    holds that reduction already: ``solve_with_restarts`` makes it once and
+    hands it to each attempt.  A shortcut outcome of the reduction is
+    returned as it is.  Otherwise the interior-point run, or y0 where no
+    pencil sees a free moment, gives the point, the status and the
+    certificate side's last record; the Gram matrices are lifted back to
+    the pencils and the equality multipliers formed the same way for both.
     """
     opts = opts or SolveOptions()
     with _one_blas_thread():
-        if _reduction:
-            red = _reduction[0]
-        else:
+        red = _reduced
+        if red is None:
             inst.validate()
             red = _reduce(inst)
-            if _reduction is not None:
-                _reduction.append(red)
         if isinstance(red, SdpSolution):
             return red
 
         if red.blocks:
             status, message, xs, z, iters, history, mom_ok = _ipm(red, opts)
             y = red.y0 + red.nullmap @ z
-        else:   # settled: y0 is the only point
+            last = history[-1]
+            dual_obj, gap, primal_infeas, dual_infeas = (
+                last["cert_obj"], last["gap"], last["rd"], last["rp"])
+        else:   # settled: y0 is the only point, feasible when every pencil is psd there
             xs, iters, history, mom_ok, y = [], 0, [], False, red.y0
-        pencil_values = [_sym(pen.evaluate(y)) for pen in inst.pencils]
+            viol = max([0.0] + [-float(np.linalg.eigvalsh(_sym(pen.evaluate(y)))[0])
+                                for pen in inst.pencils if pen.size])
+            status = SdpStatus.OPTIMAL if viol <= FEAS_TOL else SdpStatus.PRIMAL_INFEASIBLE
+            message = ("variable fully determined by equalities" if inst.A.shape[0] == inst.dim
+                       else "objective constant on the fiber")
+            dual_obj, gap, primal_infeas, dual_infeas = inst.c @ y, 0.0, viol, 0.0
+
         lifted = {}
         for blk, x in zip(red.blocks, xs):
             # <A, I_d (x) X_m> = <A_m, d X_m>: the block's X is d X_m
@@ -1039,23 +1044,11 @@ def solve(inst: SdpInstance, opts: SolveOptions | None = None,
         for pen, dual in zip(inst.pencils, pencil_duals):
             grad -= np.asarray(pen.coeffs.T @ dual.reshape(-1)).reshape(-1)
         eq_duals = red.eq_pinv[0] @ (red.eq_pinv[1] @ grad)
-
-        primal_obj = float(inst.c @ y)
-        if red.blocks:
-            last = history[-1]
-        else:   # feasible when every pencil is psd at y0
-            viol = max([0.0] + [-float(np.linalg.eigvalsh(v)[0])
-                                for v in pencil_values if v.size])
-            status = SdpStatus.OPTIMAL if viol <= FEAS_TOL else SdpStatus.PRIMAL_INFEASIBLE
-            message = ("variable fully determined by equalities" if inst.A.shape[0] == inst.dim
-                       else "objective constant on the fiber")
-            last = {"cert_obj": primal_obj, "gap": 0.0, "rd": viol, "rp": 0.0}
         return SdpSolution(
-            status=status, y=y, pencil_values=pencil_values,
-            pencil_duals=pencil_duals, eq_duals=eq_duals,
-            primal_obj=primal_obj, dual_obj=float(last["cert_obj"]),
-            gap=float(last["gap"]), primal_infeas=float(last["rd"]),
-            dual_infeas=float(last["rp"]), iterations=iters, message=message,
+            status=status, y=y, pencil_duals=pencil_duals, eq_duals=eq_duals,
+            primal_obj=float(inst.c @ y), dual_obj=float(dual_obj), gap=float(gap),
+            primal_infeas=float(primal_infeas), dual_infeas=float(dual_infeas),
+            iterations=iters, message=message,
             moment_converged=bool(mom_ok or status is SdpStatus.OPTIMAL),
             history=history,
             blocks=[(blk.orig, blk.g0.shape[0], blk.copies) for blk in red.blocks])
@@ -1084,13 +1077,15 @@ def solve_with_restarts(inst: SdpInstance, opts: SolveOptions | None = None) -> 
     numerical trouble; at most 3 attempts, deterministic for a fixed seed.
 
     A restart changes only the starting point and the step fraction, so the
-    instance is validated and reduced once, by the first attempt."""
+    instance is validated and reduced once, here, and every attempt is a
+    ``solve`` handed that reduction."""
     opts = opts or SolveOptions()
     rng = np.random.default_rng(opts.seed)
     fracs = [opts.step_frac, 0.95, 0.9]
-    reduction = []
     stalled = []
     with _one_blas_thread():
+        inst.validate()
+        red = _reduce(inst)
         for attempt in range(3):
             if attempt == 0:
                 cur = opts
@@ -1098,7 +1093,7 @@ def solve_with_restarts(inst: SdpInstance, opts: SolveOptions | None = None) -> 
                 cur = replace(opts,
                               init_scale=opts.init_scale * 10.0 ** rng.uniform(-1.0, 1.0),
                               step_frac=fracs[attempt])
-            sol = solve(inst, cur, _reduction=reduction)
+            sol = solve(inst, cur, _reduced=red)
             if attempt:
                 sol.message = (sol.message + f" (attempt {attempt + 1})").strip()
             if sol.status is not SdpStatus.NUMERICAL_TROUBLE:

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -294,3 +298,87 @@ def test_run_max_order_below_the_first_order_runs_that_order():
     assert (code, err) == (3, "")
     rec, = json.loads(out)["records"]
     assert (rec["k"], rec["status"]) == (1, "order_too_small")
+
+
+PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
+
+
+@pytest.mark.parametrize("name, bound, order, point", [
+    ("cubic_unbounded", -1.38490, 3, (-0.5774, -0.8075)),
+    ("corner_cubic", 2.0, 2, (1.0, 1.0))])
+def test_shipped_examples_give_their_documented_answers(name, bound, order, point):
+    code, out, err = run_cli([str(PROBLEMS / f"{name}.pop"), "--max-order", "4"])
+    assert (code, err) == (0, "")
+    rep = json.loads(out)
+    final, rec = rep["final"], rep["records"][-1]
+    assert final["converged"] and final["convergence_order"] == order
+    assert final["best_bound"] == pytest.approx(bound, abs=1e-4)
+    assert rec["k"] == order
+    assert [m["point"] for m in rec["minimizers"]] == [pytest.approx(point, abs=1e-4)]
+
+
+@pytest.mark.parametrize("text, odd", [
+    ("vars: x y\nminimize: x^3 + y\n", "objective"),
+    ("vars: x y\nminimize: x^4 + y^4\nsubject_to:\nx^3 >= 0\n", "inequality 0")])
+def test_even_kind_on_odd_degrees_is_a_usage_error(tmp_path, text, odd):
+    path = tmp_path / "p.pop"
+    path.write_text(text)
+    code, out, err = run_cli([str(path), "--kind", "even"])
+    assert (code, out) == (2, "")
+    assert err == ("error: --kind even: even variant requires even degrees for the "
+                   f"objective and all inequalities; odd: {odd}\n")
+
+
+@pytest.mark.parametrize("expr, col", [
+    ("1e200*1e200*x^2 + x", 16),     # the second '*'
+    ("(1e200*x)^2", 20),             # the '^'
+    ("1e308*x + 1e308*x", 19)])      # the '+'
+def test_overflowing_operation_is_a_parse_error(tmp_path, expr, col):
+    text = f"vars: x\nminimize: {expr}\n"
+    with pytest.raises(ProblemParseError, match="overflows") as exc:
+        parse_problem(text)
+    assert (exc.value.line, exc.value.col) == (2, col)
+    path = tmp_path / "p.pop"
+    path.write_text(text)
+    code, out, err = run_cli([str(path)])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: line 2")
+
+
+@pytest.mark.parametrize("nest", [lambda d: "(" * d + "x" + ")" * d,
+                                  lambda d: "-" * d + "x^2",
+                                  lambda d: "(-" * d + "x" + ")" * d],
+                         ids=["parentheses", "signs", "both"])
+def test_deep_nesting_is_a_parse_error(nest):
+    depth = cli.MAX_NESTING // 2 if nest(1).startswith("(-") else cli.MAX_NESTING
+    parse_problem(f"vars: x\nminimize: {nest(depth)}\n")
+    for deep in (depth + 1, 30 * depth):
+        with pytest.raises(ProblemParseError, match="nests deeper"):
+            parse_problem(f"vars: x\nminimize: {nest(deep)}\n")
+
+
+def test_signs_and_parentheses_keep_their_meaning():
+    prob, _, _ = parse_problem("vars: x\nminimize: ---x^2 + -(-(x)) * +-2\n")
+    assert prob.objective.terms == {(2,): -1.0, (1,): -2.0}
+
+
+@pytest.mark.parametrize("extra", [["--order", "100000"], ["--kind", "power:100000000000"],
+                                   ["--kind", "denom", "--order", "100000"]])
+def test_huge_symmetric_orders_are_refused_before_any_allocation(tmp_path, extra):
+    """x^2 is fixed by x -> -x, so its group's monomial maps were built over
+    every moment before the resource guard ran, and the denominator kind
+    raised 1 + x^2 to the power k - 1 before that."""
+    path = tmp_path / "p.pop"
+    path.write_text("vars: x\nminimize: x^2\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-c", "from homsos.cli import main; main()", str(path), *extra],
+        env=env, preexec_fn=limit, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("error: ") and "physical memory" in proc.stderr

@@ -106,13 +106,13 @@ def subgradient_upper_value(inst, rho=60.0, iters=6000, step=2.0):
 def kkt_residuals(inst, sol):
     grad = inst.c.copy()
     comp = 0.0
-    for pen, dual, val in zip(inst.pencils, sol.pencil_duals, sol.pencil_values):
+    values = [sdp._sym(pen.evaluate(sol.y)) for pen in inst.pencils]
+    for pen, dual, val in zip(inst.pencils, sol.pencil_duals, values):
         grad -= np.asarray(pen.coeffs.T @ dual.reshape(-1)).reshape(-1)
         comp = max(comp, abs(float(np.tensordot(val, dual))))
     if inst.A.shape[0]:
         grad -= inst.A.T @ sol.eq_duals
-    feas = max((-scipy.linalg.eigvalsh(v)[0] for v in sol.pencil_values),
-               default=0.0)
+    feas = max((-scipy.linalg.eigvalsh(v)[0] for v in values), default=0.0)
     return float(np.linalg.norm(grad)), comp, feas
 
 
@@ -741,9 +741,8 @@ def test_iteration_calls_no_scipy_wrapper_or_tensordot(monkeypatch):
     rel = relax.assemble(relax.HOMOGENIZED, chain_with_product(), 2)
     inst, _ = relax.to_sdp_instance(rel)
     opts = sdp.SolveOptions(max_iter=15)
-    reduction = []
-    ref = sdp.solve(inst, opts, _reduction=reduction)
-    red = reduction[0]
+    red = sdp._reduce(inst)
+    ref = sdp.solve(inst, opts, _reduced=red)
     assert len(red.blocks) > 1
     assert len({blk.g0.shape[0] for blk in red.blocks}) > 1
 
@@ -753,7 +752,7 @@ def test_iteration_calls_no_scipy_wrapper_or_tensordot(monkeypatch):
     for name in ("solve_triangular", "eigvalsh", "cho_factor", "cho_solve"):
         monkeypatch.setattr(scipy.linalg, name, forbidden)
     monkeypatch.setattr(np, "tensordot", forbidden)
-    sol = sdp.solve(inst, opts, _reduction=reduction)
+    sol = sdp.solve(inst, opts, _reduced=red)
     assert sol.iterations == ref.iterations == 15
     assert sol.status is ref.status
     assert np.array_equal(sol.y, ref.y)

@@ -1,19 +1,33 @@
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-TOOLS = Path(__file__).resolve().parents[1] / "tools"
+from homsos import driver
+from homsos.cli import parse_problem
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOLS = ROOT / "tools"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def compare():
-    spec = importlib.util.spec_from_file_location("compare_reports",
-                                                  TOOLS / "compare_reports.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load("compare_reports")
+
+
+@pytest.fixture(scope="module")
+def dump():
+    return load("dump_reports")
 
 
 def write(path, dump):
@@ -45,3 +59,36 @@ def test_compare_reports_separates_drift_from_differences(compare, tmp_path, cap
     out = capsys.readouterr().out
     assert "w/op/0: /gate, /records/0/status" in out
     assert "w/op/1: only in" in out
+
+
+def test_hexed_writes_every_float_in_hex(dump):
+    value = {"a": [1.5, (2.0, np.array([0.25, -3.0]))], 7: {"b": np.float64(0.1)},
+             "m": np.array([[1.0], [np.nan]]), "keep": [3, "x", True, None]}
+    assert dump.hexed(value) == {
+        "a": ["0x1.8000000000000p+0", ["0x1.0000000000000p+1",
+                                       ["0x1.0000000000000p-2", "-0x1.8000000000000p+1"]]],
+        "7": {"b": "0x1.999999999999ap-4"},
+        "m": [["0x1.0000000000000p+0"], ["nan"]],
+        "keep": [3, "x", True, None]}
+
+
+def test_report_adds_the_bounds_and_the_infinity_fields(dump):
+    prob, _, _ = parse_problem("vars: x\nminimize: x^2 - 2*x\n")
+    rep = driver.solve_pop(prob, driver.DriverOptions(k_max=2))
+    out = dump.report(rep, driver)
+    bounds = [rec.bound for rec in rep.records]
+    assert out["bounds"] == bounds and bounds[0] == pytest.approx(-1.0, abs=1e-6)
+    assert dump.hexed(out) == dump.hexed(dict(rep.to_dict(), bounds=bounds))
+
+    prob, _, _ = parse_problem((ROOT / "problems" / "unattained.pop").read_text())
+    inf = driver.minimizers_at_infinity(prob)
+    out = dump.report(inf, driver)
+    assert set(out) == set(inf.to_dict()) | {"bounds", "bound", "status", "points", "values"}
+    assert (out["bound"], out["status"]) == (inf.records[0].bound, "optimal")
+    assert out["bounds"] == [out["bound"]]
+    assert len(out["points"]) == len(out["values"]) == 2
+    assert sorted(abs(round(p[1])) for p in out["points"]) == [1, 1]
+    assert json.loads(json.dumps(dump.hexed(out)))["values"] == [v.hex() for v in out["values"]]
+
+    cli_result = SimpleNamespace(code=3, report={"final": {"best_bound": None}})
+    assert dump.report(cli_result, driver) == {"code": 3, "report": cli_result.report}
