@@ -11,10 +11,12 @@ Problem file grammar (one statement per line, ``#`` starts a comment):
 Expressions support ``+ - * ^`` with nonnegative integer exponents,
 parentheses and finite decimal literals; every coefficient an operation
 yields must be finite too, and parentheses and signs nest at most
-``MAX_NESTING`` deep.  Implicit multiplication is not allowed.  A sign
-binds looser than ``^`` and tighter than ``*`` wherever it stands: ``-x^2``
-is ``-(x^2)`` and ``x * -2^2`` is ``-4 x``.  A power is not raised again:
-``x^2^3`` and ``-x^2^3`` are errors; write ``(x^2)^3``.
+``MAX_NESTING`` deep.  A power whose degree no relaxation that fits in
+memory could hold is refused before it is expanded.  Implicit
+multiplication is not allowed.  A sign binds looser than ``^`` and tighter
+than ``*`` wherever it stands: ``-x^2`` is ``-(x^2)`` and ``x * -2^2`` is
+``-4 x``.  A power is not raised again: ``x^2^3`` and ``-x^2^3`` are
+errors; write ``(x^2)^3``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import re
 import sys
 
 from . import driver, relax, sdp
-from .poly import Polynomial, PopProblem, even_variant_refusal
+from .poly import Polynomial, PopProblem, basis_size, even_variant_refusal
 
 
 class ProblemParseError(ValueError):
@@ -149,8 +151,25 @@ class _ExprParser:
             if tok is not None and tok[1] == "^":
                 raise ProblemParseError("a power cannot be raised again; use "
                                         "parentheses", self.line, tok[2])
-            return self._finite(base ** int(text), caret)
+            try:
+                exponent = int(text)
+            except ValueError:   # more digits than int() converts
+                raise ProblemParseError(f"exponent of {len(text)} digits is too large",
+                                        self.line, col) from None
+            self._fits(base.degree() * exponent, caret)
+            return self._finite(base ** exponent, caret)
         return base
+
+    def _fits(self, degree, tok):
+        """Raise ``sdp.ResourceError`` before a power of ``degree`` is
+        expanded when no relaxation could hold it: at order ceil(degree / 2),
+        the first that does, the QR stack of the moment matrix alone, over
+        the declared variables (no kind has fewer), exceeds physical memory.
+        That is the first check of ``relax.assemble``."""
+        k = -(-degree // 2)
+        sdp.check_memory(sdp.dense_bytes(0, 0, [basis_size(len(self.vars), k)]),
+                         f"line {self.line}, column {tok[2]}: a power of degree {degree}, "
+                         f"solved at order {k} or above,")
 
     def _base(self):
         kind, text, col = self._next()
@@ -184,7 +203,8 @@ def _parse_expression(text, variables, line_no, col_offset=0):
 
 def parse_problem(text: str):
     """Parse problem text into a ``PopProblem``; returns (problem, var names,
-    constraint relations in file order)."""
+    constraint relations in file order).  Raises ``ProblemParseError``, or
+    ``sdp.ResourceError`` for a power of too high a degree (``_fits``)."""
     variables = None
     objective = None
     in_constraints = False
@@ -266,8 +286,36 @@ def _parse_kind(text):
         f"unknown kind {text!r}; expected homog|even|denom|power:L|standard")
 
 
+class _UsageError(Exception):
+    """A bad command line, which ``run`` reports in one line."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _UsageError(message)
+
+
+def _tolerance(text):
+    """argparse type of the ``--tol-*`` flags: a number that
+    ``sdp.check_tolerance`` accepts."""
+    try:
+        value = float(text)
+        sdp.check_tolerance("tolerance", value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive finite number, got {text!r}") from None
+    return value
+
+
+def _seed(text):
+    """argparse type of ``--seed``."""
+    if not re.fullmatch(r"\d+", text):
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _build_argparser():
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="homsos",
         description="Moment-SOS solver for polynomial optimization over "
                     "possibly unbounded semialgebraic sets.")
@@ -280,9 +328,9 @@ def _build_argparser():
                     help="relaxation kind: homog|even|denom|power:L|standard")
     ap.add_argument("--infinity", action="store_true",
                     help="solve for minimizers at infinity instead")
-    ap.add_argument("--tol-gap", type=float, default=1e-8)
-    ap.add_argument("--tol-rank", type=float, default=1e-6)
-    ap.add_argument("--tol-atom", type=float, default=1e-4)
+    ap.add_argument("--tol-gap", type=_tolerance, default=1e-8)
+    ap.add_argument("--tol-rank", type=_tolerance, default=1e-6)
+    ap.add_argument("--tol-atom", type=_tolerance, default=1e-4)
     fmt = ap.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", default=True,
                      help="emit the JSON report (default)")
@@ -291,7 +339,7 @@ def _build_argparser():
     ap.add_argument("--dump-sdpa", metavar="PATH", default=None,
                     help="write the solved SDP in SDPA sparse format "
                          "(PATH.kK for each order K when several run)")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=_seed, default=0)
     ap.add_argument("--no-verify", action="store_true",
                     help="skip optimality-condition gating of early stops")
     return ap
@@ -324,17 +372,21 @@ def _pretty_report(report: dict, out):
 
 
 def run(argv, out=None, err=None) -> int:
-    """CLI entry; returns the exit code (0 ok, 2 parse error, bad order or
-    ``--kind even`` on data of odd degree, 3 solver failure at every order,
-    4 a relaxation too large for physical memory, refused before it is
-    assembled, with nothing written to ``out``)."""
+    """CLI entry; returns the exit code (0 ok, 2 bad command line, parse
+    error, bad order or ``--kind even`` on data of odd degree, 3 solver
+    failure at every order, 4 a relaxation too large for physical memory,
+    refused before it is assembled or, for a power in the problem, before
+    the power is expanded, with nothing written to ``out``)."""
     out = out or sys.stdout
     err = err or sys.stderr
     ap = _build_argparser()
     try:
         args = ap.parse_args(argv)
-    except SystemExit as exc:
+    except SystemExit as exc:   # --help
         return int(exc.code or 0)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=err)
+        return 2
     if args.order is not None and args.max_order is not None:
         print("error: --order and --max-order are mutually exclusive", file=err)
         return 2
@@ -352,6 +404,9 @@ def run(argv, out=None, err=None) -> int:
     except (OSError, ProblemParseError) as exc:
         print(f"error: {exc}", file=err)
         return 2
+    except sdp.ResourceError as exc:
+        print(f"error: {exc}", file=err)
+        return 4
     # the sphere solve of --infinity does not read the kind
     why = even_variant_refusal(prob) if args.kind.even and not args.infinity else ""
     if why:

@@ -38,6 +38,11 @@ class DriverOptions:
     seed: int = 0
     dump_sdpa: str | None = None
 
+    def __post_init__(self):
+        for name in ("gap_tol", "rank_tol", "extract_tol", "atom_tol"):
+            sdp.check_tolerance(name, getattr(self, name))
+        sdp.check_seed(self.seed)
+
     def sdp_options(self) -> sdp.SolveOptions:
         return sdp.SolveOptions(gap_tol=self.gap_tol, seed=self.seed)
 

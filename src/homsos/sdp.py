@@ -79,6 +79,7 @@ import enum
 import functools
 import logging
 import math
+import numbers
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -163,6 +164,19 @@ class SdpInstance:
                 raise ValueError(f"pencil {pen.label!r} is not symmetric")
 
 
+def check_tolerance(name: str, value):
+    """Raise ValueError unless ``value`` is a positive finite number."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+
+
+def check_seed(seed):
+    """Raise ValueError unless ``seed`` is a nonnegative integer, as
+    ``np.random.default_rng`` needs."""
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+
+
 @dataclass
 class SolveOptions:
     gap_tol: float = 1e-8
@@ -174,6 +188,8 @@ class SolveOptions:
     def __post_init__(self):
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
+        check_tolerance("gap_tol", self.gap_tol)
+        check_seed(self.seed)
 
 
 @dataclass
@@ -205,7 +221,10 @@ class ResourceError(MemoryError):
     """The dense arrays of a solve would not fit in physical memory."""
 
     def __init__(self, what: str, needed: int, limit: int):
-        super().__init__(f"{what} needs about {needed / 1e9:.3g} GB of dense arrays, "
+        # an int past the float range has a decimal exponent only
+        size = (f"{needed / 1e9:.3g}" if needed < 1e300
+                else f"1e+{math.floor(math.log10(needed)) - 9}")
+        super().__init__(f"{what} needs about {size} GB of dense arrays, "
                          f"more than the {limit / 1e9:.3g} GB of physical memory")
         self.needed = needed
         self.limit = limit
@@ -251,7 +270,7 @@ def dense_bytes(m: int, rows: int, sizes) -> int:
     matrix (mz x mz).  It bounds the peak of ``_reduce``, which holds the
     null-space basis, the stacks of the pencils done so far and either one
     QR stack or one stack in the making, never both: on product_quartic at
-    orders 3 and 4 without its symmetry the peak is 0.96 and 0.83 of it.
+    orders 3 and 4 without its symmetry the peak is 0.58 and 0.50 of it.
     The coverage test adds two mz x mz Gram matrices, and joins the stacks
     only when the Gram matrix leaves the rank open; transients of the
     interior-point loop come on top."""
@@ -433,26 +452,28 @@ def _inner(a: np.ndarray, b: np.ndarray):
     return np.dot(a.reshape(1, -1), b.reshape(-1, 1))[0, 0]
 
 
-def _schur(astk, lxs, qs, work=None) -> np.ndarray:
+def _schur(glins, lxs, qs, work=None) -> np.ndarray:
     """HKM Schur complement M[l,l'] = sum_j tr(A_l X_j A_l' Z_j^{-1}).
 
     With X_j = Lx Lx^T and Z_j^{-1} = Q Q^T the term of block j is
     <Lx^T A_l Q, Lx^T A_l' Q>, so M is the Gram matrix of the flattened
-    B_l = Lx^T A_l Q: one SYRK per block, symmetric by construction.
+    B_l = Lx^T A_l Q: one SYRK per block, symmetric by construction.  It is
+    formed from the stacks ``glins`` of G_l = -A_l, whose B_l are the exact
+    negatives, so M is the same.
 
     The two (mz, s, s) products are written into the flat buffers ``work``
     (two of at least mz s^2 entries for the largest block), which ``_ipm``
     allocates once: fresh products of a megabyte or more would be mapped
     and paged in anew at each iteration unless the allocator happens to
     keep freed memory."""
-    mz = astk[0].shape[0]
+    mz = glins[0].shape[0]
     if work is None:
         work = [np.empty(mz * max(lx.shape[0] for lx in lxs) ** 2) for _ in range(2)]
     schur = np.zeros((mz, mz))
-    for a_s, lx, q in zip(astk, lxs, qs):
+    for g_s, lx, q in zip(glins, lxs, qs):
         shape = (mz,) + lx.shape
-        left = np.matmul(lx.T, a_s, out=work[0][:a_s.size].reshape(shape))
-        b = np.matmul(left, q, out=work[1][:a_s.size].reshape(shape)).reshape(mz, -1)
+        left = np.matmul(lx.T, g_s, out=work[0][:g_s.size].reshape(shape))
+        b = np.matmul(left, q, out=work[1][:g_s.size].reshape(shape)).reshape(mz, -1)
         schur += b @ b.T
     return schur
 
@@ -462,10 +483,11 @@ class _Block:
     orig: int             # index into inst.pencils
     basis: np.ndarray     # (s_orig, copies*s) compression map U, copy-major
     g0: np.ndarray        # (s, s) constant term on the affine subspace
-    # (mz, s, s) linear part over z.  Its memory order is part of the
-    # solver's arithmetic: an uncompressed stack is the mz-fastest
-    # (s, s, mz) array transposed, which makes _ipm's aflat an F-order
-    # view, and a C-order copy rounds the GEMVs on it differently.
+    # (mz, s, s) linear part G_l over z, which _ipm reads in place.  Its
+    # memory order is part of the solver's arithmetic: an uncompressed stack
+    # is the mz-fastest (s, s, mz) array that _pencil_chunks fills,
+    # transposed, which makes _ipm's gflat an F-order view, and a C-order
+    # copy rounds the GEMVs on it differently.
     glin: np.ndarray
     copies: int = 1       # the pencil part is I_copies (x) (g0 + sum z_l glin_l)
 
@@ -480,26 +502,40 @@ class _Reduced:
     blocks: list
 
 
-# Columns of the null-space basis per sparse product in ``_pencil_chunks``.
-_CHUNK = 16
+# Bytes of one chunk of matrices: of the sparse product in ``_pencil_chunks``
+# and of the rotation in ``_split_block``.  Larger chunks raised the peak RSS
+# of small solves; the floor of 2 columns sets it for pencils from 91 rows.
+_CHUNK_BYTES = 1 << 17
 
 
-def _pencil_chunks(pen: SdpPencil, nullmap: np.ndarray):
-    """The symmetrized matrices of ``pen`` on the null space, ``_CHUNK`` at a
-    time: pairs (lo, mats) where mats[:, :, i] is the matrix of nullmap
-    column lo + i.  No (s*s, mz) product is formed.
+def _chunk_width(s: int, n: int) -> int:
+    """s x s matrices per chunk of n: as many as fit in ``_CHUNK_BYTES``, at
+    least 2, at most n."""
+    return min(n, max(2, _CHUNK_BYTES // (8 * s * s)))
 
-    ``mats`` is a leading slice of one (s, s, min(_CHUNK, mz)) buffer, which
-    the next chunk overwrites.  Its matrices are strided like those of a
-    whole (s, s, mz) stack, contiguous only when mz = 1, so ``np.matmul``
-    multiplies them as it would the whole stack's: by BLAS or by its own
-    loop, with the same rounding."""
+
+def _pencil_chunks(pen: SdpPencil, nullmap: np.ndarray, out: np.ndarray | None = None):
+    """The symmetrized matrices of ``pen`` on the null space, ``_chunk_width``
+    at a time: pairs (lo, mats) where mats[:, :, i] is the matrix of nullmap
+    column lo + i.  No (s*s, mz) product is formed, and a chunk's sparse
+    product, the only array made per chunk, is freed before the next one.
+
+    The matrices are written through the (s, s, mz) view ``out`` where the
+    caller keeps them, or else into one (s, s, width) buffer that the next
+    chunk overwrites.  The buffer's width is at least 2 unless mz = 1, so
+    its matrices are strided like those of a whole (s, s, mz) stack,
+    contiguous only when mz = 1, and ``np.matmul`` multiplies them as it
+    would the whole stack's: by BLAS or by its own loop, with the same
+    rounding."""
     s, mz = pen.size, nullmap.shape[1]
-    buf = np.empty((s, s, min(_CHUNK, mz)))
-    for lo in range(0, mz, _CHUNK):
-        raw = np.asarray(pen.coeffs @ nullmap[:, lo:lo + _CHUNK]).reshape(s, s, -1)
-        mats = buf[:, :, :raw.shape[2]]
+    width = _chunk_width(s, mz)
+    buf = np.empty((s, s, width)) if out is None else None
+    for lo in range(0, mz, width):
+        raw = np.asarray(pen.coeffs @ nullmap[:, lo:lo + width]).reshape(s, s, -1)
+        hi = lo + raw.shape[2]
+        mats = buf[:, :, :hi - lo] if out is None else out[:, :, lo:hi]
         np.add(raw, raw.transpose(1, 0, 2), out=mats)
+        del raw
         mats *= 0.5
         yield lo, mats
 
@@ -545,39 +581,7 @@ def _reduce(inst: SdpInstance):
 
     blocks = []
     for j, pen in enumerate(inst.pencils):
-        s = pen.size
-        g0 = _sym(pen.evaluate(y0))
-        # The tall stack [g0; glin] has the singular values and row space
-        # of its s x s QR factor R, whose SVD gives the rank and the basis
-        # without forming left singular vectors.  Fortran order lets the QR
-        # run in place; mode="raw" returns R as s x s ("r" returns all rows).
-        # The stack is filled straight from the chunked products and freed
-        # before glin is formed, so the two are never held at once.
-        stacked = np.empty(((mz + 1) * s, s), order="F")
-        stacked[:s] = g0
-        for lo, mats in _pencil_chunks(pen, nullmap):
-            top = s * (lo + 1)
-            stacked[top:top + s * mats.shape[2]] = mats.transpose(2, 0, 1).reshape(-1, s)
-        tri = scipy.linalg.qr(stacked, mode="raw", overwrite_a=True)[1]
-        del stacked
-        sv, vt = scipy.linalg.svd(tri)[1:]
-        if sv.size == 0 or sv[0] <= 1e-13:   # vacuous on the subspace
-            continue
-        rank = int(np.sum(sv > 1e-9 * sv[0]))
-        if rank == s:
-            basis = np.eye(s)
-            glin = np.empty((s, s, mz))
-            for lo, mats in _pencil_chunks(pen, nullmap):
-                glin[:, :, lo:lo + mats.shape[2]] = mats
-            glin = glin.transpose(2, 0, 1)
-        else:
-            basis = vt[:rank].T
-            g0 = _sym(basis.T @ g0 @ basis)
-            glin = np.empty((mz, rank, rank))
-            for lo, mats in _pencil_chunks(pen, nullmap):
-                rot = np.matmul(np.matmul(basis.T, mats.transpose(2, 0, 1)), basis)
-                glin[lo:lo + len(rot)] = 0.5 * (rot + rot.transpose(0, 2, 1))
-        blocks.extend(_split_block(_Block(orig=j, basis=basis, g0=g0, glin=glin)))
+        blocks.extend(_compress(j, pen, y0, nullmap))
 
     if not blocks:
         if np.linalg.norm(red.chat) <= 1e-10 * (1.0 + np.linalg.norm(inst.c)):
@@ -611,6 +615,51 @@ def _reduce(inst: SdpInstance):
     return red
 
 
+def _stack_factor(pen: SdpPencil, g0: np.ndarray, nullmap: np.ndarray) -> np.ndarray:
+    """The s x s factor R of the QR factorization of the tall stack [g0; glin]
+    of ``pen`` on the null space, which has the stack's singular values and
+    row space.  Fortran order lets the QR run in place; mode="raw" returns R
+    as s x s ("r" returns all rows).  The chunks are written straight into
+    the stack's rows and checked there for the NaN or inf that the QR's own
+    check would refuse (it would hold a boolean copy of the stack), and the
+    stack dies with this call, views and all."""
+    s, mz = pen.size, nullmap.shape[1]
+    stacked = np.empty(((mz + 1) * s, s), order="F")
+    stacked[:s] = _finite(g0)
+    # rows s (i + 1) .. s (i + 2) - 1 hold the matrix of nullmap column i
+    rows = stacked[s:].reshape(mz, s, s).transpose(1, 2, 0)
+    for _, mats in _pencil_chunks(pen, nullmap, out=rows):
+        _finite(mats)
+    return scipy.linalg.qr(stacked, mode="raw", overwrite_a=True, check_finite=False)[1]
+
+
+def _compress(j: int, pen: SdpPencil, y0: np.ndarray, nullmap: np.ndarray) -> list:
+    """The blocks of pencil ``j`` on the affine subspace y0 + range(nullmap):
+    the pencil compressed onto the row space of its stack [g0; glin], split
+    by ``_split_block``; none when the pencil is vacuous there.  The SVD of
+    the stack's R factor gives the rank and the basis without forming left
+    singular vectors, and glin is formed once the stack is freed, so the two
+    are never held at once."""
+    s, mz = pen.size, nullmap.shape[1]
+    g0 = _sym(pen.evaluate(y0))
+    sv, vt = scipy.linalg.svd(_stack_factor(pen, g0, nullmap))[1:]
+    if sv.size == 0 or sv[0] <= 1e-13:
+        return []
+    rank = int(np.sum(sv > 1e-9 * sv[0]))
+    if rank == s:
+        glin = np.empty((s, s, mz))
+        for _ in _pencil_chunks(pen, nullmap, out=glin):
+            pass
+        return _split_block(_Block(orig=j, basis=np.eye(s), g0=g0,
+                                   glin=glin.transpose(2, 0, 1)))
+    basis = vt[:rank].T
+    glin = np.empty((mz, rank, rank))
+    for lo, mats in _pencil_chunks(pen, nullmap):
+        rot = np.matmul(np.matmul(basis.T, mats.transpose(2, 0, 1)), basis)
+        glin[lo:lo + len(rot)] = 0.5 * (rot + rot.transpose(0, 2, 1))
+    return _split_block(_Block(orig=j, basis=basis, g0=_sym(basis.T @ g0 @ basis), glin=glin))
+
+
 # Schur flops an extra IPM block must save to pay for itself: its Python and
 # LAPACK calls cost about 0.17 ms per iteration, measured on a 2-vCPU host.
 _SPLIT_FLOPS = 2.5e6
@@ -639,8 +688,8 @@ def _split_block(blk: _Block, _plain=frozenset()) -> list:
     every matrix, rotated into the parts' basis, is seen to vanish outside
     them, and a component's copies only once they are seen to be uncoupled
     and equal; components in ``_plain`` or whose copies fail keep one block
-    of their eigenvectors.  The rotation runs on at most ``_CHUNK`` matrices
-    at a time, so no copy of the whole stack is made."""
+    of their eigenvectors.  The rotation runs on at most ``_chunk_width``
+    matrices at a time, so no copy of the whole stack is made."""
     g0, glin = blk.g0, blk.glin
     mz, s = glin.shape[0], g0.shape[0]
     if _schur_flops(mz, [s]) < 2 * _SPLIT_FLOPS:
@@ -688,24 +737,25 @@ def _split_block(blk: _Block, _plain=frozenset()) -> list:
     outside = np.ones((s, s), dtype=bool)
     for a, b in spans:
         outside[a:b, a:b] = False
-    # the rotated stack [g0; glin], at most _CHUNK matrices at a time
+    # the rotated stack [g0; glin], ``width`` matrices at a time, each chunk
+    # contiguous as in the joined stack, so BLAS rotates every matrix
     rotated = [np.empty((mz + 1, n, n)) for n in solved]
     spread = [0.0] * len(spans)
     off = top = 0.0
-    for lo in range(0, mz + 1, _CHUNK):
-        mats = glin[max(lo - 1, 0):lo + _CHUNK - 1]
-        if lo == 0:
-            mats = np.concatenate([g0[None], mats])
+    width = _chunk_width(s, mz + 1)
+    for lo in range(0, mz + 1, width):
+        mats = glin[max(lo - 1, 0):lo + width - 1]
+        mats = np.concatenate([g0[None], mats]) if lo == 0 else np.ascontiguousarray(mats)
         rot = np.matmul(np.matmul(vecs.T, mats), vecs)
         mag = np.abs(rot)
         top = max(top, float(mag.max()))
-        off = max(off, float(mag[:, outside].max()))
+        off = max(off, float(mag[:, outside].max(initial=0.0)))   # empty for one part
         for i, (out, (a, b), d) in enumerate(zip(rotated, spans, copies)):
             part = rot[:, a:b, a:b]
             if d > 1:
                 part, err = _copy_mean(part, d)
                 spread[i] = max(spread[i], err)
-            out[lo:lo + _CHUNK] = part
+            out[lo:lo + width] = part
     if off > 1e-11 * top:
         return [blk]
     failed = {i for i, err in enumerate(spread) if err > 1e-11 * top}
@@ -794,7 +844,10 @@ def _ipm(red: _Reduced, opts: SolveOptions):
 
     Internally the certificate side is ``min <C, X> s.t. <A_l, X> = b_l`` with
     A_l = -G_l, C = G0, b = -chat; the moment side is its dual (z, Z) with
-    Z = G0 + sum z_l G_l.
+    Z = G0 + sum z_l G_l.  A_l is not formed: each product with it is the
+    exact negative of the product with the block's glin (negation is exact
+    in floating point), so the residuals and directions subtract A_l terms
+    by adding G_l terms, to the same bits.
 
     Every block of X and Z is factored once per iterate, by the
     ``_backtrack_pd`` call that accepts it (by Cholesky for the start).
@@ -807,8 +860,8 @@ def _ipm(red: _Reduced, opts: SolveOptions):
     blocks = red.blocks
     mz = red.chat.size
     bvec = -red.chat
-    astk = [-blk.glin for blk in blocks]                 # (mz, s, s) each
-    aflat = [a.reshape(mz, -1) for a in astk]
+    glins = [blk.glin for blk in blocks]                 # (mz, s, s) each
+    gflat = [g.reshape(mz, -1) for g in glins]
     cmats = [blk.g0 for blk in blocks]
     sizes = [blk.g0.shape[0] for blk in blocks]
     sdim = sum(sizes)
@@ -823,7 +876,7 @@ def _ipm(red: _Reduced, opts: SolveOptions):
     xs, zs = [None] * len(blocks), [None] * len(blocks)
     for idx in members.values():
         s = sum(sizes[i] for i in idx)
-        anorm = _joint_norm([aflat[i] for i in idx], axis=1)
+        anorm = _joint_norm([gflat[i] for i in idx], axis=1)
         xi = max(10.0, math.sqrt(s),
                  s * np.max((1.0 + np.abs(bvec)) / (1.0 + anorm)) if mz else 10.0)
         eta = max(10.0, math.sqrt(s), _joint_norm([cmats[i] for i in idx]),
@@ -845,11 +898,11 @@ def _ipm(red: _Reduced, opts: SolveOptions):
     # every run ends at a break: at the latest when it == opts.max_iter
     for it in range(opts.max_iter + 1):
         rp = bvec.copy()
-        for a_f, x in zip(aflat, xs):
-            rp -= a_f @ x.reshape(-1)
+        for g_f, x in zip(gflat, xs):
+            rp += g_f @ x.reshape(-1)
         zrow = z.reshape(1, mz)
-        rds = [c_mat - np.dot(zrow, a_f).reshape(c_mat.shape) - z_mat
-               for a_f, c_mat, z_mat in zip(aflat, cmats, zs)]
+        rds = [c_mat + np.dot(zrow, g_f).reshape(c_mat.shape) - z_mat
+               for g_f, c_mat, z_mat in zip(gflat, cmats, zs)]
         mu = sum(_inner(x, w) for x, w in zip(xs, zs)) / sdim
         pobj = sum(_inner(c_mat, x) for c_mat, x in zip(cmats, xs))
         dobj = float(bvec @ z)
@@ -924,7 +977,7 @@ def _ipm(red: _Reduced, opts: SolveOptions):
             # step lengths for Lx.
             qs = [_solve_lower(_finite(lz), eye).T for lz, eye in zip(lzs, eyes)]
             zinvs = [q @ q.T for q in qs]
-            schur = _schur(astk, lxs, qs, work)
+            schur = _schur(glins, lxs, qs, work)
             chol = None
             scale = np.trace(schur) / mz if mz else 1.0
             for jit in (0.0, 1e-13, 1e-10, 1e-7):
@@ -941,13 +994,13 @@ def _ipm(red: _Reduced, opts: SolveOptions):
 
             def solve_direction(rcs):
                 rhs = rp.copy()
-                for a_f, rc, x, rd, zi in zip(aflat, rcs, xs, rds, zinvs):
-                    rhs -= a_f @ (rc - x @ rd @ zi).reshape(-1)
+                for g_f, rc, x, rd, zi in zip(gflat, rcs, xs, rds, zinvs):
+                    rhs += g_f @ (rc - x @ rd @ zi).reshape(-1)
                 dz = _cho_solve(chol, _finite(rhs))
                 dzrow = dz.reshape(1, mz)
                 dzmats, dxmats = [], []
-                for a_f, rc, rd, x, zi in zip(aflat, rcs, rds, xs, zinvs):
-                    dzm = rd - np.dot(dzrow, a_f).reshape(rd.shape)
+                for g_f, rc, rd, x, zi in zip(gflat, rcs, rds, xs, zinvs):
+                    dzm = rd + np.dot(dzrow, g_f).reshape(rd.shape)
                     dxm = _sym(rc - x @ dzm @ zi)
                     dzmats.append(dzm)
                     dxmats.append(dxm)

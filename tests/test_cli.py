@@ -362,6 +362,20 @@ def test_signs_and_parentheses_keep_their_meaning():
     assert prob.objective.terms == {(2,): -1.0, (1,): -2.0}
 
 
+def run_limited(path, *extra):
+    """``homsos path *extra`` in a subprocess under a 2 GiB address-space
+    limit and a 60 s timeout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    return subprocess.run(
+        [sys.executable, "-c", "from homsos.cli import main; main()", str(path), *extra],
+        env=env, preexec_fn=limit, capture_output=True, text=True, timeout=60)
+
+
 @pytest.mark.parametrize("extra", [["--order", "100000"], ["--kind", "power:100000000000"],
                                    ["--kind", "denom", "--order", "100000"]])
 def test_huge_symmetric_orders_are_refused_before_any_allocation(tmp_path, extra):
@@ -370,15 +384,63 @@ def test_huge_symmetric_orders_are_refused_before_any_allocation(tmp_path, extra
     raised 1 + x^2 to the power k - 1 before that."""
     path = tmp_path / "p.pop"
     path.write_text("vars: x\nminimize: x^2\n")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-
-    proc = subprocess.run(
-        [sys.executable, "-c", "from homsos.cli import main; main()", str(path), *extra],
-        env=env, preexec_fn=limit, capture_output=True, text=True, timeout=60)
+    proc = run_limited(path, *extra)
     assert (proc.returncode, proc.stdout) == (4, "")
     assert proc.stderr.count("\n") == 1
     assert proc.stderr.startswith("error: ") and "physical memory" in proc.stderr
+
+
+def test_a_power_no_relaxation_holds_is_refused_before_it_is_expanded(tmp_path):
+    """(x + 1)^100000000 was expanded by repeated squaring, for longer than
+    any timeout, before the first order could be refused."""
+    path = tmp_path / "p.pop"
+    path.write_text("vars: x\nminimize: (x + 1)^100000000\n")
+    proc = run_limited(path)
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr.startswith("error: line 2, column 18: a power of degree 100000000, "
+                                  "solved at order 50000000 or above, needs about")
+    assert proc.stderr.count("\n") == 1 and "physical memory" in proc.stderr
+    prob, _, _ = parse_problem("vars: x\nminimize: (x + 1)^60\n")
+    assert prob.objective.degree() == 60 and len(prob.objective.terms) == 61
+    # a size past the float range is written as a power of ten
+    with pytest.raises(sdp.ResourceError, match=r"needs about 1e\+391 GB"):
+        parse_problem("vars: x\nminimize: x^1" + "0" * 200 + "\n")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="int() converts any number of digits")
+def test_an_exponent_past_int_conversion_is_a_parse_error():
+    with pytest.raises(ProblemParseError, match="exponent of 5000 digits is too large") as exc:
+        parse_problem("vars: x\nminimize: x^" + "9" * 5000 + "\n")
+    assert (exc.value.line, exc.value.col) == (2, 13)
+
+
+@pytest.mark.parametrize("flag, value, expected", [
+    ("--seed", "-5", "a nonnegative integer"), ("--seed", "1.5", "a nonnegative integer"),
+    ("--tol-gap", "-1", "a positive finite number"),
+    ("--tol-gap", "nan", "a positive finite number"),
+    ("--tol-rank", "-1", "a positive finite number"),
+    ("--tol-atom", "inf", "a positive finite number")])
+def test_bad_options_are_usage_errors(flag, value, expected):
+    # --seed -5 ended in numpy's ValueError traceback (exit 1); the bad
+    # tolerances ran every order into numerical_trouble (exit 3)
+    code, out, err = run_cli([str(PROBLEMS / "cubic_unbounded.pop"), flag, value])
+    assert (code, out) == (2, "")
+    assert err == f"error: argument {flag}: expected {expected}, got {value!r}\n"
+
+
+def test_other_command_line_errors_take_one_line():
+    for argv, message in [(["p.pop", "--kind", "odd"], "argument --kind: unknown kind 'odd'"),
+                          (["p.pop", "--bogus"], "unrecognized arguments: --bogus"),
+                          ([], "the following arguments are required: problem")]:
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("field, value", [("gap_tol", -1.0), ("rank_tol", float("nan")),
+                                          ("extract_tol", 0.0), ("atom_tol", float("inf")),
+                                          ("seed", -5)])
+def test_bad_driver_options_are_rejected(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        driver.DriverOptions(**{field: value})

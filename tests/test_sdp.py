@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -334,6 +335,18 @@ def test_negative_max_iter_is_rejected():
     assert sdp.SolveOptions(max_iter=0).max_iter == 0
 
 
+@pytest.mark.parametrize("field, value", [("gap_tol", -1.0), ("gap_tol", 0.0),
+                                          ("gap_tol", float("nan")), ("gap_tol", float("inf")),
+                                          ("seed", -5), ("seed", 1.5)])
+def test_bad_solve_options_are_rejected(field, value):
+    # np.random.default_rng(-5) raised only in the restarts; a negative or
+    # NaN gap tolerance made every run end without a bound
+    with pytest.raises(ValueError, match=f"{field} must be a "):
+        sdp.SolveOptions(**{field: value})
+    with pytest.raises(ValueError, match=f"{field} must be a "):
+        replace(sdp.SolveOptions(), **{field: value})
+
+
 def test_idle_run_stops_within_the_moment_budget(monkeypatch):
     # chain_with_product's order-2 certificate is not attained: the moment
     # side converges, and the steps after it change nothing
@@ -520,7 +533,8 @@ def test_schur_matches_trace_definition():
                            b=np.zeros(0), pencils=pencils)
     red = sdp._reduce(inst)
     assert red.chat.size == mz and len(red.blocks) == 2
-    astk = [-blk.glin for blk in red.blocks]
+    glins = [blk.glin for blk in red.blocks]
+    astk = [-g for g in glins]      # A_l = -G_l, as _ipm defines it
     xs = [random_pd(rng, blk.g0.shape[0]) for blk in red.blocks]
     zs = [random_pd(rng, blk.g0.shape[0]) for blk in red.blocks]
     ref = np.zeros((mz, mz))
@@ -532,12 +546,14 @@ def test_schur_matches_trace_definition():
     lxs = [np.linalg.cholesky(x) for x in xs]
     qs = [scipy.linalg.solve_triangular(np.linalg.cholesky(z_mat), np.eye(len(z_mat)),
                                         lower=True).T for z_mat in zs]
-    schur = sdp._schur(astk, lxs, qs)
+    schur = sdp._schur(glins, lxs, qs)
     assert np.array_equal(schur, schur.T)
     assert np.max(np.abs(schur - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # the A_l give the same bits: their B_l are the exact negatives
+    assert np.array_equal(sdp._schur(astk, lxs, qs), schur)
     # the IPM's reused buffers, larger than needed, give the same bits
     work = [np.full(mz * 36 + 7, np.nan) for _ in range(2)]
-    assert np.array_equal(sdp._schur(astk, lxs, qs, work), schur)
+    assert np.array_equal(sdp._schur(glins, lxs, qs, work), schur)
 
 
 def test_max_step_is_generalized_eigenvalue():
@@ -1029,6 +1045,17 @@ def test_copies_of_a_rotated_kron_pencil():
             assert np.allclose(rot, np.kron(np.eye(p.copies), part), rtol=0, atol=1e-11 * top)
 
 
+def test_a_pencil_of_copies_alone_is_copy_reduced():
+    # one component of copies leaves nothing outside it, and the check of
+    # what lies outside the parts raised on the empty selection
+    rng = np.random.default_rng(3)
+    mats = np.array([np.kron(np.eye(COPIES), random_sym(rng, 2 * COPY_SIZE))
+                     for _ in range(SPLIT_MZ)])
+    inst = rotated_instance(rng, mats, np.kron(np.eye(COPIES), random_pd(rng, 2 * COPY_SIZE)))
+    parts = sdp._split_block(whole_block(inst))
+    assert [(p.g0.shape[0], p.copies) for p in parts] == [(2 * COPY_SIZE, COPIES)]
+
+
 def test_complex_type_pencil_is_not_copy_reduced():
     parts = sdp._split_block(whole_block(copies_instance(0, complex_type=True)))
     assert sorted((p.g0.shape[0], p.copies) for p in parts) == [(OTHER_SIZE, 1),
@@ -1143,29 +1170,36 @@ def test_streamed_reduction_keeps_every_bit(monkeypatch, prob, k, sizes):
     assert [basis.shape[1] for _, _, basis, _ in blocks] == sizes
 
 
-def chunk_edge_instance(mz, rank):
-    """One sparse 6 x 6 pencil over mz + 1 moments with one equality row;
-    its matrices share a kernel unless rank = 6."""
+def chunk_edge_instance(s, mz, rank):
+    """One sparse s x s pencil over mz + 1 moments with one equality row;
+    its matrices share a kernel unless rank = s."""
     rng = np.random.default_rng(100 * mz + rank)
-    low = rng.standard_normal((6, rank))
+    low = rng.standard_normal((s, rank))
     mats = [low @ (w + w.T) @ low.T for w in rng.standard_normal((mz + 1, rank, rank))]
     mats[0] += low @ low.T
     coeffs = scipy.sparse.csr_matrix(np.stack([a.reshape(-1) for a in mats], axis=1))
     return sdp.SdpInstance(c=np.zeros(mz + 1), A=np.eye(1, mz + 1), b=np.ones(1),
-                           pencils=[sdp.SdpPencil("p", 6, coeffs)])
+                           pencils=[sdp.SdpPencil("p", s, coeffs)])
 
 
-@pytest.mark.parametrize("mz, rank", [(17, 4), (17, 6), (33, 5), (1, 3)])
-def test_streamed_reduction_keeps_every_bit_at_chunk_edges(monkeypatch, mz, rank):
-    # a last chunk of one column: its matrices are no more contiguous than
-    # in a whole stack, so np.matmul rotates them the same way
-    blocks = assert_streamed_blocks_equal(monkeypatch, chunk_edge_instance(mz, rank))
+@pytest.mark.parametrize("s, chunks, rank", [(40, 1, 4), (40, 1, 40), (40, 2, 5), (40, 0, 3),
+                                             (100, 2, 6)])
+def test_streamed_reduction_keeps_every_bit_at_chunk_edges(monkeypatch, s, chunks, rank):
+    # mz is one past a whole number of chunks, so the last chunk has one
+    # column: its matrices are no more contiguous than in a whole stack,
+    # and np.matmul rotates them the same way.  A 100 x 100 pencil has
+    # chunks of 2 columns, the floor; chunks = 0 gives mz = 1.
+    width = sdp._chunk_width(s, 10 ** 6)
+    assert width == (10 if s == 40 else 2)
+    inst = chunk_edge_instance(s, chunks * width + 1, rank)
+    blocks = assert_streamed_blocks_equal(monkeypatch, inst)
     assert [basis.shape[1] for _, _, basis, _ in blocks] == [rank]
 
 
 def test_reduce_peak_stays_inside_the_resource_estimate():
     """Unreduced product_quartic at order 3: the whole stacks peaked at
-    1.34 times the estimate, the streamed ones at 0.96."""
+    1.34 times the estimate, the streamed ones at 0.59 and, written in
+    place, at 0.58."""
     prob = product_quartic()
     inst, _ = relax.to_sdp_instance(relax.assemble(relax.HOMOGENIZED, prob, 3,
                                                    _symmetry=False))
@@ -1179,6 +1213,33 @@ def test_reduce_peak_stays_inside_the_resource_estimate():
     finally:
         tracemalloc.stop()
     assert 0 < peak <= relax._dense_bytes(nv, 3, eqs, ineqs)
+
+
+def test_reduce_peaks_at_the_qr_stack_and_one_chunk(monkeypatch):
+    """product_quartic at order 4 (moment pencil 126 x 126, mz = 90): at its
+    peak ``_reduce`` holds the moment pencil's QR stack (11.0 MiB) and one
+    chunk's sparse product on top of what it held when the stack was made
+    (A's SVD factors and g0, 0.4 MiB), give or take numpy's ufunc buffers.
+    Filling the stack through a chunk buffer and a reshaped copy of it
+    peaked 17.3 MiB above entry; the rotation in ``_split_block`` took
+    another 6.3 MiB over the compressed stack."""
+    inst, _ = relax.to_sdp_instance(relax.assemble(relax.HOMOGENIZED, product_quartic(), 4))
+    s, mz = inst.pencils[0].size, inst.dim - inst.A.shape[0]
+    assert (s, mz) == (126, 90)
+    held = []
+    factor = sdp._stack_factor
+    monkeypatch.setattr(sdp, "_stack_factor", lambda pen, *rest: held.append(
+        tracemalloc.get_traced_memory()[0]) or factor(pen, *rest))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        sdp._reduce(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stack = 8 * (mz + 1) * s * s
+    raw = 8 * s * s * sdp._chunk_width(s, mz)
+    assert peak - held[0] <= stack + raw + (1 << 18)
 
 
 def test_coverage_test_stays_inside_the_resource_estimate():
