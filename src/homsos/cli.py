@@ -8,15 +8,18 @@ Problem file grammar (one statement per line, ``#`` starts a comment):
     x1^3 + x2 + 1 >= 0
     x2^3 - x1 + 1 == 0
 
-Expressions support ``+ - * ^`` with nonnegative integer exponents,
-parentheses and finite decimal literals; every coefficient an operation
-yields must be finite too, and parentheses and signs nest at most
-``MAX_NESTING`` deep.  A power whose degree no relaxation that fits in
-memory could hold is refused before it is expanded.  Implicit
-multiplication is not allowed.  A sign binds looser than ``^`` and tighter
-than ``*`` wherever it stands: ``-x^2`` is ``-(x^2)`` and ``x * -2^2`` is
-``-4 x``.  A power is not raised again: ``x^2^3`` and ``-x^2^3`` are
-errors; write ``(x^2)^3``.
+``vars:`` comes first and once, ``minimize:`` once.  Expressions support
+``+ - * ^`` with nonnegative integer exponents, parentheses and finite
+decimal literals; every coefficient an operation yields must be finite
+too, and parentheses and signs nest at most ``MAX_NESTING`` deep.  A
+coefficient that ``Polynomial`` would drop (magnitude at most
+``poly.DROP_TOL``) is refused where it appears: a nonzero literal, or a
+term of a product or power that no cancellation made small.  A power
+whose degree no relaxation that fits in memory could hold is refused
+before it is expanded.  Implicit multiplication is not allowed.  A sign
+binds looser than ``^`` and tighter than ``*`` wherever it stands: ``-x^2``
+is ``-(x^2)`` and ``x * -2^2`` is ``-4 x``.  A power is not raised again:
+``x^2^3`` and ``-x^2^3`` are errors; write ``(x^2)^3``.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import re
 import sys
 
 from . import driver, relax, sdp
-from .poly import Polynomial, PopProblem, basis_size, even_variant_refusal
+from .poly import DROP_TOL, Polynomial, PopProblem, basis_size, even_variant_refusal
 
 
 class ProblemParseError(ValueError):
@@ -129,7 +132,7 @@ class _ExprParser:
             if tok is None or tok[1] != "*":
                 return acc
             self.pos += 1
-            acc = self._finite(acc * self._factor(), tok)
+            acc = self._finite(self._product(acc, self._factor(), tok), tok)
 
     def _factor(self):
         """An optionally signed power; the sign binds looser than ``^``."""
@@ -157,8 +160,34 @@ class _ExprParser:
                 raise ProblemParseError(f"exponent of {len(text)} digits is too large",
                                         self.line, col) from None
             self._fits(base.degree() * exponent, caret)
-            return self._finite(base ** exponent, caret)
+            return self._finite(self._power(base, exponent, caret), caret)
         return base
+
+    def _product(self, a, b, tok):
+        """``a * b``, after refusing a term that ``Polynomial`` drops for its
+        size alone: one whose contributions sum to at most ``DROP_TOL`` in
+        magnitude, so that no cancellation explains its loss."""
+        if _smallest(a) * _smallest(b) <= DROP_TOL:
+            sizes = {}
+            for m1, c1 in a.terms.items():
+                for m2, c2 in b.terms.items():
+                    mono = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
+                    sizes[mono] = sizes.get(mono, 0.0) + abs(c1 * c2)
+            if min(sizes.values()) <= DROP_TOL:
+                raise ProblemParseError(f"a coefficient falls to {DROP_TOL:g} or below at "
+                                        f"{tok[1]!r} and would be dropped", self.line, tok[2])
+        return a * b
+
+    def _power(self, base, exponent, tok):
+        """``base ** exponent`` by the products of ``Polynomial.__pow__``,
+        each one checked by ``_product``."""
+        result = Polynomial.constant(base.nvars, 1.0)
+        while exponent:
+            if exponent & 1:
+                result = self._product(result, base, tok)
+            base = self._product(base, base, tok) if exponent > 1 else base
+            exponent >>= 1
+        return result
 
     def _fits(self, degree, tok):
         """Raise ``sdp.ResourceError`` before a power of ``degree`` is
@@ -179,6 +208,9 @@ class _ExprParser:
             if not math.isfinite(value):
                 raise ProblemParseError(f"literal {text!r} is not a finite "
                                         "number", self.line, col)
+            if abs(value) <= DROP_TOL and re.match(r"[^eE]*[1-9]", text):
+                raise ProblemParseError(f"literal {text!r} is {DROP_TOL:g} or less in "
+                                        "magnitude and would be dropped", self.line, col)
             return Polynomial.constant(n, value)
         if kind == "name":
             if text not in self.vars:
@@ -192,6 +224,11 @@ class _ExprParser:
                 raise ProblemParseError("expected ')'", self.line, col2)
             return expr
         raise ProblemParseError(f"unexpected token {text!r}", self.line, col)
+
+
+def _smallest(poly):
+    """The least magnitude of ``poly``'s coefficients (inf for zero)."""
+    return min((abs(c) for c in poly.terms.values()), default=math.inf)
 
 
 def _parse_expression(text, variables, line_no, col_offset=0):
@@ -217,6 +254,8 @@ def parse_problem(text: str):
             continue
         lowered = line.lower()
         if lowered.startswith("vars:"):
+            if variables is not None:
+                raise ProblemParseError("'vars:' may appear only once", line_no, 1)
             names = line[5:].split()
             if not names:
                 raise ProblemParseError("no variables declared", line_no, 6)
@@ -224,10 +263,11 @@ def parse_problem(text: str):
                 raise ProblemParseError("duplicate variable name", line_no, 6)
             variables = names
             continue
+        if variables is None:
+            raise ProblemParseError("'vars:' must come first", line_no, 1)
         if lowered.startswith("minimize:"):
-            if variables is None:
-                raise ProblemParseError("'vars:' must come before 'minimize:'",
-                                        line_no, 1)
+            if objective is not None:
+                raise ProblemParseError("'minimize:' may appear only once", line_no, 1)
             head = re.match(r"\s*minimize:", content, re.IGNORECASE)
             body = content[head.end():]
             if not body.strip():
@@ -373,10 +413,12 @@ def _pretty_report(report: dict, out):
 
 def run(argv, out=None, err=None) -> int:
     """CLI entry; returns the exit code (0 ok, 2 bad command line, parse
-    error, bad order or ``--kind even`` on data of odd degree, 3 solver
-    failure at every order, 4 a relaxation too large for physical memory,
-    refused before it is assembled or, for a power in the problem, before
-    the power is expanded, with nothing written to ``out``)."""
+    error, bad order, ``--kind even`` on data of odd degree or a
+    ``--dump-sdpa`` path that cannot be written, 3 solver failure at every
+    order, a non-finite interior-point iterate included, 4 a relaxation too
+    large for physical memory, refused before it is assembled or, for a
+    power in the problem, before the power is expanded, with nothing
+    written to ``out``)."""
     out = out or sys.stdout
     err = err or sys.stderr
     ap = _build_argparser()
@@ -427,6 +469,9 @@ def run(argv, out=None, err=None) -> int:
     except sdp.ResourceError as exc:
         print(f"error: {exc}", file=err)
         return 4
+    except OSError as exc:   # --dump-sdpa, written before each order's solve
+        print(f"error: --dump-sdpa: {exc}", file=err)
+        return 2
     report = {"problem_echo": _echo(prob, varnames)}
     report.update(result.to_dict())
     code = 0 if any(r.status == "optimal" for r in result.records) else 3

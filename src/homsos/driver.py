@@ -137,7 +137,9 @@ def _solve_order(prob, kind, k, opts, dump_path=None):
     This is the one place that decides the order's ``bound``: the
     certificate value ``f_k``, else the moment value ``f_k_prime`` once the
     moment side converged, else None.  Once the moment side converged it
-    also fills ``certificate_residual`` from the solve's duals."""
+    also fills ``certificate_residual`` from the solve's duals.  A solve
+    that raises ``sdp.NonFiniteError`` ends the order ``numerical_trouble``
+    with no bound and no ``sol``."""
     rec = OrderRecord(k=k, kind=str(kind), status="", f_k=None, f_k_prime=None)
     try:
         rel = relax.assemble(kind, prob, k)
@@ -154,7 +156,12 @@ def _solve_order(prob, kind, k, opts, dump_path=None):
     rec.symmetry = relax.describe_symmetry(rel, inst)
     if dump_path:
         sdp.write_sdpa(inst, dump_path)
-    sol = relax.full_solution(rel, sdp.solve_with_restarts(inst, opts.sdp_options()))
+    try:
+        sol = relax.full_solution(rel, sdp.solve_with_restarts(inst, opts.sdp_options()))
+    except sdp.NonFiniteError as exc:
+        rec.status = sdp.SdpStatus.NUMERICAL_TROUBLE.value
+        rec.notes = f"the solve stopped on a non-finite array: {exc}"
+        return rec, rel, None
     rec.blocks = sdp.describe_blocks(inst, sol)
     rec.status = sol.status.value
     rec.iterations = sol.iterations

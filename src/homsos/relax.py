@@ -477,17 +477,14 @@ def full_solution(rel: MomentRelaxation, sol):
     return replace(sol, y=rel.symmetry.orbit_map @ sol.y)
 
 
-def _independent_rows(rows: np.ndarray, tol: float) -> list:
-    """Indices of a maximal independent row subset (rank-revealing QR)."""
-    if rows.shape[0] == 0:
-        return []
-    r = scipy.linalg.qr(rows.T, mode="r", pivoting=True)
-    diag = np.abs(np.diag(r[0]))
-    piv = r[1]
-    if diag.size == 0 or diag[0] == 0.0:
-        return []
-    rank = int(np.sum(diag > tol * diag[0]))
-    return sorted(piv[:rank].tolist())
+def _independent_rows(rows: np.ndarray, tol: float):
+    """Indices of a maximal independent row subset and an orthonormal basis
+    of their span, from one rank-revealing QR of ``rows^T``: the first rank
+    pivots and the first rank columns of Q."""
+    q, r, piv = scipy.linalg.qr(rows.T, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    rank = int(np.sum(diag > tol * diag[:1]))
+    return sorted(piv[:rank].tolist()), q[:, :rank]
 
 
 def _solved_rows(rel: MomentRelaxation) -> np.ndarray:
@@ -506,13 +503,13 @@ def to_sdp_instance(rel: MomentRelaxation):
 
     With a symmetry group the instance is in orbit coordinates z (y = P z):
     objective ``P^T c``, pencil coefficients ``coeffs P`` and equality rows
-    ``eq_A P``, of which the rows whose orbit sums cancel are dropped.  The
-    sparse ``eq_A`` is densified only in the solved coordinates: whole for a
-    relaxation without symmetry, whose rank-revealing QR needs it, and as
-    the orbits x rows product ``eq_A P`` otherwise.  Redundant equality rows
-    are removed by rank-revealing QR and the kept rows (normalizer included)
-    are scaled to unit norm; the instance's ``A`` is dense.  Returns
-    ``(instance, kept_row_indices)``, indices of rows of ``eq_A``.
+    ``eq_A P``, densified as the orbits x rows product (without a group,
+    ``eq_A`` itself).  Rows whose orbit sums cancel are dropped, the rest
+    scaled to unit norm (in place when none was dropped), and one
+    rank-revealing QR keeps an independent subset of them and spans it:
+    a normalizer within ``ROW_TOL`` of that span is inconsistent.  The
+    instance's ``A`` is dense.  Returns ``(instance, kept_row_indices)``,
+    indices of rows of ``eq_A``.
     """
     sym = rel.symmetry
     rows = _solved_rows(rel)
@@ -522,29 +519,23 @@ def to_sdp_instance(rel: MomentRelaxation):
     if sym is None:
         if np.any(norms == 0.0):
             raise ValueError("zero equality row in the relaxation")
-        ids = np.arange(rows.shape[0])
         c, pencils = rel.objective_vector.copy(), rel.psd_pencils
-        scaled = rows
-        scaled /= norms[:, None]
     else:
-        # an invariant y satisfies a row whose orbit sums cancel
-        full = np.sqrt(rel.eq_A.power(2) @ np.ones(rel.tms_dim))[:-1]
-        ids = np.append(np.flatnonzero(norms[:-1] > ROW_TOL * full),
-                        rows.shape[0] - 1)
         c = sym.orbit_map.T @ rel.objective_vector
         pencils = [replace(pen, coeffs=(pen.coeffs @ sym.orbit_map).tocsr())
                    for pen in rel.psd_pencils]
-        scaled = rows[ids] / norms[ids, None]
-    data = scaled[:-1]
-    kept = _independent_rows(data, ROW_TOL)
+    # an invariant y satisfies a row whose orbit sums cancel
+    full = np.sqrt(rel.eq_A.power(2) @ np.ones(rel.tms_dim))[:-1]
+    ids = np.append(np.flatnonzero(norms[:-1] > ROW_TOL * full), rows.shape[0] - 1)
+    scaled = rows if ids.size == rows.shape[0] else rows[ids]
+    scaled /= norms[ids, None]
+    kept, basis = _independent_rows(scaled[:-1], ROW_TOL)
     nu_row = scaled[-1]
-    if kept:
-        resid = nu_row - data[kept].T @ np.linalg.lstsq(
-            data[kept].T, nu_row, rcond=None)[0]
-        if np.linalg.norm(resid) <= ROW_TOL:
-            raise InfeasibleRelaxationError(
-                "normalizer lies in the span of the equality rows; "
-                "<nu, y> = 1 is inconsistent with the moment equalities")
+    # the residual itself: sqrt(|nu|^2 - |S^T nu|^2) reads up to 1.5e-8 in the span
+    if np.linalg.norm(nu_row - basis @ (basis.T @ nu_row)) <= ROW_TOL:
+        raise InfeasibleRelaxationError(
+            "normalizer lies in the span of the equality rows; "
+            "<nu, y> = 1 is inconsistent with the moment equalities")
     kept_all = [int(i) for i in ids[kept]] + [rows.shape[0] - 1]
     A = scaled[kept + [ids.size - 1]]
     b = rel.eq_b[kept_all] / norms[kept_all]

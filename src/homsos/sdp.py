@@ -20,8 +20,9 @@ its per-block linear algebra calls LAPACK directly (``_solve_lower``,
 dsyevr, dpotrf or dpotrs call that scipy.linalg's ``solve_triangular``,
 ``eigvalsh``, ``cho_factor`` or ``cho_solve`` makes, with the same arguments,
 and so returns the same bits.  What those wrappers validated is checked once
-per array, after it was last written: a NaN or an inf raises the same
-ValueError as scipy's ``check_finite``.  Contractions with the pencil stack
+per array, after it was last written: a NaN or an inf raises
+``NonFiniteError``, a ValueError with the message of scipy's
+``check_finite``.  Contractions with the pencil stack
 are the single ``np.dot`` that ``np.tensordot`` would make.
 
 Moment relaxations over varieties (for instance the sphere) are never
@@ -359,11 +360,16 @@ def _backtrack_pd(mats, dirs, alpha):
     return None
 
 
+class NonFiniteError(ValueError):
+    """An array of a solve, an interior-point iterate or a pencil stack of
+    the reduction, holds a NaN or an inf."""
+
+
 def _finite(a: np.ndarray) -> np.ndarray:
-    """``a``, after raising the ValueError of scipy's ``check_finite`` if it
-    holds a NaN or an inf."""
+    """``a``, after raising ``NonFiniteError`` with the message of scipy's
+    ``check_finite`` if it holds a NaN or an inf."""
     if not np.isfinite(a).all():
-        raise ValueError("array must not contain infs or NaNs")
+        raise NonFiniteError("array must not contain infs or NaNs")
     return a
 
 

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -444,3 +445,84 @@ def test_other_command_line_errors_take_one_line():
 def test_bad_driver_options_are_rejected(field, value):
     with pytest.raises(ValueError, match=f"{field} must be"):
         driver.DriverOptions(**{field: value})
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("subject_to:\nx >= 0\nvars: x\nminimize: x^2\n", 1, "'vars:' must come first"),
+    ("vars: x\nminimize: x^2\nvars: x y\n", 3, "'vars:' may appear only once"),
+    ("vars: x\nvars: y\nminimize: y^2\n", 2, "'vars:' may appear only once"),
+    ("vars: x\nminimize: x^2\nminimize: x\n", 3, "'minimize:' may appear only once")])
+def test_vars_come_once_and_first_and_minimize_once(tmp_path, text, line, message):
+    # these ended in a TypeError or a ValueError traceback, or solved
+    # whichever statement came last
+    path = tmp_path / "p.pop"
+    path.write_text(text)
+    code, out, err = run_cli([str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: line {line}, column 1: {message}\n"
+
+
+@pytest.mark.parametrize("target", ["missing/f.sdpa", "."])
+def test_an_unwritable_dump_path_is_a_usage_error(tmp_path, target):
+    code, out, err = run_cli([str(PROBLEMS / "cubic_unbounded.pop"),
+                              "--dump-sdpa", str(tmp_path / target)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --dump-sdpa: [Errno ") and err.count("\n") == 1
+
+
+NONFINITE_TEXT = "vars: x\nminimize: 1e250*x^2 + x\n"
+
+
+def assert_nonfinite_record(rec):
+    assert (rec["k"], rec["status"]) == (1, "numerical_trouble")
+    assert rec["f_k"] is None and rec["f_k_prime"] is None
+    assert rec["notes"] == ("the solve stopped on a non-finite array: "
+                            "array must not contain infs or NaNs")
+
+
+def test_a_nonfinite_iterate_ends_the_order_with_a_record(tmp_path):
+    # the solve overflows (with RuntimeWarnings) before _ipm's finiteness
+    # check raised a ValueError out of cli.run
+    path = tmp_path / "p.pop"
+    path.write_text(NONFINITE_TEXT)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run_cli([str(path), "--order", "1"])
+        report = driver.solve_pop(parse_problem(NONFINITE_TEXT)[0],
+                                  driver.DriverOptions(k_min=1, k_max=1))
+    assert (code, err) == (3, "")
+    rec, = json.loads(out)["records"]
+    assert_nonfinite_record(rec)
+    assert json.loads(out)["final"]["best_bound"] is None
+    rec, = report.to_dict()["records"]
+    assert_nonfinite_record(rec)
+    assert report.records[0].bound is None and report.best_bound is None
+
+
+@pytest.mark.parametrize("expr, col, what", [
+    ("1e-15*x^4 - x^2", 11, "literal '1e-15'"),
+    ("x^2 + 1e-8*1e-8*x^3", 21, "at '*'"),
+    ("x^2 + 1e-400", 17, "literal '1e-400'"),
+    ("(1e-8*x)^2 + x", 19, "at '^'"),
+    ("(1e-8*x + 1e8)^4", 25, "at '^'")])
+def test_coefficients_the_polynomial_would_drop_are_parse_errors(tmp_path, expr, col, what):
+    # each was solved with the small term silently dropped
+    text = f"vars: x\nminimize: {expr}\n"
+    with pytest.raises(ProblemParseError, match=re.escape(what)) as exc:
+        parse_problem(text)
+    assert (exc.value.line, exc.value.col) == (2, col)
+    path = tmp_path / "p.pop"
+    path.write_text(text)
+    code, out, err = run_cli([str(path)])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "would be dropped" in err
+
+
+def test_a_small_constraint_coefficient_is_refused_but_cancellation_is_not():
+    with pytest.raises(ProblemParseError, match="literal '1e-16'") as exc:
+        parse_problem("vars: x y\nminimize: x^2 + y^2\nsubject_to:\nx - 1e-16*y == 0\n")
+    assert (exc.value.line, exc.value.col) == (4, 5)
+    # (1 + 2x - 2x^2)^2 loses its x^2 term to cancellation, not to its size
+    prob, _, _ = parse_problem("vars: x\nminimize: (1 + 2*x - 2*x^2)^2 + 0*x + 0.0 + 1e-7*x\n")
+    x = Polynomial.variable(1, 0)
+    assert prob.objective.terms == ((1 + 2 * x - 2 * x**2)**2 + 1e-7 * x).terms
+    assert (2,) not in prob.objective.terms

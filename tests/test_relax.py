@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 from homsos.poly import (Polynomial, PopProblem, basis_index, build_homogenized,
@@ -194,14 +195,39 @@ def test_to_sdp_instance_full_rank_and_scaling():
     assert kept[-1] == rel.eq_A.shape[0] - 1  # normalizer kept last
 
 
-def test_infeasible_normalizer_detected():
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_infeasible_normalizer_detected(symmetric):
     # x1^2 + x2^2 + 1 = 0 forces the empty set; the sphere rows plus the
     # constraint rows make <1, y> = 1 inconsistent
     a, b = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
     prob = PopProblem(2, a + b, (a**2 + b**2 + 1,), ())
-    rel = relax.assemble(relax.HOMOGENIZED, prob, 2)
-    with pytest.raises(relax.InfeasibleRelaxationError):
+    rel = relax.assemble(relax.HOMOGENIZED, prob, 2, _symmetry=symmetric)
+    assert (rel.symmetry is not None) == symmetric
+    with pytest.raises(relax.InfeasibleRelaxationError, match="span of the equality rows"):
         relax.to_sdp_instance(rel)
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_to_sdp_instance_factors_the_rows_once(monkeypatch, symmetric):
+    """One pivoted QR keeps the independent rows and tests the normalizer
+    against their span; no least-squares solve follows it."""
+    rel = relax.assemble(relax.HOMOGENIZED, product_quartic(), 3, _symmetry=symmetric)
+    assert (rel.symmetry is not None) == symmetric
+    calls = []
+
+    def counted(module, name):
+        orig = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return orig(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(scipy.linalg, "qr")
+    counted(np.linalg, "lstsq")
+    inst, kept = relax.to_sdp_instance(rel)
+    assert calls == ["qr"]
+    assert len(kept) == inst.A.shape[0]
 
 
 def test_certificate_min_square():
@@ -508,7 +534,7 @@ def dense_sdp_instance(rel, row_tol=1e-10):
         c = sym.orbit_map.T @ rel.objective_vector
         coeffs = [(pen.coeffs @ sym.orbit_map).tocsr() for pen in rel.psd_pencils]
     scaled = rows[ids] / norms[ids, None]
-    kept = relax._independent_rows(scaled[:-1], row_tol)
+    kept, _ = relax._independent_rows(scaled[:-1], row_tol)
     kept_all = [int(i) for i in ids[kept]] + [rows.shape[0] - 1]
     return (c, scaled[kept + [ids.size - 1]], rel.eq_b[kept_all] / norms[kept_all],
             coeffs, kept_all)
