@@ -9,14 +9,13 @@ Problem file grammar (one statement per line, ``#`` starts a comment):
     x2^3 - x1 + 1 == 0
 
 ``vars:`` comes first and once, ``minimize:`` once.  Expressions support
-``+ - * ^`` with nonnegative integer exponents, parentheses and finite
-decimal literals; every coefficient an operation yields must be finite
-too, and parentheses and signs nest at most ``MAX_NESTING`` deep.  A
-coefficient that ``Polynomial`` would drop (magnitude at most
-``poly.DROP_TOL``) is refused where it appears: a nonzero literal, or a
-term of a product or power that no cancellation made small.  A power
-whose degree no relaxation that fits in memory could hold is refused
-before it is expanded.  Implicit multiplication is not allowed.  A sign
+``+ - * ^`` with nonnegative integer exponents, parentheses and decimal
+literals, and parentheses and signs nest at most ``MAX_NESTING`` deep.
+Literals are read exactly (``0.1`` is 1/10) and the arithmetic is exact;
+a literal or an operation that gives a coefficient past the double range,
+or one that rounds to 0, is refused where it appears.  A power whose
+degree no relaxation that fits in memory could hold is refused before it
+is expanded.  Implicit multiplication is not allowed.  A sign
 binds looser than ``^`` and tighter than ``*`` wherever it stands: ``-x^2``
 is ``-(x^2)`` and ``x * -2^2`` is ``-4 x``.  A power is not raised again:
 ``x^2^3`` and ``-x^2^3`` are errors; write ``(x^2)^3``.
@@ -29,9 +28,10 @@ import json
 import math
 import re
 import sys
+from fractions import Fraction
 
 from . import driver, relax, sdp
-from .poly import DROP_TOL, Polynomial, PopProblem, basis_size, even_variant_refusal
+from .poly import Polynomial, PopProblem, basis_size, even_variant_refusal
 
 
 class ProblemParseError(ValueError):
@@ -89,10 +89,12 @@ class _ExprParser:
 
     def _finite(self, poly, tok):
         """``poly``, after refusing a coefficient that the operation ``tok``
-        made infinite."""
-        if not all(math.isfinite(c) for c in poly.terms.values()):
-            raise ProblemParseError(f"a coefficient overflows at {tok[1]!r}",
-                                    self.line, tok[2])
+        took out of the double range: past it, or so small that its nearest
+        double is 0."""
+        for c in poly.terms.values():
+            if abs(c) > sys.float_info.max or not float(c):   # float() raises past max
+                how = "overflows" if abs(c) > 1 else "underflows to 0"
+                raise ProblemParseError(f"a coefficient {how} at {tok[1]!r}", self.line, tok[2])
         return poly
 
     def _peek(self):
@@ -132,7 +134,7 @@ class _ExprParser:
             if tok is None or tok[1] != "*":
                 return acc
             self.pos += 1
-            acc = self._finite(self._product(acc, self._factor(), tok), tok)
+            acc = self._finite(acc * self._factor(), tok)
 
     def _factor(self):
         """An optionally signed power; the sign binds looser than ``^``."""
@@ -160,32 +162,18 @@ class _ExprParser:
                 raise ProblemParseError(f"exponent of {len(text)} digits is too large",
                                         self.line, col) from None
             self._fits(base.degree() * exponent, caret)
-            return self._finite(self._power(base, exponent, caret), caret)
+            return self._power(base, exponent, caret)
         return base
-
-    def _product(self, a, b, tok):
-        """``a * b``, after refusing a term that ``Polynomial`` drops for its
-        size alone: one whose contributions sum to at most ``DROP_TOL`` in
-        magnitude, so that no cancellation explains its loss."""
-        if _smallest(a) * _smallest(b) <= DROP_TOL:
-            sizes = {}
-            for m1, c1 in a.terms.items():
-                for m2, c2 in b.terms.items():
-                    mono = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
-                    sizes[mono] = sizes.get(mono, 0.0) + abs(c1 * c2)
-            if min(sizes.values()) <= DROP_TOL:
-                raise ProblemParseError(f"a coefficient falls to {DROP_TOL:g} or below at "
-                                        f"{tok[1]!r} and would be dropped", self.line, tok[2])
-        return a * b
 
     def _power(self, base, exponent, tok):
         """``base ** exponent`` by the products of ``Polynomial.__pow__``,
-        each one checked by ``_product``."""
-        result = Polynomial.constant(base.nvars, 1.0)
+        each one checked by ``_finite``, so that exact integers stop growing
+        at the first product that leaves the double range."""
+        result = Polynomial.constant(base.nvars, 1)
         while exponent:
             if exponent & 1:
-                result = self._product(result, base, tok)
-            base = self._product(base, base, tok) if exponent > 1 else base
+                result = self._finite(result * base, tok)
+            base = self._finite(base * base, tok) if exponent > 1 else base
             exponent >>= 1
         return result
 
@@ -204,14 +192,19 @@ class _ExprParser:
         kind, text, col = self._next()
         n = len(self.vars)
         if kind == "num":
+            # screen the range first: Fraction("1e999999999") builds 10^999999999
             value = float(text)
             if not math.isfinite(value):
                 raise ProblemParseError(f"literal {text!r} is not a finite "
                                         "number", self.line, col)
-            if abs(value) <= DROP_TOL and re.match(r"[^eE]*[1-9]", text):
-                raise ProblemParseError(f"literal {text!r} is {DROP_TOL:g} or less in "
-                                        "magnitude and would be dropped", self.line, col)
-            return Polynomial.constant(n, value)
+            if value == 0 and re.match(r"[^eE]*[1-9]", text):
+                raise ProblemParseError(f"literal {text!r} is not representable: its "
+                                        "nearest double is 0", self.line, col)
+            try:
+                return Polynomial.constant(n, Fraction(text) if value else 0)
+            except ValueError:   # more digits than int() converts
+                raise ProblemParseError(f"literal of {len(text)} characters is too long",
+                                        self.line, col) from None
         if kind == "name":
             if text not in self.vars:
                 raise ProblemParseError(f"undeclared variable {text!r}",
@@ -224,11 +217,6 @@ class _ExprParser:
                 raise ProblemParseError("expected ')'", self.line, col2)
             return expr
         raise ProblemParseError(f"unexpected token {text!r}", self.line, col)
-
-
-def _smallest(poly):
-    """The least magnitude of ``poly``'s coefficients (inf for zero)."""
-    return min((abs(c) for c in poly.terms.values()), default=math.inf)
 
 
 def _parse_expression(text, variables, line_no, col_offset=0):
@@ -304,7 +292,9 @@ def parse_problem(text: str):
 
 
 def format_problem(prob: PopProblem, varnames) -> str:
-    """Render a problem back into the file grammar (parse round-trips)."""
+    """Render a problem back into the file grammar; ``parse_problem`` reads
+    back the exact coefficients of any problem it parsed or built from floats
+    (``poly._coefficient_text``)."""
     echo = _echo(prob, varnames)
     lines = ["vars: " + " ".join(varnames), "minimize: " + echo["minimize"]]
     if echo["constraints"]:

@@ -434,9 +434,11 @@ def positivity_at_infinity_probe(prob: PopProblem, k: int | None = None,
     """Lower-bound the top-degree objective part over the sphere-restricted
     feasible directions; a positive certified bound ``f_k`` certifies that
     the objective grows along every feasible escape direction (hence is
-    coercive there).  With a bound comes the ``certificate_residual`` of
-    the sphere solve's record (None when its moment side did not converge).
-    The order ``k`` defaults as in ``_sphere_order``."""
+    coercive there).  A bound at or below ``POSITIVITY_TOL`` gives verdict
+    False, meaning only that order ``k`` did not show positivity.  With a
+    bound comes the ``certificate_residual`` of the sphere solve's record
+    (None when its moment side did not converge).  The order ``k`` defaults
+    as in ``_sphere_order``."""
     sph = sphere_restriction(prob)
     k = _sphere_order(sph, k)
     opts = opts or DriverOptions()
@@ -450,9 +452,11 @@ def positivity_at_infinity_probe(prob: PopProblem, k: int | None = None,
     if rec.f_k is None or rec.f_k != sol.dual_obj:
         return {"bound": None, "verdict": False,
                 "diagnosis": f"no certified bound ({rec.status}); verdict unavailable"}
+    # a bound at or below the tolerance proves nothing: a higher order may
+    # still certify positivity
     verdict = rec.f_k > POSITIVITY_TOL
     return {"bound": rec.f_k, "certificate_residual": rec.certificate_residual,
             "verdict": bool(verdict),
             "diagnosis": "positive at infinity" if verdict
-            else "top-degree part is not strictly positive on the feasible "
-                 "directions at infinity"}
+            else f"positivity not shown at order {k}: bound {rec.f_k:.3g} is not "
+                 f"above {POSITIVITY_TOL:g}"}

@@ -1,7 +1,10 @@
 """Sparse multivariate polynomial arithmetic and calculus.
 
-A polynomial is a map from exponent tuples to float coefficients.  All
-monomial enumeration uses the graded-lexicographic order
+A polynomial maps exponent tuples to exact ``fractions.Fraction``
+coefficients, so arithmetic is exact and only exactly-zero terms vanish.
+Floats are formed at the numeric boundary alone: ``coefficient_vector``,
+``eval`` (so ``gradient`` and ``hessian``) and ``relax._shifted_rows``.
+All monomial enumeration uses the graded-lexicographic order
 
     1, x1, x2, ..., x1^2, x1*x2, ..., x2^2, ...
 
@@ -12,17 +15,14 @@ the indexing of truncated moment vectors across the whole package.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from decimal import Decimal
+from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
-
-# Coefficients below this magnitude are dropped after arithmetic; the SDP
-# backend is floating point anyway.
-DROP_TOL = 1e-14
-
-Mono = tuple
 
 
 @lru_cache(maxsize=None)
@@ -90,8 +90,23 @@ def monomial_positions(exps) -> np.ndarray:
     return counts[np.arange(n, 0, -1), tails].sum(axis=-1)
 
 
+def _coefficient_text(c: Fraction) -> str:
+    """``repr(float(c))`` when that text reads back as exactly c, else c's
+    exact decimal expansion: finite for any float, decimal literal, and
+    their sums and products.  Other values are written p/q."""
+    if abs(c) <= sys.float_info.max and Fraction(repr(float(c))) == c:
+        return repr(float(c))
+    p = c.denominator.bit_length()   # d divides 10^p iff its primes are 2 and 5
+    scaled, rest = divmod(abs(c.numerator) * 10 ** p, c.denominator)
+    if rest:
+        return str(c)
+    digits = str(Decimal(scaled)).rjust(p + 1, "0")   # str(int) stops at 4300 digits
+    return ("-" if c < 0 else "") + f"{digits[:-p]}.{digits[-p:]}".rstrip("0").rstrip(".")
+
+
 class Polynomial:
-    """Immutable sparse polynomial with 64-bit float coefficients."""
+    """Immutable sparse polynomial with ``Fraction`` coefficients, read
+    exactly from ints, floats, fractions and decimal strings."""
 
     __slots__ = ("nvars", "terms")
 
@@ -105,8 +120,10 @@ class Polynomial:
                 raise ValueError(f"exponent {mono} has wrong length for {nvars} vars")
             if any(e < 0 for e in mono):
                 raise ValueError(f"negative exponent in {mono}")
-            c = float(coef)
-            if abs(c) > DROP_TOL:
+            if isinstance(coef, float) and not math.isfinite(coef):
+                raise ValueError(f"coefficient {coef!r} is not finite")
+            c = Fraction(coef)
+            if c:
                 clean[mono] = c
         self.nvars = nvars
         self.terms = clean
@@ -118,7 +135,7 @@ class Polynomial:
         return Polynomial(nvars)
 
     @staticmethod
-    def constant(nvars: int, value: float) -> "Polynomial":
+    def constant(nvars: int, value) -> "Polynomial":
         return Polynomial(nvars, {(0,) * nvars: value})
 
     @staticmethod
@@ -126,10 +143,10 @@ class Polynomial:
         if not 0 <= i < nvars:
             raise ValueError("variable index out of range")
         mono = tuple(1 if j == i else 0 for j in range(nvars))
-        return Polynomial(nvars, {mono: 1.0})
+        return Polynomial(nvars, {mono: 1})
 
     @staticmethod
-    def monomial(nvars: int, exponents: Sequence[int], coef: float = 1.0) -> "Polynomial":
+    def monomial(nvars: int, exponents: Sequence[int], coef=1) -> "Polynomial":
         return Polynomial(nvars, {tuple(exponents): coef})
 
     # -- basic queries -------------------------------------------------
@@ -145,13 +162,14 @@ class Polynomial:
         return max(sum(m) for m in self.terms)
 
     def coefficient_vector(self, deg: int) -> np.ndarray:
-        """Dense coefficients over ``monomial_basis(self.nvars, deg)``."""
+        """Dense coefficients over ``monomial_basis(self.nvars, deg)``, each
+        rounded to the nearest float."""
         if self.degree() > deg:
             raise ValueError("degree bound too small for this polynomial")
         idx = basis_index(self.nvars, deg)
         vec = np.zeros(len(idx))
         for mono, c in self.terms.items():
-            vec[idx[mono]] = c
+            vec[idx[mono]] = float(c)
         return vec
 
     # -- arithmetic ----------------------------------------------------
@@ -161,13 +179,13 @@ class Polynomial:
             if other.nvars != self.nvars:
                 raise ValueError("variable count mismatch")
             return other
-        return Polynomial.constant(self.nvars, float(other))
+        return Polynomial.constant(self.nvars, other)
 
     def __add__(self, other):
         other = self._coerce(other)
         terms = dict(self.terms)
         for mono, c in other.terms.items():
-            terms[mono] = terms.get(mono, 0.0) + c
+            terms[mono] = terms.get(mono, 0) + c
         return Polynomial(self.nvars, terms)
 
     __radd__ = __add__
@@ -182,16 +200,12 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if not isinstance(other, Polynomial):
-            c = float(other)
-            return Polynomial(self.nvars, {m: c * v for m, v in self.terms.items()})
-        if other.nvars != self.nvars:
-            raise ValueError("variable count mismatch")
+        other = self._coerce(other)
         terms = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mono = tuple(a + b for a, b in zip(m1, m2))
-                terms[mono] = terms.get(mono, 0.0) + c1 * c2
+                terms[mono] = terms.get(mono, 0) + c1 * c2
         return Polynomial(self.nvars, terms)
 
     __rmul__ = __mul__
@@ -199,7 +213,7 @@ class Polynomial:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = Polynomial.constant(self.nvars, 1.0)
+        result = Polynomial.constant(self.nvars, 1)
         base = self
         e = exponent
         while e:
@@ -215,13 +229,6 @@ class Polynomial:
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
-
-    def almost_equal(self, other: "Polynomial", tol: float = 1e-10) -> bool:
-        if other.nvars != self.nvars:
-            return False
-        monos = set(self.terms) | set(other.terms)
-        return all(abs(self.terms.get(m, 0.0) - other.terms.get(m, 0.0)) <= tol
-                   for m in monos)
 
     # -- homogenization and graded structure ----------------------------
 
@@ -239,7 +246,7 @@ class Polynomial:
         terms = {}
         for mono, c in self.terms.items():
             m = mono[1:]
-            terms[m] = terms.get(m, 0.0) + c
+            terms[m] = terms.get(m, 0) + c
         return Polynomial(self.nvars - 1, terms)
 
     def graded_part(self, i: int) -> "Polynomial":
@@ -264,7 +271,7 @@ class Polynomial:
             raise ValueError(f"point must have length {self.nvars}")
         total = 0.0
         for mono, c in self.terms.items():
-            v = c
+            v = float(c)
             for xi, e in zip(x, mono):
                 if e:
                     v *= xi ** e
@@ -293,7 +300,8 @@ class Polynomial:
     # -- printing --------------------------------------------------------
 
     def to_string(self, varnames: Sequence[str] | None = None) -> str:
-        """Exact textual form; coefficients use repr so parsing round-trips."""
+        """Exact textual form: each coefficient as ``_coefficient_text``
+        writes it, so parsing gives back the same coefficients."""
         if varnames is None:
             varnames = [f"x{i + 1}" for i in range(self.nvars)]
         if len(varnames) != self.nvars:
@@ -304,7 +312,7 @@ class Polynomial:
         parts = []
         for mono in monos:
             c = self.terms[mono]
-            factors = [repr(c)]
+            factors = [_coefficient_text(c)]
             for name, e in zip(varnames, mono):
                 if e == 1:
                     factors.append(name)
@@ -348,13 +356,13 @@ def sum_of_squares_norm(nvars: int) -> Polynomial:
     """The polynomial ||x||^2 = x1^2 + ... + xn^2."""
     terms = {}
     for i in range(nvars):
-        terms[tuple(2 if j == i else 0 for j in range(nvars))] = 1.0
+        terms[tuple(2 if j == i else 0 for j in range(nvars))] = 1
     return Polynomial(nvars, terms)
 
 
 def sphere_equation(nvars: int) -> Polynomial:
     """||x||^2 - 1."""
-    return sum_of_squares_norm(nvars) - 1.0
+    return sum_of_squares_norm(nvars) - 1
 
 
 def even_variant_refusal(prob: PopProblem) -> str:

@@ -103,7 +103,7 @@ def power_x0(ell: int) -> HierarchyKind:
 def _shifted_rows(p: Polynomial, shifts: np.ndarray, dim: int):
     """CSR rows of p x^g over ``dim`` moments for each exponent row g of
     ``shifts``, columns ascending; a row's terms land apart, so each stored
-    value is a coefficient of p."""
+    value is a coefficient of p, rounded to the nearest float."""
     terms = np.array(list(p.terms), dtype=np.int64).reshape(-1, p.nvars)
     pos = monomial_positions(shifts[:, None] + terms)
     order = np.argsort(pos, axis=1)

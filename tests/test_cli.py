@@ -1,10 +1,12 @@
 import io
 import json
+import math
 import os
 import re
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -498,14 +500,32 @@ def test_a_nonfinite_iterate_ends_the_order_with_a_record(tmp_path):
     assert report.records[0].bound is None and report.best_bound is None
 
 
+def test_small_coefficients_are_kept_and_echoed(tmp_path):
+    # each was refused, since Polynomial dropped every coefficient of
+    # magnitude at most 1e-14
+    e = Fraction("1e-8")
+    for expr, terms, echo in [
+            ("1e-15*x^4 - x^2", {(4,): Fraction("1e-15"), (2,): -1}, "-1.0*x^2 + 1e-15*x^4"),
+            ("x^2 + 1e-8*1e-8*x^3", {(2,): 1, (3,): e**2}, "1.0*x^2 + 1e-16*x^3"),
+            ("(1e-8*x)^2 + x", {(2,): e**2, (1,): 1}, "1.0*x + 1e-16*x^2"),
+            ("(1e-8*x + 1e8)^4", {(k,): math.comb(4, k) * e**(2 * k - 4) for k in range(5)},
+             "1e+32 + 4e+16*x + 6.0*x^2 + 4e-16*x^3 + 1e-32*x^4")]:
+        text = f"vars: x\nminimize: {expr}\n"
+        assert parse_problem(text)[0].objective.terms == terms
+        path = tmp_path / "p.pop"
+        path.write_text(text)
+        # the badly scaled ones may end with no optimal order (exit 3)
+        code, out, err = run_cli([str(path), "--order", "2"])
+        assert code in (0, 3) and err == ""
+        assert json.loads(out)["problem_echo"]["minimize"] == echo
+
+
 @pytest.mark.parametrize("expr, col, what", [
-    ("1e-15*x^4 - x^2", 11, "literal '1e-15'"),
-    ("x^2 + 1e-8*1e-8*x^3", 21, "at '*'"),
-    ("x^2 + 1e-400", 17, "literal '1e-400'"),
-    ("(1e-8*x)^2 + x", 19, "at '^'"),
-    ("(1e-8*x + 1e8)^4", 25, "at '^'")])
-def test_coefficients_the_polynomial_would_drop_are_parse_errors(tmp_path, expr, col, what):
-    # each was solved with the small term silently dropped
+    ("x^2 + 1e-400", 17, "literal '1e-400' is not representable"),
+    ("x^2 + 1e-200*1e-200*x", 23, "a coefficient underflows to 0 at '*'"),
+    ("(1e-200*x)^2 + x", 21, "a coefficient underflows to 0 at '^'")],
+    ids=["literal", "product", "power"])
+def test_a_coefficient_that_rounds_to_zero_is_refused_at_its_column(tmp_path, expr, col, what):
     text = f"vars: x\nminimize: {expr}\n"
     with pytest.raises(ProblemParseError, match=re.escape(what)) as exc:
         parse_problem(text)
@@ -514,15 +534,41 @@ def test_coefficients_the_polynomial_would_drop_are_parse_errors(tmp_path, expr,
     path.write_text(text)
     code, out, err = run_cli([str(path)])
     assert (code, out) == (2, "")
-    assert err.count("\n") == 1 and "would be dropped" in err
+    assert err.count("\n") == 1 and what in err
 
 
-def test_a_small_constraint_coefficient_is_refused_but_cancellation_is_not():
-    with pytest.raises(ProblemParseError, match="literal '1e-16'") as exc:
-        parse_problem("vars: x y\nminimize: x^2 + y^2\nsubject_to:\nx - 1e-16*y == 0\n")
-    assert (exc.value.line, exc.value.col) == (4, 5)
-    # (1 + 2x - 2x^2)^2 loses its x^2 term to cancellation, not to its size
+def test_a_small_constraint_coefficient_is_kept_and_cancellation_is_exact():
+    prob, _, _ = parse_problem("vars: x y\nminimize: x^2 + y^2\nsubject_to:\nx - 1e-16*y == 0\n")
+    assert prob.equalities[0].terms == {(1, 0): 1, (0, 1): -Fraction("1e-16")}
+    # (1 + 2x - 2x^2)^2 has no x^2 term
     prob, _, _ = parse_problem("vars: x\nminimize: (1 + 2*x - 2*x^2)^2 + 0*x + 0.0 + 1e-7*x\n")
     x = Polynomial.variable(1, 0)
-    assert prob.objective.terms == ((1 + 2 * x - 2 * x**2)**2 + 1e-7 * x).terms
+    assert prob.objective.terms == ((1 + 2 * x - 2 * x**2)**2 + Fraction("1e-7") * x).terms
     assert (2,) not in prob.objective.terms
+
+
+def test_decimal_literals_are_read_exactly():
+    # in floats, 1000.1 - 1000 - 0.1 left 2.27e-14*x, and 0.1 + 0.2 echoed
+    # as 0.30000000000000004
+    prob, _, _ = parse_problem("vars: x\nminimize: x^2 + 1000.1*x - 1000*x - 0.1*x\n")
+    assert prob.objective.terms == {(2,): 1}
+    prob, names, _ = parse_problem("vars: x\nminimize: (0.1 + 0.2)*x^2\n")
+    assert prob.objective.terms == {(2,): Fraction(3, 10)}
+    assert format_problem(prob, names) == "vars: x\nminimize: 0.3*x^2\n"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="int() converts any number of digits")
+def test_a_literal_past_int_conversion_is_a_parse_error():
+    with pytest.raises(ProblemParseError, match="literal of 5002 characters is too long") as exc:
+        parse_problem("vars: x\nminimize: x^2 + 1." + "1" * 5000 + "\n")
+    assert (exc.value.line, exc.value.col) == (2, 17)
+
+
+def test_python_dash_m_homsos_runs_the_cli():
+    # python -m homsos.cli printed runpy's RuntimeWarning before the error
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "homsos", "/nonexistent"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: [Errno 2]") and proc.stderr.count("\n") == 1

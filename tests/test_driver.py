@@ -269,6 +269,17 @@ def test_positivity_probe_cubic_example():
     assert out["bound"] > 0.5
 
 
+def test_positivity_probe_does_not_claim_a_negative_below_its_order():
+    # the top-degree part a + b is at least 1 on the feasible directions
+    # (order 3 certifies 0.92), yet order 2's bound is negative; the probe
+    # said "not strictly positive"
+    out = driver.positivity_at_infinity_probe(cubic_unbounded(), 2)
+    assert out["verdict"] is False and out["bound"] < 0
+    assert out["diagnosis"] == (f"positivity not shown at order 2: bound {out['bound']:.3g} "
+                                "is not above 1e-06")
+    assert "not strictly positive" not in out["diagnosis"]
+
+
 def test_positivity_probe_reports_the_certificate_residual(monkeypatch):
     # the residual is that of the sphere solve's record
     solve_order, residuals = driver._solve_order, []

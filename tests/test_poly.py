@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -58,7 +59,7 @@ def test_dehomogenize_round_trip_oracle():
         n = int(rng.integers(1, 4))
         q = random_poly(rng, n, int(rng.integers(1, 5)))
         back = q.homogenize().dehomogenize()
-        assert back.almost_equal(q, tol=1e-12)
+        assert back == q
 
 
 def test_graded_parts():
@@ -77,7 +78,7 @@ def test_graded_parts_sum_to_poly():
         total = Polynomial.zero(3)
         for i in range(1, p.degree() + 2):
             total = total + p.graded_part(i)
-        assert total.almost_equal(p, tol=1e-13)
+        assert total == p
 
 
 def test_gradient_simple():
@@ -209,3 +210,40 @@ def test_sphere_equation():
     s = sphere_equation(3)
     assert s.eval([1.0, 0.0, 0.0]) == 0.0
     assert s.eval([1.0, 1.0, 1.0]) == pytest.approx(2.0)
+
+
+def test_small_coefficients_are_kept_exactly():
+    # every coefficient of magnitude at most 1e-14 was dropped
+    p = Polynomial(1, {(2,): 1.0, (1,): 1e-15})
+    assert p.terms == {(2,): 1, (1,): Fraction(1e-15)}
+    x = Polynomial.variable(1, 0)
+    scaled = (x**2 + x) * 2.0**-60
+    assert scaled.terms == {(2,): Fraction(1, 2**60), (1,): Fraction(1, 2**60)}
+    assert scaled * 2**60 == x**2 + x
+    # 1 + 0.1 is one rounding of the exact sum, whatever the order
+    assert (1 + 0.1 * x - 1) == 0.1 * x
+    assert (Polynomial.constant(1, 1) + 0.1).coefficient_vector(0)[0] == 1.1
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_a_nonfinite_coefficient_is_refused(bad):
+    with pytest.raises(ValueError, match="is not finite"):
+        Polynomial(1, {(1,): bad})
+    with pytest.raises(ValueError, match="is not finite"):
+        Polynomial.variable(1, 0) * bad
+
+
+def test_to_string_writes_each_coefficient_exactly():
+    x = Polynomial.variable(1, 0)
+    # repr of the float when it reads back exactly, else the exact expansion
+    assert (0.5 * x + 3).to_string(["x"]) == "3.0 + 0.5*x"
+    assert (Fraction("0.1") * x).to_string(["x"]) == "0.1*x"
+    assert (0.1 * x).to_string(["x"]) == \
+        "0.1000000000000000055511151231257827021181583404541015625*x"
+    assert (x + 1 + Fraction("1e-30")).to_string(["x"]) == \
+        "1." + "0" * 29 + "1 + 1.0*x"
+    assert Polynomial.constant(1, -Fraction(10**400 + 1)).to_string() == "-1" + "0" * 399 + "1"
+    assert Polynomial.constant(1, Fraction(1, 3)).to_string() == "1/3"
+    # past the 4300 digits that str(int) writes
+    text = (Polynomial.constant(1, Fraction("1." + "1" * 4000)) ** 2).to_string()
+    assert len(text) == 8002 and text.startswith("1.234567901234") and text.endswith("21")

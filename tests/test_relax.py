@@ -432,7 +432,7 @@ def loop_localizing_coeffs(p, k):
             for g, c in p.terms.items():
                 ri.append(i * s + j)
                 ci.append(idx[tuple(x + y for x, y in zip(ab, g))])
-                data.append(c)
+                data.append(float(c))
     return scipy.sparse.csr_matrix((data, (ri, ci)), shape=(s * s, len(idx)))
 
 
@@ -629,3 +629,19 @@ def test_sparse_rows_keep_assembly_below_the_dense_rows():
     finally:
         tracemalloc.stop()
     assert peak < 8 * rel.eq_A.shape[0] * rel.tms_dim
+
+
+@pytest.mark.parametrize("prob", [product_quartic, sextic_on_line])
+@pytest.mark.parametrize("kind", [relax.HOMOGENIZED, relax.DENOMINATOR])
+def test_an_objective_scaled_by_a_power_of_two_assembles_scaled(prob, kind):
+    # every coefficient of magnitude at most 1e-14 was dropped, so the
+    # scaled objective vanished
+    problem = prob()
+    scaled = PopProblem(problem.nvars, problem.objective * 2.0**-60,
+                        problem.equalities, problem.inequalities)
+    rel, rel_s = relax.assemble(kind, problem, 3), relax.assemble(kind, scaled, 3)
+    assert np.any(rel.objective_vector)
+    assert np.array_equal(rel_s.objective_vector, rel.objective_vector * 2.0**-60)
+    assert (rel.symmetry is None) == (rel_s.symmetry is None)
+    inst, inst_s = relax.to_sdp_instance(rel)[0], relax.to_sdp_instance(rel_s)[0]
+    assert np.array_equal(inst_s.c, inst.c * 2.0**-60)

@@ -80,7 +80,7 @@ def test_asymmetric_problems_take_the_unreduced_path(prob, kind, k):
 
 def one_ulp_up(prob, mono):
     terms = dict(prob.objective.terms)
-    terms[mono] = np.nextafter(terms[mono], math.inf)
+    terms[mono] = np.nextafter(float(terms[mono]), math.inf)
     return PopProblem(prob.nvars, Polynomial(prob.nvars, terms),
                       prob.equalities, prob.inequalities)
 
