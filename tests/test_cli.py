@@ -500,24 +500,27 @@ def test_a_nonfinite_iterate_ends_the_order_with_a_record(tmp_path):
     assert report.records[0].bound is None and report.best_bound is None
 
 
-def test_small_coefficients_are_kept_and_echoed(tmp_path):
+E8 = Fraction("1e-8")
+
+
+@pytest.mark.parametrize("expr, terms, echo", [
+    ("1e-15*x^4 - x^2", {(4,): Fraction("1e-15"), (2,): -1}, "-1.0*x^2 + 1e-15*x^4"),
+    ("x^2 + 1e-8*1e-8*x^3", {(2,): 1, (3,): E8**2}, "1.0*x^2 + 1e-16*x^3"),
+    ("(1e-8*x)^2 + x", {(2,): E8**2, (1,): 1}, "1.0*x + 1e-16*x^2"),
+    ("(1e-8*x + 1e8)^4", {(k,): math.comb(4, k) * E8**(2 * k - 4) for k in range(5)},
+     "1e+32 + 4e+16*x + 6.0*x^2 + 4e-16*x^3 + 1e-32*x^4")],
+    ids=["literal", "product", "power", "binomial"])
+def test_small_coefficients_are_kept_and_echoed(tmp_path, expr, terms, echo):
     # each was refused, since Polynomial dropped every coefficient of
     # magnitude at most 1e-14
-    e = Fraction("1e-8")
-    for expr, terms, echo in [
-            ("1e-15*x^4 - x^2", {(4,): Fraction("1e-15"), (2,): -1}, "-1.0*x^2 + 1e-15*x^4"),
-            ("x^2 + 1e-8*1e-8*x^3", {(2,): 1, (3,): e**2}, "1.0*x^2 + 1e-16*x^3"),
-            ("(1e-8*x)^2 + x", {(2,): e**2, (1,): 1}, "1.0*x + 1e-16*x^2"),
-            ("(1e-8*x + 1e8)^4", {(k,): math.comb(4, k) * e**(2 * k - 4) for k in range(5)},
-             "1e+32 + 4e+16*x + 6.0*x^2 + 4e-16*x^3 + 1e-32*x^4")]:
-        text = f"vars: x\nminimize: {expr}\n"
-        assert parse_problem(text)[0].objective.terms == terms
-        path = tmp_path / "p.pop"
-        path.write_text(text)
-        # the badly scaled ones may end with no optimal order (exit 3)
-        code, out, err = run_cli([str(path), "--order", "2"])
-        assert code in (0, 3) and err == ""
-        assert json.loads(out)["problem_echo"]["minimize"] == echo
+    text = f"vars: x\nminimize: {expr}\n"
+    assert parse_problem(text)[0].objective.terms == terms
+    path = tmp_path / "p.pop"
+    path.write_text(text)
+    # the badly scaled ones may end with no optimal order (exit 3)
+    code, out, err = run_cli([str(path), "--order", "2"])
+    assert code in (0, 3) and err == ""
+    assert json.loads(out)["problem_echo"]["minimize"] == echo
 
 
 @pytest.mark.parametrize("expr, col, what", [
