@@ -13,7 +13,8 @@ Problem file grammar (one statement per line, ``#`` starts a comment):
 literals, and parentheses and signs nest at most ``MAX_NESTING`` deep.
 Literals are read exactly (``0.1`` is 1/10) and the arithmetic is exact;
 a literal or an operation that gives a coefficient past the double range,
-or one that rounds to 0, is refused where it appears.  A power whose
+or one that rounds to 0, is refused where it appears, and so is an operation
+that gives one of more than ``MAX_COEFFICIENT_BITS`` bits.  A power whose
 degree no relaxation that fits in memory could hold is refused before it
 is expanded.  Implicit multiplication is not allowed.  A sign
 binds looser than ``^`` and tighter than ``*`` wherever it stands: ``-x^2``
@@ -64,6 +65,7 @@ def _tokenize(text, line_no, col_offset=0):
 
 
 MAX_NESTING = 100   # open parentheses and signs around any factor
+MAX_COEFFICIENT_BITS = 2048   # in a numerator or denominator: bounds exact arithmetic's cost
 
 
 class _ExprParser:
@@ -89,12 +91,15 @@ class _ExprParser:
 
     def _finite(self, poly, tok):
         """``poly``, after refusing a coefficient that the operation ``tok``
-        took out of the double range: past it, or so small that its nearest
-        double is 0."""
+        took out of the double range (past it, or so small that its nearest
+        double is 0) or past ``MAX_COEFFICIENT_BITS``."""
         for c in poly.terms.values():
             if abs(c) > sys.float_info.max or not float(c):   # float() raises past max
                 how = "overflows" if abs(c) > 1 else "underflows to 0"
                 raise ProblemParseError(f"a coefficient {how} at {tok[1]!r}", self.line, tok[2])
+            if max(c.numerator.bit_length(), c.denominator.bit_length()) > MAX_COEFFICIENT_BITS:
+                raise ProblemParseError(f"a coefficient needs more than {MAX_COEFFICIENT_BITS} "
+                                        f"bits at {tok[1]!r}", self.line, tok[2])
         return poly
 
     def _peek(self):
@@ -168,7 +173,7 @@ class _ExprParser:
     def _power(self, base, exponent, tok):
         """``base ** exponent`` by the products of ``Polynomial.__pow__``,
         each one checked by ``_finite``, so that exact integers stop growing
-        at the first product that leaves the double range."""
+        at the first product that it refuses."""
         result = Polynomial.constant(base.nvars, 1)
         while exponent:
             if exponent & 1:
@@ -293,8 +298,8 @@ def parse_problem(text: str):
 
 def format_problem(prob: PopProblem, varnames) -> str:
     """Render a problem back into the file grammar; ``parse_problem`` reads
-    back the exact coefficients of any problem it parsed or built from floats
-    (``poly._coefficient_text``)."""
+    back the exact coefficients of any problem it parsed (a problem built in
+    Python may have coefficients the grammar refuses, or p/q ones)."""
     echo = _echo(prob, varnames)
     lines = ["vars: " + " ".join(varnames), "minimize: " + echo["minimize"]]
     if echo["constraints"]:

@@ -3,7 +3,8 @@
 A polynomial maps exponent tuples to exact ``fractions.Fraction``
 coefficients, so arithmetic is exact and only exactly-zero terms vanish.
 Floats are formed at the numeric boundary alone: ``coefficient_vector``,
-``eval`` (so ``gradient`` and ``hessian``) and ``relax._shifted_rows``.
+``eval`` (so ``gradient`` and ``hessian``) and ``relax._shifted_rows``, where
+a coefficient past the double range raises ``OverflowError``.
 All monomial enumeration uses the graded-lexicographic order
 
     1, x1, x2, ..., x1^2, x1*x2, ..., x2^2, ...
@@ -17,7 +18,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
@@ -92,15 +92,15 @@ def monomial_positions(exps) -> np.ndarray:
 
 def _coefficient_text(c: Fraction) -> str:
     """``repr(float(c))`` when that text reads back as exactly c, else c's
-    exact decimal expansion: finite for any float, decimal literal, and
-    their sums and products.  Other values are written p/q."""
+    exact decimal expansion: finite for any int, float, decimal literal, and
+    their sums and products.  Others are written p/q, outside the grammar."""
     if abs(c) <= sys.float_info.max and Fraction(repr(float(c))) == c:
         return repr(float(c))
     p = c.denominator.bit_length()   # d divides 10^p iff its primes are 2 and 5
     scaled, rest = divmod(abs(c.numerator) * 10 ** p, c.denominator)
     if rest:
         return str(c)
-    digits = str(Decimal(scaled)).rjust(p + 1, "0")   # str(int) stops at 4300 digits
+    digits = str(scaled).rjust(p + 1, "0")
     return ("-" if c < 0 else "") + f"{digits[:-p]}.{digits[-p:]}".rstrip("0").rstrip(".")
 
 
@@ -301,7 +301,7 @@ class Polynomial:
 
     def to_string(self, varnames: Sequence[str] | None = None) -> str:
         """Exact textual form: each coefficient as ``_coefficient_text``
-        writes it, so parsing gives back the same coefficients."""
+        writes it, in decimal when its expansion is finite, else as p/q."""
         if varnames is None:
             varnames = [f"x{i + 1}" for i in range(self.nvars)]
         if len(varnames) != self.nvars:

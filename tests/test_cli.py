@@ -6,6 +6,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -558,6 +559,21 @@ def test_decimal_literals_are_read_exactly():
     prob, names, _ = parse_problem("vars: x\nminimize: (0.1 + 0.2)*x^2\n")
     assert prob.objective.terms == {(2,): Fraction(3, 10)}
     assert format_problem(prob, names) == "vars: x\nminimize: 0.3*x^2\n"
+
+
+@pytest.mark.parametrize("literal, op", [("1.0000001", "^"), ("1." + "0" * 4000 + "1", "*")],
+                         ids=["power", "long_literal"])
+def test_a_coefficient_past_the_bit_limit_is_refused_quickly(literal, op):
+    # exactly, the coefficients of these powers grow to millions of digits
+    expr = f"({literal}*x + 1)^1000"
+    start = time.perf_counter()
+    with pytest.raises(ProblemParseError, match="needs more than 2048 bits") as exc:
+        parse_problem(f"vars: x\nminimize: {expr}\n")
+    assert time.perf_counter() - start < 5
+    assert (exc.value.line, exc.value.col) == (2, 11 + expr.index(op))
+    # below the limit the power is exact
+    prob, _, _ = parse_problem("vars: x\nminimize: (1.0000001*x + 1)^80\n")
+    assert prob.objective.terms[(80,)] == Fraction("1.0000001") ** 80
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
