@@ -12,11 +12,11 @@ Problem file grammar (one statement per line, ``#`` starts a comment):
 ``+ - * ^`` with nonnegative integer exponents, parentheses and decimal
 literals, and parentheses and signs nest at most ``MAX_NESTING`` deep.
 Literals are read exactly (``0.1`` is 1/10) and the arithmetic is exact;
-a literal or an operation that gives a coefficient past the double range,
-or one that rounds to 0, is refused where it appears, and so is an operation
-that gives one of more than ``MAX_COEFFICIENT_BITS`` bits.  A power whose
-degree no relaxation that fits in memory could hold is refused before it
-is expanded.  Implicit multiplication is not allowed.  A sign
+a literal or an operation that gives a coefficient outside the coefficient
+rule of ``poly`` (past the double range, rounding to 0, or of more than
+``poly.MAX_COEFFICIENT_BITS`` bits) is refused where it appears.  A power
+whose degree no relaxation that fits in memory could hold is refused before
+it is expanded.  Implicit multiplication is not allowed.  A sign
 binds looser than ``^`` and tighter than ``*`` wherever it stands: ``-x^2``
 is ``-(x^2)`` and ``x * -2^2`` is ``-4 x``.  A power is not raised again:
 ``x^2^3`` and ``-x^2^3`` are errors; write ``(x^2)^3``.
@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import re
 import sys
 from fractions import Fraction
@@ -65,7 +66,7 @@ def _tokenize(text, line_no, col_offset=0):
 
 
 MAX_NESTING = 100   # open parentheses and signs around any factor
-MAX_COEFFICIENT_BITS = 2048   # in a numerator or denominator: bounds exact arithmetic's cost
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "^": operator.pow}
 
 
 class _ExprParser:
@@ -89,18 +90,12 @@ class _ExprParser:
         self.depth -= 1
         return out
 
-    def _finite(self, poly, tok):
-        """``poly``, after refusing a coefficient that the operation ``tok``
-        took out of the double range (past it, or so small that its nearest
-        double is 0) or past ``MAX_COEFFICIENT_BITS``."""
-        for c in poly.terms.values():
-            if abs(c) > sys.float_info.max or not float(c):   # float() raises past max
-                how = "overflows" if abs(c) > 1 else "underflows to 0"
-                raise ProblemParseError(f"a coefficient {how} at {tok[1]!r}", self.line, tok[2])
-            if max(c.numerator.bit_length(), c.denominator.bit_length()) > MAX_COEFFICIENT_BITS:
-                raise ProblemParseError(f"a coefficient needs more than {MAX_COEFFICIENT_BITS} "
-                                        f"bits at {tok[1]!r}", self.line, tok[2])
-        return poly
+    def _apply(self, tok, left, right):
+        """``left tok right``, with a coefficient ``Polynomial`` refuses raised at ``tok``."""
+        try:
+            return _OPERATORS[tok[1]](left, right)
+        except ValueError as exc:
+            raise ProblemParseError(f"{exc} at {tok[1]!r}", self.line, tok[2]) from None
 
     def _peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -129,8 +124,7 @@ class _ExprParser:
             if tok is None or tok[1] not in "+-":
                 return acc
             self.pos += 1
-            term = self._term()
-            acc = self._finite(acc + term if tok[1] == "+" else acc - term, tok)
+            acc = self._apply(tok, acc, self._term())
 
     def _term(self):
         acc = self._factor()
@@ -139,7 +133,7 @@ class _ExprParser:
             if tok is None or tok[1] != "*":
                 return acc
             self.pos += 1
-            acc = self._finite(acc * self._factor(), tok)
+            acc = self._apply(tok, acc, self._factor())
 
     def _factor(self):
         """An optionally signed power; the sign binds looser than ``^``."""
@@ -167,20 +161,8 @@ class _ExprParser:
                 raise ProblemParseError(f"exponent of {len(text)} digits is too large",
                                         self.line, col) from None
             self._fits(base.degree() * exponent, caret)
-            return self._power(base, exponent, caret)
+            return self._apply(caret, base, exponent)
         return base
-
-    def _power(self, base, exponent, tok):
-        """``base ** exponent`` by the products of ``Polynomial.__pow__``,
-        each one checked by ``_finite``, so that exact integers stop growing
-        at the first product that it refuses."""
-        result = Polynomial.constant(base.nvars, 1)
-        while exponent:
-            if exponent & 1:
-                result = self._finite(result * base, tok)
-            base = self._finite(base * base, tok) if exponent > 1 else base
-            exponent >>= 1
-        return result
 
     def _fits(self, degree, tok):
         """Raise ``sdp.ResourceError`` before a power of ``degree`` is
@@ -206,10 +188,14 @@ class _ExprParser:
                 raise ProblemParseError(f"literal {text!r} is not representable: its "
                                         "nearest double is 0", self.line, col)
             try:
-                return Polynomial.constant(n, Fraction(text) if value else 0)
+                coef = Fraction(text) if value else 0
             except ValueError:   # more digits than int() converts
                 raise ProblemParseError(f"literal of {len(text)} characters is too long",
                                         self.line, col) from None
+            try:
+                return Polynomial.constant(n, coef)
+            except ValueError as exc:   # more bits than the coefficient rule allows
+                raise ProblemParseError(f"{exc} in the literal", self.line, col) from None
         if kind == "name":
             if text not in self.vars:
                 raise ProblemParseError(f"undeclared variable {text!r}",
@@ -297,9 +283,8 @@ def parse_problem(text: str):
 
 
 def format_problem(prob: PopProblem, varnames) -> str:
-    """Render a problem back into the file grammar; ``parse_problem`` reads
-    back the exact coefficients of any problem it parsed (a problem built in
-    Python may have coefficients the grammar refuses, or p/q ones)."""
+    """Render a problem in the file grammar; ``parse_problem`` reads back each
+    exact coefficient but a p/q one, which a problem built in Python may have."""
     echo = _echo(prob, varnames)
     lines = ["vars: " + " ".join(varnames), "minimize: " + echo["minimize"]]
     if echo["constraints"]:
@@ -410,7 +395,7 @@ def run(argv, out=None, err=None) -> int:
     """CLI entry; returns the exit code (0 ok, 2 bad command line, parse
     error, bad order, ``--kind even`` on data of odd degree or a
     ``--dump-sdpa`` path that cannot be written, 3 solver failure at every
-    order, a non-finite interior-point iterate included, 4 a relaxation too
+    order, a non-finite or overflowing interior-point iterate included, 4 a relaxation too
     large for physical memory, refused before it is assembled or, for a
     power in the problem, before the power is expanded, with nothing
     written to ``out``)."""

@@ -389,11 +389,16 @@ class InfinityReport(HierarchyReport):
         return self.records[0].minimizers_at_infinity
 
 
-def _sphere_order(sph: PopProblem, k: int | None) -> int:
-    """``k``, by default the standard kind's first order on ``sph``."""
+def _sphere_solve(prob: PopProblem, k: int | None, opts: DriverOptions | None):
+    """(sphere problem, opts, record, rel, sol): ``_solve_order`` of
+    ``sphere_restriction(prob)`` in the standard kind at order ``k``, by
+    default its first, with ``opts or DriverOptions()`` and its ``dump_sdpa``."""
     if k is not None and k < 1:
         raise ValueError(f"order must be at least 1, got {k}")
-    return default_k_min(sph, relax.STANDARD) if k is None else k
+    sph = sphere_restriction(prob)
+    k = default_k_min(sph, relax.STANDARD) if k is None else k
+    opts = opts or DriverOptions()
+    return (sph, opts) + _solve_order(sph, relax.STANDARD, k, opts, opts.dump_sdpa)
 
 
 def minimizers_at_infinity(prob: PopProblem, k: int | None = None,
@@ -406,13 +411,10 @@ def minimizers_at_infinity(prob: PopProblem, k: int | None = None,
     ``check_at_infinity`` report, only when that check accepts it with
     ``opts.atom_tol``, and is otherwise dropped with a note.  ``values`` are
     the top-degree objective at the reported directions.  The order ``k``
-    defaults as in ``_sphere_order``.
+    defaults as in ``_sphere_solve``.
     """
-    sph = sphere_restriction(prob)
-    k = _sphere_order(sph, k)
-    opts = opts or DriverOptions()
     with sdp._one_blas_thread():
-        rec, rel, sol = _solve_order(sph, relax.STANDARD, k, opts, opts.dump_sdpa)
+        sph, opts, rec, rel, sol = _sphere_solve(prob, k, opts)
         rec.kind = "standard(sphere)"
         if sol is not None and sol.moment_converged:
             atoms = _attempt_extraction(rec, rel, sol, sph, opts)
@@ -425,7 +427,7 @@ def minimizers_at_infinity(prob: PopProblem, k: int | None = None,
     ok = rec.status == sdp.SdpStatus.OPTIMAL.value
     return InfinityReport(records=[rec], best_bound=rec.bound,
                           converged=ok and bool(rec.minimizers_at_infinity),
-                          convergence_order=k if ok else None,
+                          convergence_order=rec.k if ok else None,
                           diagnosis="minimizers-at-infinity solve", values=values)
 
 
@@ -438,12 +440,9 @@ def positivity_at_infinity_probe(prob: PopProblem, k: int | None = None,
     False, meaning only that order ``k`` did not show positivity.  With a
     bound comes the ``certificate_residual`` of the sphere solve's record
     (None when its moment side did not converge).  The order ``k`` defaults
-    as in ``_sphere_order``."""
-    sph = sphere_restriction(prob)
-    k = _sphere_order(sph, k)
-    opts = opts or DriverOptions()
+    as in ``_sphere_solve``."""
     with sdp._one_blas_thread():
-        rec, _rel, sol = _solve_order(sph, relax.STANDARD, k, opts, opts.dump_sdpa)
+        _sph, _opts, rec, _rel, sol = _sphere_solve(prob, k, opts)
     if rec.status == sdp.SdpStatus.PRIMAL_INFEASIBLE.value:
         return {"bound": None, "verdict": True,
                 "diagnosis": "no feasible directions at infinity; "
@@ -458,5 +457,5 @@ def positivity_at_infinity_probe(prob: PopProblem, k: int | None = None,
     return {"bound": rec.f_k, "certificate_residual": rec.certificate_residual,
             "verdict": bool(verdict),
             "diagnosis": "positive at infinity" if verdict
-            else f"positivity not shown at order {k}: bound {rec.f_k:.3g} is not "
+            else f"positivity not shown at order {rec.k}: bound {rec.f_k:.3g} is not "
                  f"above {POSITIVITY_TOL:g}"}

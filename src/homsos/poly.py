@@ -2,9 +2,11 @@
 
 A polynomial maps exponent tuples to exact ``fractions.Fraction``
 coefficients, so arithmetic is exact and only exactly-zero terms vanish.
+Each nonzero coefficient, parsed or built in Python, has a finite, nonzero
+nearest double and at most ``MAX_COEFFICIENT_BITS`` bits in its numerator and
+denominator; ``Polynomial`` raises ``ValueError`` on one that breaks this rule.
 Floats are formed at the numeric boundary alone: ``coefficient_vector``,
-``eval`` (so ``gradient`` and ``hessian``) and ``relax._shifted_rows``, where
-a coefficient past the double range raises ``OverflowError``.
+``eval`` (so ``gradient`` and ``hessian``) and ``relax._shifted_rows``.
 All monomial enumeration uses the graded-lexicographic order
 
     1, x1, x2, ..., x1^2, x1*x2, ..., x2^2, ...
@@ -16,13 +18,14 @@ the indexing of truncated moment vectors across the whole package.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
+
+MAX_COEFFICIENT_BITS = 2048   # in a numerator or denominator: bounds exact arithmetic's cost
 
 
 @lru_cache(maxsize=None)
@@ -94,7 +97,7 @@ def _coefficient_text(c: Fraction) -> str:
     """``repr(float(c))`` when that text reads back as exactly c, else c's
     exact decimal expansion: finite for any int, float, decimal literal, and
     their sums and products.  Others are written p/q, outside the grammar."""
-    if abs(c) <= sys.float_info.max and Fraction(repr(float(c))) == c:
+    if Fraction(repr(float(c))) == c:
         return repr(float(c))
     p = c.denominator.bit_length()   # d divides 10^p iff its primes are 2 and 5
     scaled, rest = divmod(abs(c.numerator) * 10 ** p, c.denominator)
@@ -123,8 +126,17 @@ class Polynomial:
             if isinstance(coef, float) and not math.isfinite(coef):
                 raise ValueError(f"coefficient {coef!r} is not finite")
             c = Fraction(coef)
-            if c:
-                clean[mono] = c
+            if not c:
+                continue
+            try:   # the coefficient rule of the module docstring
+                nearest = float(c)
+            except OverflowError:
+                raise ValueError("a coefficient overflows") from None
+            if not nearest:
+                raise ValueError("a coefficient underflows to 0")
+            if max(c.numerator.bit_length(), c.denominator.bit_length()) > MAX_COEFFICIENT_BITS:
+                raise ValueError(f"a coefficient needs more than {MAX_COEFFICIENT_BITS} bits")
+            clean[mono] = c
         self.nvars = nvars
         self.terms = clean
 
@@ -215,12 +227,11 @@ class Polynomial:
             raise ValueError("exponent must be a nonnegative integer")
         result = Polynomial.constant(self.nvars, 1)
         base = self
-        e = exponent
-        while e:
-            if e & 1:
+        while exponent:
+            if exponent & 1:
                 result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
+            base = base * base if exponent > 1 else base
+            exponent >>= 1
         return result
 
     def __eq__(self, other):
@@ -255,8 +266,6 @@ class Polynomial:
         if i < 1:
             raise ValueError("i must be >= 1")
         target = self.degree() - (i - 1)
-        if target < 0:
-            return Polynomial.zero(self.nvars)
         return Polynomial(self.nvars,
                           {m: c for m, c in self.terms.items() if sum(m) == target})
 

@@ -22,8 +22,9 @@ dsyevr, dpotrf or dpotrs call that scipy.linalg's ``solve_triangular``,
 and so returns the same bits.  What those wrappers validated is checked once
 per array, after it was last written: a NaN or an inf raises
 ``NonFiniteError``, a ValueError with the message of scipy's
-``check_finite``.  Contractions with the pencil stack
-are the single ``np.dot`` that ``np.tensordot`` would make.
+``check_finite``, and so does an overflow in the interior-point run.
+Contractions with the pencil stack are the single ``np.dot`` that
+``np.tensordot`` would make.
 
 Moment relaxations over varieties (for instance the sphere) are never
 strictly feasible in y-space: the equality rows force common null vectors
@@ -1075,7 +1076,11 @@ def solve(inst: SdpInstance, opts: SolveOptions | None = None, *,
             return red
 
         if red.blocks:
-            status, message, xs, z, iters, history, mom_ok = _ipm(red, opts)
+            try:
+                with np.errstate(over="raise"):   # an overflow ends the run as an inf would
+                    status, message, xs, z, iters, history, mom_ok = _ipm(red, opts)
+            except FloatingPointError:
+                raise NonFiniteError("array must not contain infs or NaNs") from None
             y = red.y0 + red.nullmap @ z
             last = history[-1]
             dual_obj, gap, primal_infeas, dual_infeas = (

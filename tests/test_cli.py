@@ -7,6 +7,7 @@ import resource
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -241,6 +242,21 @@ def test_infinity_record_follows_order_schema(tmp_path):
     assert rec["kind"] == "standard(sphere)"
     assert set(rep["final"]) == set(rep_h["final"])
     assert rep["final"]["diagnosis"] == "minimizers-at-infinity solve"
+
+
+def test_infinity_dump_sdpa_writes_the_sphere_solve(tmp_path):
+    path = tmp_path / "p.pop"
+    path.write_text("vars: x1 x2\nminimize: x2^2 + (2*x2^2 + 2*x1*x2 + 1)^2\n")
+    dump = tmp_path / "sphere.dat-s"
+    code, out, _ = run_cli([str(path), "--infinity", "--order", "3",
+                            "--dump-sdpa", str(dump)])
+    assert code == 0
+    assert [p.name for p in tmp_path.iterdir() if p != path] == [dump.name]
+    rec, = json.loads(out)["records"]
+    sizes = [int(v) for v in dump.read_text().splitlines()[2].split()]
+    # the pencils' blocks, then the equality rows' diagonal block
+    assert sizes[:-1] == [b["size"] for b in rec["blocks"].values()]
+    assert sizes[-1] < 0
 
 
 def test_kind_flag_parsing(tmp_path):
@@ -501,6 +517,25 @@ def test_a_nonfinite_iterate_ends_the_order_with_a_record(tmp_path):
     assert report.records[0].bound is None and report.best_bound is None
 
 
+@pytest.mark.parametrize("text", [
+    "vars: x\nminimize: 1e160*x^2 + x\n",
+    "vars: x\nminimize: 1e200*x^2 + x\n",
+    "vars: x\nminimize: x^2\nsubject_to:\n-1 >= 0\n"],
+    ids=["1e160", "1e200", "infeasible"])
+def test_an_overflow_in_the_solve_ends_the_order_with_a_record(tmp_path, text):
+    # the first two ended optimal with meaningless values (f_k -1.43e151 and
+    # 0.0), all three with overflow RuntimeWarnings
+    path = tmp_path / "p.pop"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli([str(path), "--order", "1"])
+    assert (code, err) == (3, "")
+    rec, = json.loads(out)["records"]
+    assert_nonfinite_record(rec)
+    assert json.loads(out)["final"]["best_bound"] is None
+
+
 E8 = Fraction("1e-8")
 
 
@@ -561,16 +596,20 @@ def test_decimal_literals_are_read_exactly():
     assert format_problem(prob, names) == "vars: x\nminimize: 0.3*x^2\n"
 
 
-@pytest.mark.parametrize("literal, op", [("1.0000001", "^"), ("1." + "0" * 4000 + "1", "*")],
+LONG_LITERAL = "1." + "0" * 4000 + "1"
+
+
+@pytest.mark.parametrize("literal, at", [("1.0000001", "^"), (LONG_LITERAL, LONG_LITERAL)],
                          ids=["power", "long_literal"])
-def test_a_coefficient_past_the_bit_limit_is_refused_quickly(literal, op):
-    # exactly, the coefficients of these powers grow to millions of digits
+def test_a_coefficient_past_the_bit_limit_is_refused_quickly(literal, at):
+    # exactly, the coefficients of these powers grow to millions of digits;
+    # the long literal is refused where it stands, not at the '*' after it
     expr = f"({literal}*x + 1)^1000"
     start = time.perf_counter()
     with pytest.raises(ProblemParseError, match="needs more than 2048 bits") as exc:
         parse_problem(f"vars: x\nminimize: {expr}\n")
     assert time.perf_counter() - start < 5
-    assert (exc.value.line, exc.value.col) == (2, 11 + expr.index(op))
+    assert (exc.value.line, exc.value.col) == (2, 11 + expr.index(at))
     # below the limit the power is exact
     prob, _, _ = parse_problem("vars: x\nminimize: (1.0000001*x + 1)^80\n")
     assert prob.objective.terms[(80,)] == Fraction("1.0000001") ** 80

@@ -136,6 +136,18 @@ def test_driver_entry_points_restore_blas_threads(blas_threads):
     assert blas_threads() == before
 
 
+def test_positivity_probe_writes_dump_sdpa(tmp_path):
+    # the probe and the minimizers-at-infinity solve share one sphere solve
+    paths = [tmp_path / "probe.dat-s", tmp_path / "minimizers.dat-s"]
+    rep = driver.positivity_at_infinity_probe(
+        cubic_unbounded(), 2, driver.DriverOptions(dump_sdpa=str(paths[0])))
+    assert rep["bound"] is not None
+    driver.minimizers_at_infinity(cubic_unbounded(), 2,
+                                  driver.DriverOptions(dump_sdpa=str(paths[1])))
+    probe, minimizers = (p.read_text() for p in paths)
+    assert len(probe.splitlines()) > 4 and probe == minimizers
+
+
 def test_default_k_min_and_rank_gap():
     prob = cubic_unbounded()
     assert driver.default_k_min(prob, relax.HOMOGENIZED) == 2

@@ -242,16 +242,37 @@ def test_to_string_writes_each_coefficient_exactly():
         "0.1000000000000000055511151231257827021181583404541015625*x"
     assert (x + 1 + Fraction("1e-30")).to_string(["x"]) == \
         "1." + "0" * 29 + "1 + 1.0*x"
-    assert Polynomial.constant(1, -Fraction(10**400 + 1)).to_string() == "-1" + "0" * 399 + "1"
+    # an integer of more digits than a double holds
+    assert Polynomial.constant(1, -(10**30 + 1)).to_string() == "-1" + "0" * 29 + "1"
     # a value without a finite decimal expansion, which the grammar does not read
     assert Polynomial.constant(1, Fraction(1, 3)).to_string() == "1/3"
 
 
-def test_a_coefficient_past_the_double_range_overflows_where_floats_are_formed():
+def test_a_coefficient_past_the_double_range_is_refused_where_it_is_built():
+    # it was kept exactly, and overflowed only where floats were formed
     x = Polynomial.variable(1, 0)
-    big = x * 1e200 * 1e200   # exact, so no inf is formed here
-    assert big.terms == {(1,): Fraction(1e200) ** 2}
-    with pytest.raises(OverflowError):
-        big.coefficient_vector(1)
-    with pytest.raises(OverflowError):
-        big.eval([1.0])
+    assert (x * 1e200).coefficient_vector(1)[1] == 1e200
+    with pytest.raises(ValueError, match="^a coefficient overflows$"):
+        x * 1e200 * 1e200
+
+
+def literal(text):
+    """A decimal literal as the parser reads it."""
+    return Polynomial.constant(1, Fraction(text))
+
+
+X = Polynomial.variable(1, 0)
+
+
+@pytest.mark.parametrize("build, what", [
+    (lambda: literal("1e200") * literal("1e200") * X, "overflows"),
+    (lambda: (literal("1e200") * X) ** 2, "overflows"),
+    (lambda: literal("1e-200") * literal("1e-200") * X, "underflows to 0"),
+    (lambda: (literal("1.0000001") * X + 1) ** 1000, "needs more than 2048 bits"),
+    (lambda: Polynomial.constant(1, Fraction("1.0000001") ** 300), "needs more than 2048 bits")],
+    ids=["product", "power", "underflow", "bits_power", "bits_constant"])
+def test_the_parser_refusals_hold_for_polynomials_built_in_python(build, what):
+    # the parser refuses 1e200*1e200*x, (1e200*x)^2, 1e-200*1e-200*x and
+    # (1.0000001*x + 1)^1000 with the same words
+    with pytest.raises(ValueError, match=f"^a coefficient {what}$"):
+        build()
