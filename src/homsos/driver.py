@@ -245,7 +245,7 @@ def _verified_atoms(rec, rel, sol, prob, opts):
     if atoms is None:
         return None
     if kind.has_x0:
-        atom_set = extract.classify(atoms, rel.normalizer_power,
+        atom_set = extract.classify(atoms, rel.nu.degree(),
                                     tau_tol=opts.atom_tol, flip_negative=kind.even)
     else:
         # no x0 coordinate: every atom is a direct minimizer candidate

@@ -131,39 +131,44 @@ def localizing_pencil(p: Polynomial, k: int, label: str = "") -> sdp.SdpPencil:
 
 @dataclass
 class MomentRelaxation:
-    """One assembled moment SDP instance of the hierarchy."""
+    """One assembled moment SDP instance of the hierarchy: the exact theta
+    and nu of the kind, and the float rows and pencils built from them."""
 
     kind: HierarchyKind
-    nvars: int          # variables of the tms space (n or n+1)
     order: int
-    tms_dim: int
-    objective_vector: np.ndarray
-    normalizer_vector: np.ndarray
-    normalizer_power: int | None   # x0 exponent of nu for the lifted kinds
+    theta: Polynomial
+    nu: Polynomial
     # scipy.sparse.csr_matrix, (rows, tms_dim), columns sorted in each row:
-    # <p x^g, y> = 0 for each equality p and shift g, then <nu, y> = 1
+    # <p_i x^g, y> = 0 for each (i, g) of eq_shifts, then <nu, y> = 1
     eq_A: object
-    eq_b: np.ndarray
-    eq_row_meta: list              # ("eq", i, gamma) or ("normalizer", None, None)
+    eq_shifts: list                # (equality index i, shift g) per row but the last
     psd_pencils: list              # sdp.SdpPencil, moment pencil first
     symmetry: "Symmetry | None" = None   # None when the group is trivial
 
+    @property
+    def nvars(self) -> int:
+        """Variables of the tms space (n or n+1)."""
+        return self.theta.nvars
+
+    @property
+    def tms_dim(self) -> int:
+        return basis_size(self.nvars, 2 * self.order)
+
 
 def _relaxed_space(kind: HierarchyKind, prob: PopProblem, k: int):
-    """Resolve (theta, nu, equalities, inequalities, nvars, nu_power)."""
+    """Resolve (theta, nu, equalities, inequalities, nvars)."""
     d = prob.objective.degree()
     if kind.has_x0:
         lift = build_homogenized(prob, even_variant=kind.even)
         x0 = Polynomial.variable(lift.nvars, 0)
-        nu_pow = 2 * kind.power + d
-        return (lift.objective * x0 ** (2 * kind.power), x0 ** nu_pow,
-                lift.equalities, lift.inequalities, lift.nvars, nu_pow)
+        return (lift.objective * x0 ** (2 * kind.power), x0 ** (2 * kind.power + d),
+                lift.equalities, lift.inequalities, lift.nvars)
     m = k - math.ceil(d / 2) if kind.denominator else 0
     if m < 0:
         raise OrderTooSmallError(f"order {k} below ceil(deg(f)/2)")
     den = (1.0 + sum_of_squares_norm(prob.nvars)) ** m
     return (den * prob.objective, den, prob.equalities, prob.inequalities,
-            prob.nvars, None)
+            prob.nvars)
 
 
 def assemble(kind: HierarchyKind, prob: PopProblem, k: int, *,
@@ -182,7 +187,7 @@ def assemble(kind: HierarchyKind, prob: PopProblem, k: int, *,
     # denominator kind's (1+|x|^2)^m and the group's monomial maps.
     moment_size = basis_size(prob.nvars + 1 if kind.has_x0 else prob.nvars, k)
     sdp.check_memory(sdp.dense_bytes(0, 0, [moment_size]), what)
-    theta, nu, eqs, ineqs, nv, nu_pow = _relaxed_space(kind, prob, k)
+    theta, nu, eqs, ineqs, nv = _relaxed_space(kind, prob, k)
     two_k = 2 * k
     for p in (theta, nu, *eqs, *ineqs):
         if p.degree() > two_k:
@@ -200,25 +205,20 @@ def assemble(kind: HierarchyKind, prob: PopProblem, k: int, *,
     for j, q in enumerate(ineqs):
         pencils.append(localizing_pencil(q, k, label=f"ineq{j}"))
 
-    blocks, meta = [], []
+    blocks, shifts = [], []
     for i, p in enumerate(eqs):
         if p.is_zero:
             continue
         blocks.append(_shifted_rows(p, exponent_array(nv, two_k - p.degree()), dim))
-        meta.extend(("eq", i, g) for g in monomial_basis(nv, two_k - p.degree()))
+        shifts.extend((i, g) for g in monomial_basis(nv, two_k - p.degree()))
     blocks.append(_shifted_rows(nu, np.zeros((1, nv), dtype=np.int64), dim))
-    meta.append(("normalizer", None, None))
     eq_A = scipy.sparse.vstack(blocks, format="csr")
-    eq_b = np.zeros(len(meta))
-    eq_b[-1] = 1.0
 
     return MomentRelaxation(
-        kind=kind, nvars=nv, order=k, tms_dim=dim,
-        objective_vector=theta.coefficient_vector(two_k),
-        normalizer_vector=nu.coefficient_vector(two_k), normalizer_power=nu_pow,
-        eq_A=eq_A, eq_b=eq_b, eq_row_meta=meta, psd_pencils=pencils,
+        kind=kind, order=k, theta=theta, nu=nu, eq_A=eq_A, eq_shifts=shifts,
+        psd_pencils=pencils,
         symmetry=None if group is None
-        else _symmetry_of(group, orbits, eqs, nv, k, meta, pencils))
+        else _symmetry_of(group, orbits, eqs, nv, k, shifts, pencils))
 
 
 def _dense_bytes(nv: int, k: int, eqs, ineqs, orbits: int | None = None) -> int:
@@ -413,15 +413,15 @@ def _live(orbits: tuple) -> np.ndarray:
     return np.flatnonzero((root == np.arange(root.size)) & (sign != 0))
 
 
-def _symmetry_of(group, orbits, eqs, nv, k, meta, pencils):
-    """The ``Symmetry`` of the relaxation from its ``_group`` and the
-    monomial orbits the group generates."""
+def _symmetry_of(group, orbits, eqs, nv, k, shifts, pencils):
+    """The ``Symmetry`` of the relaxation from its ``_group``, the monomial
+    orbits the group generates and the ``eq_shifts`` of its rows."""
     sizes = [pen.size for pen in pencils]
     offsets = np.cumsum([0] + [s * s for s in sizes])
+    rows = len(shifts) + 1
     eq_start = {}
-    for row, (kind_, i, _g) in enumerate(meta):
-        if kind_ == "eq":
-            eq_start.setdefault(i, row)
+    for row, (i, _g) in enumerate(shifts):
+        eq_start.setdefault(i, row)
     gram_maps, row_maps = [], []
     for g, eq_image, ineq_image, (image, sg) in group:
         # pencil j + 1 localizes inequality j; the moment pencil is fixed
@@ -432,7 +432,7 @@ def _symmetry_of(group, orbits, eqs, nv, k, meta, pencils):
                            + np.add.outer(image[:s] * s, image[:s]).reshape(-1))
             g_sign.append(np.outer(sg[:s], sg[:s]).reshape(-1))
         gram_maps.append((np.concatenate(g_image), np.concatenate(g_sign)))
-        r_image, r_sign = np.arange(len(meta)), np.ones(len(meta))
+        r_image, r_sign = np.arange(rows), np.ones(rows)
         for i, start in eq_start.items():
             j, eps = eq_image[i]
             stop = start + len(monomial_basis(nv, 2 * k - eqs[i].degree()))
@@ -448,7 +448,7 @@ def _symmetry_of(group, orbits, eqs, nv, k, meta, pencils):
         shape=(root.size, cols.size))
     return Symmetry(generators=[g for g, *_ in group], orbit_map=orbit_map,
                     gram_orbits=_orbits(int(offsets[-1]), gram_maps),
-                    row_orbits=_orbits(len(meta), row_maps))
+                    row_orbits=_orbits(rows, row_maps))
 
 
 def describe_symmetry(rel: MomentRelaxation, inst) -> dict | None:
@@ -512,6 +512,7 @@ def to_sdp_instance(rel: MomentRelaxation):
     indices of rows of ``eq_A``.
     """
     sym = rel.symmetry
+    theta = rel.theta.coefficient_vector(2 * rel.order)
     rows = _solved_rows(rel)
     norms = np.linalg.norm(rows, axis=1)
     if norms[-1] == 0.0:
@@ -519,9 +520,9 @@ def to_sdp_instance(rel: MomentRelaxation):
     if sym is None:
         if np.any(norms == 0.0):
             raise ValueError("zero equality row in the relaxation")
-        c, pencils = rel.objective_vector.copy(), rel.psd_pencils
+        c, pencils = theta, rel.psd_pencils
     else:
-        c = sym.orbit_map.T @ rel.objective_vector
+        c = sym.orbit_map.T @ theta
         pencils = [replace(pen, coeffs=(pen.coeffs @ sym.orbit_map).tocsr())
                    for pen in rel.psd_pencils]
     # an invariant y satisfies a row whose orbit sums cancel
@@ -538,7 +539,8 @@ def to_sdp_instance(rel: MomentRelaxation):
             "<nu, y> = 1 is inconsistent with the moment equalities")
     kept_all = [int(i) for i in ids[kept]] + [rows.shape[0] - 1]
     A = scaled[kept + [ids.size - 1]]
-    b = rel.eq_b[kept_all] / norms[kept_all]
+    b = np.zeros(len(kept_all))
+    b[-1] = 1.0 / norms[-1]
     inst = sdp.SdpInstance(c=c, A=A, b=b, pencils=pencils)
     return inst, kept_all
 
@@ -576,7 +578,7 @@ def sos_certificate_from_dual(rel: MomentRelaxation, sol) -> SosCertificate:
         lam = _orbit_average(rel.symmetry.row_orbits, lam)
         pencil_duals = rel.symmetry.average_grams(pencil_duals)
 
-    resid = rel.objective_vector.copy()
+    resid = rel.theta.coefficient_vector(2 * rel.order)
     grams = []
     for pen, Z in zip(rel.psd_pencils, pencil_duals):
         resid -= pen.coeffs.T @ Z.reshape(-1)
@@ -588,16 +590,10 @@ def sos_certificate_from_dual(rel: MomentRelaxation, sol) -> SosCertificate:
     np.subtract.at(resid, rows.indices,
                    np.repeat(lam[used], np.diff(rows.indptr)) * rows.data)
 
-    gamma = 0.0
     shifts = {}  # equality index -> {shift g: coefficient}
-    for row_id in used:
-        coef = lam[row_id]
-        kind_, i, g = rel.eq_row_meta[row_id]
-        if kind_ == "normalizer":
-            gamma = coef
-        else:
-            terms = shifts.setdefault(i, {})
-            terms[g] = terms.get(g, 0.0) + coef
+    for row_id in used[used < len(rel.eq_shifts)]:
+        i, g = rel.eq_shifts[row_id]
+        shifts.setdefault(i, {})[g] = lam[row_id]
     multipliers = {i: Polynomial(rel.nvars, terms) for i, terms in shifts.items()}
-    return SosCertificate(gamma=gamma, grams=grams, multipliers=multipliers,
+    return SosCertificate(gamma=float(lam[-1]), grams=grams, multipliers=multipliers,
                           residual=float(np.max(np.abs(resid))))

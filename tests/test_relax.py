@@ -109,10 +109,11 @@ def test_assemble_cubic_example_sizes():
     sizes = {p.label: p.size for p in rel.psd_pencils}
     assert sizes["ineq0"] == sizes["ineq1"] == math.comb(3 + 1, 1) == 4
     assert sizes["ineq2"] == math.comb(3 + 2, 2) == 10  # x0 pencil, t = 2
-    # normalizer row is last and is the only nonzero entry of b
-    assert rel.eq_b[-1] == 1.0
-    assert np.count_nonzero(rel.eq_b) == 1
-    assert rel.eq_row_meta[-1][0] == "normalizer"
+    # the normalizer row is last, and the only row with a nonzero right-hand side
+    assert len(rel.eq_shifts) == rel.eq_A.shape[0] - 1
+    assert np.array_equal(rel.eq_A[-1].toarray()[0], rel.nu.coefficient_vector(6))
+    b = relax.to_sdp_instance(rel)[0].b
+    assert b[-1] > 0 and np.count_nonzero(b) == 1
 
 
 def test_assemble_order_too_small():
@@ -136,9 +137,9 @@ def test_denominator_power_zero_matches_standard():
     prob = PopProblem(2, a**4 + b**4 - a * b, (), (a,))
     r1 = relax.assemble(relax.DENOMINATOR, prob, 2)
     r2 = relax.assemble(relax.STANDARD, prob, 2)
-    assert np.allclose(r1.objective_vector, r2.objective_vector)
+    assert r1.theta == r2.theta and r1.nu == r2.nu
     assert np.allclose(r1.eq_A.toarray(), r2.eq_A.toarray())
-    assert np.allclose(r1.eq_b, r2.eq_b)
+    assert r1.eq_shifts == r2.eq_shifts
     for p1, p2 in zip(r1.psd_pencils, r2.psd_pencils):
         assert (p1.coeffs != p2.coeffs).nnz == 0
 
@@ -150,18 +151,16 @@ def test_denominator_data_in_original_variables():
     assert rel.nvars == 2
     # theta = (1+|x|^2) * f at m = 1, nu = 1+|x|^2
     den = 1.0 + a**2 + b**2
-    assert np.allclose(rel.objective_vector,
-                       (den * prob.objective).coefficient_vector(6))
-    assert np.allclose(rel.normalizer_vector, den.coefficient_vector(6))
+    assert rel.theta == den * prob.objective
+    assert rel.nu == den
 
 
 def test_power_kind_data():
     prob = cubic_unbounded()
     rel = relax.assemble(relax.power_x0(1), prob, 3)
-    assert rel.normalizer_power == 3  # 2*l + deg(f)
+    assert rel.nu == Polynomial.monomial(3, (3, 0, 0))  # x0^(2*l + deg(f))
     x0sq = Polynomial.monomial(3, (2, 0, 0))
-    theta = x0sq * prob.objective.homogenize()
-    assert np.allclose(rel.objective_vector, theta.coefficient_vector(6))
+    assert rel.theta == x0sq * prob.objective.homogenize()
 
 
 def test_feasible_lift_satisfies_relaxation():
@@ -176,13 +175,13 @@ def test_feasible_lift_satisfies_relaxation():
     for pen in rel.psd_pencils:
         assert np.linalg.eigvalsh(pen.evaluate(y))[0] >= -1e-12
     # rescaling by the normalizer keeps psd-ness and pins <nu, y> = 1
-    scale = rel.normalizer_vector @ y
+    scale = rel.nu.coefficient_vector(6) @ y
     assert scale > 0
     y2 = y / scale
-    assert rel.normalizer_vector @ y2 == pytest.approx(1.0)
+    assert rel.nu.coefficient_vector(6) @ y2 == pytest.approx(1.0)
     # hence the moment value at y2 is an upper bound proxy: <theta, y2> = f(u)
-    assert rel.objective_vector @ y2 == pytest.approx(prob.objective.eval(u),
-                                                      rel=1e-10)
+    assert rel.theta.coefficient_vector(6) @ y2 == pytest.approx(
+        prob.objective.eval(u), rel=1e-10)
 
 
 def test_to_sdp_instance_full_rank_and_scaling():
@@ -266,15 +265,15 @@ def quadratic_multipliers(rel, sol):
     _, kept = relax.to_sdp_instance(rel)
     rows = rel.eq_A.toarray()
     norms = np.linalg.norm(rows, axis=1)
-    resid = rel.objective_vector.copy()
+    resid = rel.theta.coefficient_vector(2 * rel.order)
     for pen, gram in zip(rel.psd_pencils, sol.pencil_duals):
         resid -= pen.coeffs.T @ gram.reshape(-1)
     multipliers = {}
     for dual, row_id in zip(sol.eq_duals, kept):
         coef = dual / norms[row_id]
-        kind_, i, g = rel.eq_row_meta[row_id]
         resid -= coef * rows[row_id]
-        if kind_ != "normalizer":
+        if row_id < len(rel.eq_shifts):
+            i, g = rel.eq_shifts[row_id]
             phi = multipliers.get(i, Polynomial.zero(rel.nvars))
             multipliers[i] = phi + Polynomial.monomial(rel.nvars, g, coef)
     return multipliers, float(np.max(np.abs(resid)))
@@ -336,10 +335,9 @@ def test_power_zero_assembles_homogenized(k):
     prob = cubic_unbounded()
     r0 = relax.assemble(relax.power_x0(0), prob, k)
     rh = relax.assemble(relax.HOMOGENIZED, prob, k)
-    assert np.array_equal(r0.objective_vector, rh.objective_vector)
-    assert np.array_equal(r0.normalizer_vector, rh.normalizer_vector)
+    assert r0.theta == rh.theta and r0.nu == rh.nu
     assert np.array_equal(r0.eq_A.toarray(), rh.eq_A.toarray())
-    assert r0.normalizer_power == rh.normalizer_power == 1
+    assert r0.nu.degree() == rh.nu.degree() == 1
     assert len(r0.psd_pencils) == len(rh.psd_pencils)
     for p0, ph in zip(r0.psd_pencils, rh.psd_pencils):
         assert p0.basis == ph.basis
@@ -351,11 +349,38 @@ def test_standard_kind_assembles_f_and_one(k):
     # the standard kind is the denominator form with m = 0: theta = f, nu = 1
     prob = cubic_unbounded()
     rel = relax.assemble(relax.STANDARD, prob, k)
-    e0 = np.zeros(rel.tms_dim)
-    e0[0] = 1.0
-    assert np.array_equal(rel.objective_vector, prob.objective.coefficient_vector(2 * k))
-    assert np.array_equal(rel.normalizer_vector, e0)
-    assert rel.normalizer_power is None
+    assert rel.theta == prob.objective
+    assert rel.nu == Polynomial.constant(prob.nvars, 1)
+
+
+def quartic_on_two_lines():
+    """unattained_quartic on the lines b = 1 and b = -1: even data, so
+    every kind applies."""
+    a, b = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    return PopProblem(2, a**4 + (a * b - 1)**2, (b**2 - 1,), ())
+
+
+@pytest.mark.parametrize("kind", [relax.HOMOGENIZED, relax.HOMOGENIZED_EVEN,
+                                  relax.power_x0(1), relax.DENOMINATOR, relax.STANDARD])
+def test_relaxation_holds_exact_theta_and_nu(kind):
+    prob, k = quartic_on_two_lines(), 3
+    f, (h,) = prob.objective, prob.equalities
+    if kind.has_x0:
+        x0, x1, x2 = (Polynomial.variable(3, i) for i in range(3))
+        theta, nu = x0 ** (2 * kind.power) * f.homogenize(), x0 ** (2 * kind.power + 4)
+        eqs = [h.homogenize(), x0**2 + x1**2 + x2**2 - 1]
+    else:
+        m = 1 if kind.denominator else 0   # k - ceil(deg(f) / 2)
+        den = (1 + Polynomial.variable(2, 0)**2 + Polynomial.variable(2, 1)**2) ** m
+        theta, nu, eqs = den * f, den, [h]
+    rel = relax.assemble(kind, prob, k)
+    assert rel.theta == theta and rel.nu == nu
+    assert (rel.nvars, rel.tms_dim) == (theta.nvars, math.comb(theta.nvars + 6, 6))
+    assert rel.eq_shifts == [(i, g) for i, p in enumerate(eqs)
+                             for g in monomial_basis(rel.nvars, 6 - p.degree())]
+    assert np.array_equal(rel.eq_A[-1].toarray()[0], rel.nu.coefficient_vector(6))
+    b = relax.to_sdp_instance(rel)[0].b
+    assert np.all(b[:-1] == 0.0) and b[-1] > 0.0
 
 
 def test_to_sdp_instance_passes_pencils_through():
@@ -372,7 +397,7 @@ def test_dense_bytes_of_a_ten_variable_quartic_at_order_4():
     f = x[0] ** 4
     for xi in x[1:]:
         f = f + xi ** 4 - xi
-    _, _, eqs, ineqs, nv, _ = relax._relaxed_space(relax.HOMOGENIZED, PopProblem(n, f), 4)
+    _, _, eqs, ineqs, nv = relax._relaxed_space(relax.HOMOGENIZED, PopProblem(n, f), 4)
     # x0..x10 with the sphere equation (degree 2) and x0 >= 0 (degree 1)
     assert nv == 11 and [p.degree() for p in eqs] == [2] and [q.degree() for q in ineqs] == [1]
     m = math.comb(19, 8)                   # 75,582 moments of degree <= 8
@@ -394,7 +419,7 @@ def test_assemble_refuses_what_memory_cannot_hold(monkeypatch):
 
 def test_guard_sizes_a_symmetric_relaxation_by_its_orbits(monkeypatch):
     prob = product_quartic()
-    _, _, eqs, ineqs, nv, _ = relax._relaxed_space(relax.HOMOGENIZED, prob, 4)
+    _, _, eqs, ineqs, nv = relax._relaxed_space(relax.HOMOGENIZED, prob, 4)
     full = relax._dense_bytes(nv, 4, eqs, ineqs)
     # 1,287 moments in 162 live orbits: at most 162 free moments, not 824
     reduced = relax._dense_bytes(nv, 4, eqs, ineqs, 162)
@@ -412,7 +437,7 @@ def test_guard_sizes_a_symmetric_relaxation_by_its_orbits(monkeypatch):
 
 def test_guard_keeps_the_unreduced_estimate_without_symmetry(monkeypatch):
     prob = chain_with_product()
-    _, _, eqs, ineqs, nv, _ = relax._relaxed_space(relax.HOMOGENIZED, prob, 3)
+    _, _, eqs, ineqs, nv = relax._relaxed_space(relax.HOMOGENIZED, prob, 3)
     monkeypatch.setattr(sdp, "physical_memory", lambda: 1 << 20)
     with pytest.raises(sdp.ResourceError) as exc:
         relax.assemble(relax.HOMOGENIZED, prob, 3)
@@ -463,7 +488,7 @@ def test_equality_rows_match_the_loop(prob):
                 for mono, c in p.terms.items():
                     row[idx[tuple(a + b for a, b in zip(mono, g))]] += c
                 rows.append(row)
-        rows.append(rel.normalizer_vector)
+        rows.append(relax._relaxed_space(kind, prob(), 3)[1].coefficient_vector(6))
         assert np.array_equal(rel.eq_A.toarray(), np.array(rows))
         assert rel.eq_A.has_sorted_indices
 
@@ -483,7 +508,7 @@ def assembled(kind, prob, k, **kwargs):
 def dense_equality_rows(kind, prob, k):
     """The rows of ``eq_A`` as the former dense construction wrote them:
     each equality's shifted terms assigned into a zero (rows, m) array."""
-    eqs = relax._relaxed_space(kind, prob, k)[2]
+    _, nu, eqs, _, _ = relax._relaxed_space(kind, prob, k)
     rel = relax.assemble(kind, prob, k, _symmetry=False)
     nv, two_k = rel.nvars, 2 * k
     shifts = [monomial_basis(nv, two_k - p.degree()) if not p.is_zero else ()
@@ -497,7 +522,7 @@ def dense_equality_rows(kind, prob, k):
         cols = monomial_positions(exponent_array(nv, two_k - p.degree())[:, None] + terms)
         eq_A[top + np.arange(len(gs))[:, None], cols] = list(p.terms.values())
         top += len(gs)
-    eq_A[-1] = rel.normalizer_vector
+    eq_A[-1] = nu.coefficient_vector(two_k)
     return eq_A
 
 
@@ -523,20 +548,23 @@ def dense_sdp_instance(rel, row_tol=1e-10):
     """``to_sdp_instance`` as it was with dense rows: c, A, b, the pencil
     coefficients and the kept rows."""
     sym, eq_A = rel.symmetry, rel.eq_A.toarray()
+    theta = rel.theta.coefficient_vector(2 * rel.order)
     rows = dense_solved_rows(rel, eq_A)
+    eq_b = np.zeros(rows.shape[0])
+    eq_b[-1] = 1.0
     norms = np.linalg.norm(rows, axis=1)
     if sym is None:
         ids = np.arange(rows.shape[0])
-        c, coeffs = rel.objective_vector.copy(), [pen.coeffs for pen in rel.psd_pencils]
+        c, coeffs = theta, [pen.coeffs for pen in rel.psd_pencils]
     else:
         full = np.linalg.norm(eq_A[:-1], axis=1)
         ids = np.append(np.flatnonzero(norms[:-1] > row_tol * full), rows.shape[0] - 1)
-        c = sym.orbit_map.T @ rel.objective_vector
+        c = sym.orbit_map.T @ theta
         coeffs = [(pen.coeffs @ sym.orbit_map).tocsr() for pen in rel.psd_pencils]
     scaled = rows[ids] / norms[ids, None]
     kept, _ = relax._independent_rows(scaled[:-1], row_tol)
     kept_all = [int(i) for i in ids[kept]] + [rows.shape[0] - 1]
-    return (c, scaled[kept + [ids.size - 1]], rel.eq_b[kept_all] / norms[kept_all],
+    return (c, scaled[kept + [ids.size - 1]], eq_b[kept_all] / norms[kept_all],
             coeffs, kept_all)
 
 
@@ -589,17 +617,17 @@ def dense_certificate(rel, sol):
     if rel.symmetry is not None:
         lam = relax._orbit_average(rel.symmetry.row_orbits, lam)
         grams = rel.symmetry.average_grams(grams)
-    resid = rel.objective_vector.copy()
+    resid = rel.theta.coefficient_vector(2 * rel.order)
     for pen, gram in zip(rel.psd_pencils, grams):
         resid -= pen.coeffs.T @ gram.reshape(-1)
     gamma, shifts = 0.0, {}
     for row_id in np.flatnonzero(lam):
         coef = lam[row_id]
         resid -= coef * eq_A[row_id]
-        kind_, i, g = rel.eq_row_meta[row_id]
-        if kind_ == "normalizer":
+        if row_id == len(rel.eq_shifts):
             gamma = coef
         else:
+            i, g = rel.eq_shifts[row_id]
             terms = shifts.setdefault(i, {})
             terms[g] = terms.get(g, 0.0) + coef
     return float(np.max(np.abs(resid))), gamma, shifts
@@ -640,8 +668,9 @@ def test_an_objective_scaled_by_a_power_of_two_assembles_scaled(prob, kind):
     scaled = PopProblem(problem.nvars, problem.objective * 2.0**-60,
                         problem.equalities, problem.inequalities)
     rel, rel_s = relax.assemble(kind, problem, 3), relax.assemble(kind, scaled, 3)
-    assert np.any(rel.objective_vector)
-    assert np.array_equal(rel_s.objective_vector, rel.objective_vector * 2.0**-60)
+    theta, theta_s = rel.theta.coefficient_vector(6), rel_s.theta.coefficient_vector(6)
+    assert np.any(theta)
+    assert np.array_equal(theta_s, theta * 2.0**-60)
     assert (rel.symmetry is None) == (rel_s.symmetry is None)
     inst, inst_s = relax.to_sdp_instance(rel)[0], relax.to_sdp_instance(rel_s)[0]
     assert np.array_equal(inst_s.c, inst.c * 2.0**-60)

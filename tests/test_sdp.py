@@ -1203,7 +1203,7 @@ def test_reduce_peak_stays_inside_the_resource_estimate():
     prob = product_quartic()
     inst, _ = relax.to_sdp_instance(relax.assemble(relax.HOMOGENIZED, prob, 3,
                                                    _symmetry=False))
-    _, _, eqs, ineqs, nv, _ = relax._relaxed_space(relax.HOMOGENIZED, prob, 3)
+    _, _, eqs, ineqs, nv = relax._relaxed_space(relax.HOMOGENIZED, prob, 3)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

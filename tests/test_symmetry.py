@@ -192,7 +192,8 @@ def test_reduced_and_full_paths_agree(prob, k):
         assert np.linalg.eigvalsh(gram)[0] >= -1e-9
     y = relax.full_solution(rel, sol).y
     assert y.shape == (rel.tms_dim,)
-    assert rel.objective_vector @ y == pytest.approx(sol.primal_obj, abs=1e-12)
+    theta = rel.theta.coefficient_vector(2 * rel.order)
+    assert theta @ y == pytest.approx(sol.primal_obj, abs=1e-12)
 
 
 def test_unaveraged_duals_satisfy_only_orbit_sums():
@@ -201,8 +202,8 @@ def test_unaveraged_duals_satisfy_only_orbit_sums():
     rows = rel.eq_A.toarray()
     lam = np.zeros(rows.shape[0])
     lam[kept] = sol.eq_duals / np.linalg.norm(rows[kept] @ rel.symmetry.orbit_map, axis=1)
-    resid = dual_residual(rel.objective_vector, rel.psd_pencils, sol.pencil_duals,
-                          rows, lam)
+    resid = dual_residual(rel.theta.coefficient_vector(6), rel.psd_pencils,
+                          sol.pencil_duals, rows, lam)
     assert np.max(np.abs(resid)) > 1e-2
     assert np.max(np.abs(rel.symmetry.orbit_map.T @ resid)) < 5e-8
     assert cert.residual < 5e-8
