@@ -14,7 +14,8 @@ literals, and parentheses and signs nest at most ``MAX_NESTING`` deep.
 Literals are read exactly (``0.1`` is 1/10) and the arithmetic is exact;
 a literal or an operation that gives a coefficient outside the coefficient
 rule of ``poly`` (past the double range, rounding to 0, or of more than
-``poly.MAX_COEFFICIENT_BITS`` bits) is refused where it appears.  A power
+``poly.MAX_COEFFICIENT_BITS`` bits), or a product too costly to expand
+exactly (past ``poly.MAX_PRODUCT_WORK``), is refused where it appears.  A power
 whose degree no relaxation that fits in memory could hold is refused before
 it is expanded.  Implicit multiplication is not allowed.  A sign
 binds looser than ``^`` and tighter than ``*`` wherever it stands: ``-x^2``

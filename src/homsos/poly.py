@@ -4,7 +4,8 @@ A polynomial maps exponent tuples to exact ``fractions.Fraction``
 coefficients, so arithmetic is exact and only exactly-zero terms vanish.
 Each nonzero coefficient, parsed or built in Python, has a finite, nonzero
 nearest double and at most ``MAX_COEFFICIENT_BITS`` bits in its numerator and
-denominator; ``Polynomial`` raises ``ValueError`` on one that breaks this rule.
+denominator; ``Polynomial`` raises ``ValueError`` on one that breaks this rule,
+and on a product whose expansion would cost more than ``MAX_PRODUCT_WORK``.
 Floats are formed at the numeric boundary alone: ``coefficient_vector``,
 ``eval`` (so ``gradient`` and ``hessian``) and ``relax._shifted_rows``.
 All monomial enumeration uses the graded-lexicographic order
@@ -26,6 +27,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 MAX_COEFFICIENT_BITS = 2048   # in a numerator or denominator: bounds exact arithmetic's cost
+# Term pairs of a product times the two operands' coefficient bits (see
+# ``Polynomial.__mul__``): about 3 s of Fraction arithmetic on a 2-vCPU host.
+MAX_PRODUCT_WORK = 10 ** 8
 
 
 @lru_cache(maxsize=None)
@@ -211,8 +215,23 @@ class Polynomial:
     def __rsub__(self, other):
         return (-self) + other
 
+    def _bits(self) -> int:
+        """The most bits of a numerator or denominator of a coefficient, at
+        least the 64 of a machine word, below which a Fraction operation
+        costs about the same."""
+        return max([64] + [max(c.numerator.bit_length(), c.denominator.bit_length())
+                           for c in self.terms.values()])
+
     def __mul__(self, other):
+        """The exact product.  Raises ``ValueError`` before expanding when its
+        term pairs times the two operands' coefficient bits exceed
+        ``MAX_PRODUCT_WORK``, the cost of the expansion in that measure."""
         other = self._coerce(other)
+        bits = (self._bits(), other._bits())
+        if len(self.terms) * len(other.terms) * sum(bits) > MAX_PRODUCT_WORK:
+            raise ValueError(f"a product of {len(self.terms)} by {len(other.terms)} terms with "
+                             f"coefficients of up to {max(bits)} bits is too costly to expand "
+                             "exactly")
         terms = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():

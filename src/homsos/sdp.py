@@ -18,7 +18,8 @@ On small blocks an iteration costs more in Python calls than in flops, so
 its per-block linear algebra calls LAPACK directly (``_solve_lower``,
 ``_eigvalsh``, ``_cho_factor``, ``_cho_solve``): each makes the dtrtrs,
 dsyevr, dpotrf or dpotrs call that scipy.linalg's ``solve_triangular``,
-``eigvalsh``, ``cho_factor`` or ``cho_solve`` makes, with the same arguments,
+``eigvalsh``, ``cho_factor`` or ``cho_solve`` makes, with the same arguments
+(``_cho_factor`` factors in place the matrix that scipy would copy first),
 and so returns the same bits.  What those wrappers validated is checked once
 per array, after it was last written: a NaN or an inf raises
 ``NonFiniteError``, a ValueError with the message of scipy's
@@ -274,8 +275,12 @@ def dense_bytes(m: int, rows: int, sizes) -> int:
     QR stack or one stack in the making, never both: on product_quartic at
     orders 3 and 4 without its symmetry the peak is 0.58 and 0.50 of it.
     The coverage test adds two mz x mz Gram matrices, and joins the stacks
-    only when the Gram matrix leaves the rank open; transients of the
-    interior-point loop come on top."""
+    only when the Gram matrix leaves the rank open.  The interior-point
+    loop's own arrays are not counted: one B stack of the largest block
+    (mz x s x s) and one chunk of left products (``_schur_work``), the
+    jittered copy of the Schur matrix (a second mz x mz array, which
+    ``_cho_factor`` factors in place), and the blocks' s x s iterates and
+    directions."""
     mz = max(m - rows, 0)
     s2 = [s * s for s in sizes]
     return 8 * (m * mz + mz * sum(s2) + (mz + 1) * max(s2, default=0) + mz * mz)
@@ -411,9 +416,12 @@ def _eigvalsh(a: np.ndarray) -> np.ndarray:
 
 
 def _cho_factor(a: np.ndarray) -> np.ndarray:
-    """``cho_factor(a, lower=True)[0]``: the lower factor, with ``a``'s upper
-    triangle left in place."""
-    chol, info = lapack.dpotrf(a, lower=1, clean=0)
+    """``cho_factor(a, lower=True)[0]`` for a symmetric ``a`` in C order: the
+    lower factor, with ``a``'s upper triangle left in place, in the memory of
+    ``a``, which it overwrites.  scipy hands dpotrf a Fortran-order copy of
+    ``a``; ``a.T`` is that copy's layout without the copy, and its lower
+    triangle holds the same entries, ``a`` being symmetric."""
+    chol, info = lapack.dpotrf(a.T, lower=1, clean=0, overwrite_a=1)
     if info > 0:
         raise np.linalg.LinAlgError(
             f"{info}-th leading minor of the array is not positive definite")
@@ -459,7 +467,15 @@ def _inner(a: np.ndarray, b: np.ndarray):
     return np.dot(a.reshape(1, -1), b.reshape(-1, 1))[0, 0]
 
 
-def _schur(glins, lxs, qs, work=None) -> np.ndarray:
+def _schur_work(mz: int, sizes) -> tuple:
+    """The flat buffers of ``_schur`` for blocks of ``sizes``: the B stack
+    (mz s^2 entries for the largest block) and one chunk of left products
+    (the most that ``_chunk_width`` puts in a chunk of any block)."""
+    return (np.empty(mz * max(sizes) ** 2),
+            np.empty(max(_chunk_width(s, mz) * s * s for s in sizes)))
+
+
+def _schur(glins, lxs, qs, work) -> np.ndarray:
     """HKM Schur complement M[l,l'] = sum_j tr(A_l X_j A_l' Z_j^{-1}).
 
     With X_j = Lx Lx^T and Z_j^{-1} = Q Q^T the term of block j is
@@ -468,19 +484,26 @@ def _schur(glins, lxs, qs, work=None) -> np.ndarray:
     formed from the stacks ``glins`` of G_l = -A_l, whose B_l are the exact
     negatives, so M is the same.
 
-    The two (mz, s, s) products are written into the flat buffers ``work``
-    (two of at least mz s^2 entries for the largest block), which ``_ipm``
-    allocates once: fresh products of a megabyte or more would be mapped
-    and paged in anew at each iteration unless the allocator happens to
-    keep freed memory."""
+    The B_l are formed ``_chunk_width`` at a time: the left products
+    Lx^T G_l of a chunk go into the chunk buffer, and their products with Q
+    straight into the (mz, s, s) B stack, which the SYRK reads.  ``np.matmul``
+    multiplies each matrix of a chunk by the same call it makes for the
+    whole stack, so M keeps its bits.  ``work`` is the pair of flat buffers
+    of ``_schur_work``, which ``_ipm`` allocates once: a fresh stack of a
+    megabyte or more would be mapped and paged in anew at each iteration
+    unless the allocator happens to keep freed memory."""
     mz = glins[0].shape[0]
-    if work is None:
-        work = [np.empty(mz * max(lx.shape[0] for lx in lxs) ** 2) for _ in range(2)]
+    bflat, chunk = work
     schur = np.zeros((mz, mz))
     for g_s, lx, q in zip(glins, lxs, qs):
-        shape = (mz,) + lx.shape
-        left = np.matmul(lx.T, g_s, out=work[0][:g_s.size].reshape(shape))
-        b = np.matmul(left, q, out=work[1][:g_s.size].reshape(shape)).reshape(mz, -1)
+        s = lx.shape[0]
+        bstack = bflat[:g_s.size].reshape(mz, s, s)
+        width = _chunk_width(s, mz)
+        for lo in range(0, mz, width):
+            hi = min(lo + width, mz)
+            left = np.matmul(lx.T, g_s[lo:hi], out=chunk[:(hi - lo) * s * s].reshape(-1, s, s))
+            np.matmul(left, q, out=bstack[lo:hi])
+        b = bstack.reshape(mz, -1)
         schur += b @ b.T
     return schur
 
@@ -509,9 +532,10 @@ class _Reduced:
     blocks: list
 
 
-# Bytes of one chunk of matrices: of the sparse product in ``_pencil_chunks``
-# and of the rotation in ``_split_block``.  Larger chunks raised the peak RSS
-# of small solves; the floor of 2 columns sets it for pencils from 91 rows.
+# Bytes of one chunk of matrices: of the sparse product in ``_pencil_chunks``,
+# of the rotation in ``_split_block`` and of the left products in ``_schur``.
+# Larger chunks raised the peak RSS of small solves; the floor of 2 columns
+# sets it for pencils from 91 rows.
 _CHUNK_BYTES = 1 << 17
 
 
@@ -860,9 +884,13 @@ def _ipm(red: _Reduced, opts: SolveOptions):
     ``_backtrack_pd`` call that accepts it (by Cholesky for the start).
     The factors give Z^{-1} = Q Q^T with Q = Lz^{-T}, the Schur complement
     M = B B^T with rows B_l = flat(Lx^T A_l Q) (``_schur``), and the
-    predictor and corrector step lengths (``_max_step``).  Each iteration
-    that takes a step adds the accepted step lengths ``ap``, ``ad`` and the
-    centering parameter ``sigma`` to its ``history`` record.
+    predictor and corrector step lengths (``_max_step``).  The run
+    allocates one B stack, for the largest block, and one chunk of left
+    products (``_schur_work``), which every iteration reuses; an iteration
+    allocates M and the jittered copy of M that ``_cho_factor`` overwrites
+    with its factor.  Each iteration that takes a step adds the accepted
+    step lengths ``ap``, ``ad`` and the centering parameter ``sigma`` to
+    its ``history`` record.
     """
     blocks = red.blocks
     mz = red.chat.size
@@ -873,7 +901,7 @@ def _ipm(red: _Reduced, opts: SolveOptions):
     sizes = [blk.g0.shape[0] for blk in blocks]
     sdim = sum(sizes)
     eyes = [np.eye(s) for s in sizes]
-    work = [np.empty(mz * max(sizes) ** 2) for _ in range(2)]   # see _schur
+    work = _schur_work(mz, sizes)
 
     # X and Z start at multiples of the identity sized from each original
     # pencil as a whole, so a split pencil starts where the unsplit one would

@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import json
 import math
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from homsos import cli, driver, sdp
+from homsos import cli, driver, poly, sdp
 from homsos.cli import ProblemParseError, format_problem, parse_problem
 from homsos.poly import Polynomial, PopProblem
 
@@ -613,6 +614,72 @@ def test_a_coefficient_past_the_bit_limit_is_refused_quickly(literal, at):
     # below the limit the power is exact
     prob, _, _ = parse_problem("vars: x\nminimize: (1.0000001*x + 1)^80\n")
     assert prob.objective.terms[(80,)] == Fraction("1.0000001") ** 80
+
+
+@pytest.mark.parametrize("text, at", [
+    ("vars: x y z\nminimize: (1.0000001*x + 1.0000001*y + 1.0000001*z + 1)^40\n", 56),
+    ("vars: x y\nminimize: (1.0000001*x + 1.0000001*y + 1)^80\n", 42)],
+    ids=["three_vars", "two_vars"])
+def test_a_power_too_costly_to_expand_exactly_is_refused_quickly(tmp_path, text, at):
+    # exactly, these took 41 s and 16.6 s, with coefficients below the bit limit
+    path = tmp_path / "p.pop"
+    path.write_text(text)
+    start = time.perf_counter()
+    code, out, err = run_cli([str(path)])
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: line 2, column {at}: a product of ")
+    assert err.endswith(" is too costly to expand exactly at '^'\n")
+    assert text[text.index("\n") + at] == "^"
+
+
+def load_bench_problems():
+    path = Path(__file__).resolve().parents[1] / "bench" / "problems.py"
+    spec = importlib.util.spec_from_file_location("homsos_bench_problems", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [getattr(module, name) for name in dir(module)
+            if not name.startswith("_") and callable(getattr(module, name))
+            and getattr(module, name).__module__ == module.__name__]
+
+
+def test_the_product_work_bound_changes_no_shipped_problem(monkeypatch):
+    texts = [path.read_text() for path in sorted(PROBLEMS.glob("*.pop"))]
+    texts.append("vars: x\nminimize: (x + 1)^60\n")
+    builders = load_bench_problems()
+    assert len(texts) == 5 and len(builders) == 11
+    bounded = [parse_problem(text) for text in texts] + [build() for build in builders]
+    monkeypatch.setattr(poly, "MAX_PRODUCT_WORK", math.inf)
+    assert bounded == [parse_problem(text) for text in texts] + [build() for build in builders]
+
+
+@pytest.mark.parametrize("text, line, col, message", [
+    pytest.param("vars: x\nminimize: x +\n", 2, 13, "unexpected end of expression",
+                 id="end_of_expression"),
+    pytest.param("vars: x\nminimize: (x + 1 x\n", 2, 18, "expected ')'", id="unclosed"),
+    pytest.param("vars: x\nminimize: x + )\n", 2, 15, "unexpected token ')'",
+                 id="unexpected_token"),
+    pytest.param("vars: x\nminimize: x\nsubject_to:\n>= 0\n", 4, 1, "empty expression",
+                 id="empty_expression"),
+    pytest.param("vars:\nminimize: 1\n", 1, 6, "no variables declared", id="no_variables"),
+    pytest.param("vars: x y x\nminimize: x\n", 1, 6, "duplicate variable name",
+                 id="duplicate_variable"),
+    pytest.param("vars: x\nminimize: x\nsubject_to: x >= 0\n", 3, 12,
+                 "constraints must follow on their own lines", id="constraint_on_subject_to"),
+    pytest.param("vars: x\nminimize: x\nx >= 0\n", 3, 1, "unexpected statement 'x >= 0'",
+                 id="constraint_before_subject_to"),
+    pytest.param("vars: x\nminimize: x\nsubject_to:\nx <= 0\n", 4, 1,
+                 "constraint must contain '>= 0' or '== 0'", id="no_relation"),
+    pytest.param("vars: x\nminimize: x\nsubject_to:\nx >= 1\n", 4, 5,
+                 "constraint right-hand side must be 0", id="nonzero_right_side"),
+    pytest.param("# no statement\n", 1, 1, "missing 'vars:' line", id="missing_vars"),
+    pytest.param("vars: x\nsubject_to:\nx >= 0\n", 1, 1, "missing 'minimize:' line",
+                 id="missing_minimize")])
+def test_each_parse_refusal_names_its_line_and_column(text, line, col, message):
+    with pytest.raises(ProblemParseError) as exc:
+        parse_problem(text)
+    assert str(exc.value) == f"line {line}, column {col}: {message}"
+    assert (exc.value.line, exc.value.col) == (line, col)
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from homsos import poly
 from homsos.poly import (Polynomial, PopProblem, basis_index, basis_size,
                          exponent_array, monomial_basis, monomial_positions,
                          sphere_equation)
@@ -276,3 +277,17 @@ def test_the_parser_refusals_hold_for_polynomials_built_in_python(build, what):
     # (1.0000001*x + 1)^1000 with the same words
     with pytest.raises(ValueError, match=f"^a coefficient {what}$"):
         build()
+
+
+def test_a_product_past_the_work_bound_is_refused_before_it_is_expanded(monkeypatch):
+    # 100 x 100 terms of 64 counted bits each: 1.28e6 units of work
+    p = Polynomial(1, {(i,): i + 1 for i in range(100)})
+    q = Polynomial(1, {(i,): Fraction(1, 3) ** 60 for i in range(100)})   # 96 bits
+    monkeypatch.setattr(poly, "MAX_PRODUCT_WORK", 100 * 100 * 128)
+    assert (p * p).terms[(198,)] == 100 ** 2
+    with pytest.raises(ValueError, match="^a product of 100 by 100 terms with coefficients "
+                                         "of up to 96 bits is too costly to expand exactly$"):
+        p * q
+    with pytest.raises(ValueError, match="too costly"):
+        q ** 2
+    assert p * 3 == 3 * p

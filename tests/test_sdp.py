@@ -279,6 +279,66 @@ def test_unbounded_objective_detected():
     assert not sdp._gram_full_rank(flat) and svd_rank(flat) == 1
 
 
+def exit_instance(c, mats, const, A=None, b=None):
+    """One pencil with the symmetric matrices ``mats`` and constant ``const``."""
+    m = len(c)
+    return sdp.SdpInstance(c=np.asarray(c, float),
+                           A=np.zeros((0, m)) if A is None else np.asarray(A, float),
+                           b=np.zeros(0) if b is None else np.asarray(b, float),
+                           pencils=[dense_pencil("m", [np.asarray(g, float) for g in mats],
+                                                 np.asarray(const, float))])
+
+
+# One tiny instance per exit of _reduce and _ipm that no other test reaches.
+# The y0 that lstsq places for [[1, 1], [1, 1 + 5e-10]] y = (0, 1), which
+# passes the rank test, misses b by more than the 1e-8 tolerance; a pencil
+# that vanishes leaves a moment the objective pulls on unseen; y >= 0 with
+# the objective -y; diag(y, -1 - y) >= 0, which no y meets; and
+# [[y1, 10], [10, y2]] >= 0 at the objective y2, whose infimum 0 needs
+# y1 = 100 / y2 to run off.
+@pytest.mark.parametrize("inst, status, message", [
+    (exit_instance([0, 0], [np.eye(2), np.eye(2)], np.eye(2),
+                   A=[[1, 1], [1, 1 + 5e-10]], b=[0, 1]),
+     sdp.SdpStatus.PRIMAL_INFEASIBLE, "equality system A y = b is inconsistent"),
+    (exit_instance([1], [np.zeros((2, 2))], np.zeros((2, 2))),
+     sdp.SdpStatus.DUAL_INFEASIBLE, "objective is unbounded along the pencil-free subspace"),
+    (exit_instance([-1], [[[1]]], [[0]]),
+     sdp.SdpStatus.DUAL_INFEASIBLE,
+     "moment objective unbounded below (certificate side infeasible)"),
+    (exit_instance([0], [np.diag([1, -1])], np.diag([0, -1])),
+     sdp.SdpStatus.PRIMAL_INFEASIBLE,
+     "certificate objective unbounded (moment side infeasible)"),
+    (exit_instance([0, 1], [np.diag([1, 0]), np.diag([0, 1])], [[0, 10], [10, 0]]),
+     sdp.SdpStatus.NUMERICAL_TROUBLE,
+     "converged only with a diverging moment vector; the optimum is likely unattained")],
+    ids=["inconsistent_equalities", "unseen_moment", "moment_unbounded",
+         "certificate_unbounded", "diverging_moments"])
+def test_each_solver_exit(inst, status, message):
+    sol = sdp.solve(inst)
+    assert (sol.status, sol.message) == (status, message)
+
+
+def refuse(*args):
+    raise np.linalg.LinAlgError("Internal Error.")
+
+
+# Tiny instances reach "no positive definite step" only through the last
+# bits of their rounding (scaling the data by 1 + 1e-12 changes the exit),
+# and none was found that reaches the other two, so each exit is reached by
+# making the call that fails there fail: every Cholesky of the jittered
+# Schur matrix, the eigensolve of a step-length test, or every backtrack.
+@pytest.mark.parametrize("name, stub, message", [
+    ("_cho_factor", refuse, "Schur complement not positive definite"),
+    ("_eigvalsh", refuse, "factorization failed: Internal Error."),
+    ("_backtrack_pd", lambda *args: None, "no positive definite step")],
+    ids=["schur_not_pd", "factorization_failed", "no_pd_step"])
+def test_each_failed_factorization_exit(monkeypatch, name, stub, message):
+    monkeypatch.setattr(sdp, name, stub)
+    sol = sdp.solve(exit_instance([1], [[[1]]], [[0]]))
+    assert (sol.status, sol.message, sol.iterations) == (
+        sdp.SdpStatus.NUMERICAL_TROUBLE, message, 0)
+
+
 def test_fixed_variable_fiber():
     # equalities pin y completely; feasibility decides the status
     mats = [np.eye(2)]
@@ -524,7 +584,7 @@ def random_sym(rng, s):
     return 0.5 * (g + g.T)
 
 
-def test_schur_matches_trace_definition():
+def test_schur_matches_trace_definition(monkeypatch):
     rng = np.random.default_rng(11)
     mz = 7
     pencils = [dense_pencil(f"p{j}", [random_sym(rng, s) for _ in range(mz)],
@@ -546,14 +606,20 @@ def test_schur_matches_trace_definition():
     lxs = [np.linalg.cholesky(x) for x in xs]
     qs = [scipy.linalg.solve_triangular(np.linalg.cholesky(z_mat), np.eye(len(z_mat)),
                                         lower=True).T for z_mat in zs]
-    schur = sdp._schur(glins, lxs, qs)
+    work = sdp._schur_work(mz, [5, 3])
+    schur = sdp._schur(glins, lxs, qs, work)
     assert np.array_equal(schur, schur.T)
     assert np.max(np.abs(schur - ref)) <= 1e-12 * np.max(np.abs(ref))
     # the A_l give the same bits: their B_l are the exact negatives
-    assert np.array_equal(sdp._schur(astk, lxs, qs), schur)
-    # the IPM's reused buffers, larger than needed, give the same bits
-    work = [np.full(mz * 36 + 7, np.nan) for _ in range(2)]
-    assert np.array_equal(sdp._schur(glins, lxs, qs, work), schur)
+    assert np.array_equal(sdp._schur(astk, lxs, qs, work), schur)
+    # buffers larger than needed, as the IPM's are for its smaller blocks,
+    # give the same bits
+    wide = tuple(np.full(buf.size + 7, np.nan) for buf in work)
+    assert np.array_equal(sdp._schur(glins, lxs, qs, wide), schur)
+    # and so do chunks of 2 left products, the last one of 1
+    monkeypatch.setattr(sdp, "_CHUNK_BYTES", 1)
+    assert sdp._chunk_width(5, mz) == 2
+    assert np.array_equal(sdp._schur(glins, lxs, qs, sdp._schur_work(mz, [5, 3])), schur)
 
 
 def test_max_step_is_generalized_eigenvalue():
@@ -666,7 +732,7 @@ def test_lapack_helpers_match_scipy_bit_for_bit():
         for a in pd_matrices(rng, s) + [random_sym(rng, s)]:
             assert same_array(sdp._eigvalsh(a), scipy.linalg.eigvalsh(a))
         for a in pd_matrices(rng, s):
-            chol = sdp._cho_factor(a)
+            chol = sdp._cho_factor(a.copy(order="K"))   # it overwrites its argument
             ref = scipy.linalg.cho_factor(a, lower=True)
             assert same_array(chol, ref[0])
             for b in (rng.standard_normal(s), rng.standard_normal((s, 3))):
@@ -1240,6 +1306,28 @@ def test_reduce_peaks_at_the_qr_stack_and_one_chunk(monkeypatch):
     stack = 8 * (mz + 1) * s * s
     raw = 8 * s * s * sdp._chunk_width(s, mz)
     assert peak - held[0] <= stack + raw + (1 << 18)
+
+
+def test_ipm_holds_one_b_stack():
+    """chain_with_product at order 2 (mz = 181, largest block 27): the
+    interior-point loop holds one (mz, 27, 27) B stack, one chunk of left
+    products and, while it factors, the Schur matrix and its jittered copy,
+    factored in place.  A second stack of left products, and the copy that
+    dpotrf made of the jittered matrix, took its peak above entry from 2.27
+    to 3.15 times the stack."""
+    inst, _ = relax.to_sdp_instance(relax.assemble(relax.HOMOGENIZED, chain_with_product(), 2))
+    red = sdp._reduce(inst)
+    mz, s_max = red.chat.size, max(blk.g0.shape[0] for blk in red.blocks)
+    assert (mz, s_max) == (181, 27)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert sdp._ipm(red, sdp.SolveOptions(max_iter=5))[4] == 5
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.8 * 8 * mz * s_max ** 2
 
 
 def test_coverage_test_stays_inside_the_resource_estimate():
