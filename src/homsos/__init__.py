@@ -14,8 +14,7 @@ from .extract import Atom, AtomSet, classify, extract_atoms, flat_truncation, \
     numerical_rank
 from .optcond import (OptCondReport, check_at_infinity, check_at_infinity_even,
                       check_regular, equivalence_probe)
-from .driver import (DriverOptions, HierarchyReport, minimizers_at_infinity,
-                     positivity_at_infinity_probe, solve_pop)
+from .driver import DriverOptions, HierarchyReport, minimizers_at_infinity, solve_pop
 from .cli import parse_problem, run
 
 __version__ = "0.1.0"

@@ -348,7 +348,8 @@ def _build_argparser():
     ap.add_argument("--kind", type=_parse_kind, default=relax.HOMOGENIZED,
                     help="relaxation kind: homog|even|denom|power:L|standard")
     ap.add_argument("--infinity", action="store_true",
-                    help="solve for minimizers at infinity instead")
+                    help="solve for minimizers at infinity instead; the "
+                         "diagnosis is the verdict on positivity at infinity")
     ap.add_argument("--tol-gap", type=_tolerance, default=1e-8)
     ap.add_argument("--tol-rank", type=_tolerance, default=1e-6)
     ap.add_argument("--tol-atom", type=_tolerance, default=1e-4)

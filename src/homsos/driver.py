@@ -2,7 +2,8 @@
 
 Also provides the dedicated sphere-constrained solve for minimizers at
 infinity (the top-degree parts of all problem data restricted to the unit
-sphere) and a positivity-at-infinity probe built on the same machinery.
+sphere); its report also carries the verdict on positivity at infinity
+that the same solve gives.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ UNATTAINED_DIAGNOSIS = (
 
 VALUE_TOL = 1e-4           # |f(u) - bound| of a minimizer, relative
 OPTCOND_FOOC_TOL = 1e-4    # first-order test of optcond
-POSITIVITY_TOL = 1e-6      # a certified probe value above this proves positivity
+POSITIVITY_TOL = 1e-6      # a certified sphere bound above this proves positivity
 MERGE_TOL = 1e-6           # relative distance of atoms merged by the even kind
 
 
@@ -372,9 +373,12 @@ class InfinityReport(HierarchyReport):
     """Report of the minimizers-at-infinity solve: one record of kind
     ``standard(sphere)`` whose ``minimizers_at_infinity`` are the unit
     vectors found, and ``values``, the top-degree objective at each.
-    Both ``bound`` and ``best_bound`` are the record's ``bound``."""
+    Both ``bound`` and ``best_bound`` are the record's ``bound``.
+    ``positive`` is the verdict on positivity at infinity, which
+    ``diagnosis`` explains; the bound behind it is the record's ``f_k``."""
 
     values: list = field(default_factory=list)
+    positive: bool = False
 
     @property
     def bound(self):
@@ -389,16 +393,23 @@ class InfinityReport(HierarchyReport):
         return self.records[0].minimizers_at_infinity
 
 
-def _sphere_solve(prob: PopProblem, k: int | None, opts: DriverOptions | None):
-    """(sphere problem, opts, record, rel, sol): ``_solve_order`` of
-    ``sphere_restriction(prob)`` in the standard kind at order ``k``, by
-    default its first, with ``opts or DriverOptions()`` and its ``dump_sdpa``."""
-    if k is not None and k < 1:
-        raise ValueError(f"order must be at least 1, got {k}")
-    sph = sphere_restriction(prob)
-    k = default_k_min(sph, relax.STANDARD) if k is None else k
-    opts = opts or DriverOptions()
-    return (sph, opts) + _solve_order(sph, relax.STANDARD, k, opts, opts.dump_sdpa)
+def _positivity(rec, sol) -> tuple:
+    """(verdict, diagnosis) of positivity at infinity from the sphere solve's
+    record: a certified bound ``f_k`` above ``POSITIVITY_TOL`` certifies that
+    the top-degree objective is positive on every feasible direction, so the
+    objective grows along each of them.  An infeasible sphere problem has no
+    directions, and the verdict holds vacuously."""
+    if rec.status == sdp.SdpStatus.PRIMAL_INFEASIBLE.value:
+        return True, "no feasible directions at infinity; positivity holds vacuously"
+    # a value capped by the moment value has no certificate behind it
+    if rec.f_k is None or rec.f_k != sol.dual_obj:
+        return False, f"no certified bound ({rec.status}); verdict unavailable"
+    # a bound at or below the tolerance proves nothing: a higher order may
+    # still certify positivity
+    if rec.f_k > POSITIVITY_TOL:
+        return True, "positive at infinity"
+    return False, (f"positivity not shown at order {rec.k}: bound {rec.f_k:.3g} is not "
+                   f"above {POSITIVITY_TOL:g}")
 
 
 def minimizers_at_infinity(prob: PopProblem, k: int | None = None,
@@ -410,11 +421,19 @@ def minimizers_at_infinity(prob: PopProblem, k: int | None = None,
     atoms are admitted as in ``solve_pop``: a direction is reported, with its
     ``check_at_infinity`` report, only when that check accepts it with
     ``opts.atom_tol``, and is otherwise dropped with a note.  ``values`` are
-    the top-degree objective at the reported directions.  The order ``k``
-    defaults as in ``_sphere_solve``.
+    the top-degree objective at the reported directions.  The same solve
+    gives the verdict on positivity at infinity: ``positive``, and in
+    ``diagnosis`` its reason.  The order ``k`` defaults to the sphere
+    problem's first standard order, and the solve is dumped to
+    ``opts.dump_sdpa`` when that is set.
     """
+    if k is not None and k < 1:
+        raise ValueError(f"order must be at least 1, got {k}")
+    opts = opts or DriverOptions()
     with sdp._one_blas_thread():
-        sph, opts, rec, rel, sol = _sphere_solve(prob, k, opts)
+        sph = sphere_restriction(prob)
+        k = default_k_min(sph, relax.STANDARD) if k is None else k
+        rec, rel, sol = _solve_order(sph, relax.STANDARD, k, opts, opts.dump_sdpa)
         rec.kind = "standard(sphere)"
         if sol is not None and sol.moment_converged:
             atoms = _attempt_extraction(rec, rel, sol, sph, opts)
@@ -424,38 +443,9 @@ def minimizers_at_infinity(prob: PopProblem, k: int | None = None,
                 rec, prob, [a.point / np.linalg.norm(a.point) for a in atoms or ()],
                 rec.f_k_prime, opts, even=False)
     values = [sph.objective.eval(v) for v in rec.minimizers_at_infinity]
+    positive, diagnosis = _positivity(rec, sol)
     ok = rec.status == sdp.SdpStatus.OPTIMAL.value
     return InfinityReport(records=[rec], best_bound=rec.bound,
                           converged=ok and bool(rec.minimizers_at_infinity),
                           convergence_order=rec.k if ok else None,
-                          diagnosis="minimizers-at-infinity solve", values=values)
-
-
-def positivity_at_infinity_probe(prob: PopProblem, k: int | None = None,
-                                 opts: DriverOptions | None = None) -> dict:
-    """Lower-bound the top-degree objective part over the sphere-restricted
-    feasible directions; a positive certified bound ``f_k`` certifies that
-    the objective grows along every feasible escape direction (hence is
-    coercive there).  A bound at or below ``POSITIVITY_TOL`` gives verdict
-    False, meaning only that order ``k`` did not show positivity.  With a
-    bound comes the ``certificate_residual`` of the sphere solve's record
-    (None when its moment side did not converge).  The order ``k`` defaults
-    as in ``_sphere_solve``."""
-    with sdp._one_blas_thread():
-        _sph, _opts, rec, _rel, sol = _sphere_solve(prob, k, opts)
-    if rec.status == sdp.SdpStatus.PRIMAL_INFEASIBLE.value:
-        return {"bound": None, "verdict": True,
-                "diagnosis": "no feasible directions at infinity; "
-                             "positivity holds vacuously"}
-    # a value capped by the moment value has no certificate behind it
-    if rec.f_k is None or rec.f_k != sol.dual_obj:
-        return {"bound": None, "verdict": False,
-                "diagnosis": f"no certified bound ({rec.status}); verdict unavailable"}
-    # a bound at or below the tolerance proves nothing: a higher order may
-    # still certify positivity
-    verdict = rec.f_k > POSITIVITY_TOL
-    return {"bound": rec.f_k, "certificate_residual": rec.certificate_residual,
-            "verdict": bool(verdict),
-            "diagnosis": "positive at infinity" if verdict
-            else f"positivity not shown at order {rec.k}: bound {rec.f_k:.3g} is not "
-                 f"above {POSITIVITY_TOL:g}"}
+                          diagnosis=diagnosis, values=values, positive=positive)

@@ -32,7 +32,8 @@ strictly feasible in y-space: the equality rows force common null vectors
 on every pencil.  The solver therefore preprocesses the instance by
 
   1. eliminating ``A y = b`` through an orthonormal null-space basis, from
-     one SVD of A that also tests that A has full row rank,
+     one SVD of A that also tests that A has full row rank (A y = b then
+     has a solution, so a y0 that misses b is NUMERICAL_TROUBLE),
   2. compressing each pencil onto the orthogonal complement of the null
      space its matrices share on that affine subspace, and
   3. dropping the directions of the subspace that no pencil sees (a Gram
@@ -572,7 +573,8 @@ def _pencil_chunks(pen: SdpPencil, nullmap: np.ndarray, out: np.ndarray | None =
 
 
 def _no_point(status: SdpStatus, message: str, primal_obj=-np.inf, primal_infeas=0.0):
-    """An outcome without a point: an inconsistent ``A y = b`` or a ray."""
+    """An outcome without a point: an ``A y = b`` too ill-conditioned to
+    place y0, or a ray."""
     return SdpSolution(status=status, y=None, pencil_duals=None, eq_duals=None,
                        primal_obj=primal_obj, dual_obj=np.nan, gap=np.nan,
                        primal_infeas=primal_infeas, dual_infeas=np.nan, iterations=0,
@@ -589,18 +591,20 @@ def _reduce(inst: SdpInstance):
 
     One SVD of A (the call ``null_space`` makes, and its rank cutoff) gives
     the full-row-rank test, the null-space basis and ``eq_pinv``.  y0 is
-    placed by ``lstsq``, whose rounding the interior-point run depends on."""
+    placed by ``lstsq``, whose rounding the interior-point run depends on.
+    Once A has full row rank, A y = b has a solution, so a y0 that misses b
+    is rounding on a nearly singular A, and the outcome is NUMERICAL_TROUBLE."""
     p, m = inst.A.shape
     u, sv, vt = scipy.linalg.svd(inst.A)
     if p and sv[-1] <= 1e-10 * max(1.0, sv[0]):
         raise ValueError("equality system A is rank deficient; "
                          "remove redundant rows before solving")
     y0, *_ = np.linalg.lstsq(inst.A, inst.b, rcond=None)
-    resid = inst.A @ y0 - inst.b
-    if np.linalg.norm(resid) > 1e-8 * (1.0 + np.linalg.norm(inst.b)):
-        return _no_point(SdpStatus.PRIMAL_INFEASIBLE,
-                         "equality system A y = b is inconsistent",
-                         np.nan, float(np.linalg.norm(resid)))
+    miss = float(np.linalg.norm(inst.A @ y0 - inst.b))
+    if miss > 1e-8 * (1.0 + np.linalg.norm(inst.b)):
+        return _no_point(SdpStatus.NUMERICAL_TROUBLE,
+                         "equality system A y = b is too ill-conditioned: "
+                         f"lstsq misses b by {miss:.2g}", np.nan, miss)
     rank = int(np.sum(sv > np.finfo(float).eps * max(p, m) * np.amax(sv, initial=0.0)))
     nullmap = vt[rank:].T
     eq_pinv = (u[:, :rank] / sv[:rank], vt[:rank])
@@ -1170,7 +1174,8 @@ def solve_with_restarts(inst: SdpInstance, opts: SolveOptions | None = None) -> 
 
     A restart changes only the starting point and the step fraction, so the
     instance is validated and reduced once, here, and every attempt is a
-    ``solve`` handed that reduction."""
+    ``solve`` handed that reduction.  A shortcut outcome of the reduction
+    is the same for every attempt, so it is returned after the first."""
     opts = opts or SolveOptions()
     rng = np.random.default_rng(opts.seed)
     fracs = [opts.step_frac, 0.95, 0.9]
@@ -1186,6 +1191,8 @@ def solve_with_restarts(inst: SdpInstance, opts: SolveOptions | None = None) -> 
                               init_scale=opts.init_scale * 10.0 ** rng.uniform(-1.0, 1.0),
                               step_frac=fracs[attempt])
             sol = solve(inst, cur, _reduced=red)
+            if sol is red:
+                return sol
             if attempt:
                 sol.message = (sol.message + f" (attempt {attempt + 1})").strip()
             if sol.status is not SdpStatus.NUMERICAL_TROUBLE:

@@ -132,20 +132,6 @@ def test_driver_entry_points_restore_blas_threads(blas_threads):
     assert blas_threads() == before
     driver.minimizers_at_infinity(prob, 1)
     assert blas_threads() == before
-    driver.positivity_at_infinity_probe(prob, 1)
-    assert blas_threads() == before
-
-
-def test_positivity_probe_writes_dump_sdpa(tmp_path):
-    # the probe and the minimizers-at-infinity solve share one sphere solve
-    paths = [tmp_path / "probe.dat-s", tmp_path / "minimizers.dat-s"]
-    rep = driver.positivity_at_infinity_probe(
-        cubic_unbounded(), 2, driver.DriverOptions(dump_sdpa=str(paths[0])))
-    assert rep["bound"] is not None
-    driver.minimizers_at_infinity(cubic_unbounded(), 2,
-                                  driver.DriverOptions(dump_sdpa=str(paths[1])))
-    probe, minimizers = (p.read_text() for p in paths)
-    assert len(probe.splitlines()) > 4 and probe == minimizers
 
 
 def test_default_k_min_and_rank_gap():
@@ -275,44 +261,46 @@ def test_minimizers_at_infinity_empty_when_coercive():
     assert rep.points == []
 
 
+# The verdict on positivity at infinity comes from the sphere solve of
+# minimizers_at_infinity: one test per branch of the verdict.
+
 def test_positivity_probe_cubic_example():
-    out = driver.positivity_at_infinity_probe(cubic_unbounded(), 3)
-    assert out["verdict"] is True
-    assert out["bound"] > 0.5
+    # the certified bound behind the verdict is the record's f_k, and its
+    # residual the record's certificate_residual
+    rep = driver.minimizers_at_infinity(cubic_unbounded(), 3)
+    rec, = rep.records
+    assert rep.positive is True and rep.diagnosis == "positive at infinity"
+    assert rec.f_k > 0.5
+    assert 0.0 <= rec.certificate_residual < 1e-6
 
 
 def test_positivity_probe_does_not_claim_a_negative_below_its_order():
     # the top-degree part a + b is at least 1 on the feasible directions
-    # (order 3 certifies 0.92), yet order 2's bound is negative; the probe
-    # said "not strictly positive"
-    out = driver.positivity_at_infinity_probe(cubic_unbounded(), 2)
-    assert out["verdict"] is False and out["bound"] < 0
-    assert out["diagnosis"] == (f"positivity not shown at order 2: bound {out['bound']:.3g} "
-                                "is not above 1e-06")
-    assert "not strictly positive" not in out["diagnosis"]
+    # (order 3 certifies 0.92), yet order 2's bound is negative; an earlier
+    # verdict said "not strictly positive"
+    rep = driver.minimizers_at_infinity(cubic_unbounded(), 2)
+    bound = rep.records[0].f_k
+    assert rep.positive is False and bound < 0
+    assert rep.diagnosis == (f"positivity not shown at order 2: bound {bound:.3g} "
+                             "is not above 1e-06")
+    assert "not strictly positive" not in rep.diagnosis
 
 
-def test_positivity_probe_reports_the_certificate_residual(monkeypatch):
-    # the residual is that of the sphere solve's record
-    solve_order, residuals = driver._solve_order, []
-
-    def recorded(*args, **kwargs):
-        rec, rel, sol = solve_order(*args, **kwargs)
-        residuals.append(rec.certificate_residual)
-        return rec, rel, sol
-
-    monkeypatch.setattr(driver, "_solve_order", recorded)
-    out = driver.positivity_at_infinity_probe(cubic_unbounded(), 3)
-    assert out["bound"] is not None
-    assert out["certificate_residual"] == residuals[0]
-    assert 0.0 <= out["certificate_residual"] < 1e-6
+def test_positivity_probe_reports_the_certificate_residual():
+    # the JSON report carries the verdict's bound and residual in its record
+    rep = driver.minimizers_at_infinity(cubic_unbounded(), 3)
+    rec, = rep.to_dict()["records"]
+    assert (rec["f_k"], rec["certificate_residual"]) == (
+        rep.records[0].f_k, rep.records[0].certificate_residual)
+    assert rep.to_dict()["final"]["diagnosis"] == "positive at infinity"
 
 
 def test_positivity_probe_coercive_but_not_positive():
     a, b = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
-    out = driver.positivity_at_infinity_probe(PopProblem(2, a**4 + b**2), 2)
-    assert out["verdict"] is False
-    assert abs(out["bound"]) < 1e-6
+    rep = driver.minimizers_at_infinity(PopProblem(2, a**4 + b**2), 2)
+    assert rep.positive is False
+    assert abs(rep.records[0].f_k) < 1e-6
+    assert rep.diagnosis.startswith("positivity not shown at order 2: bound ")
 
 
 def test_positivity_probe_needs_a_certified_bound(monkeypatch):
@@ -326,9 +314,9 @@ def test_positivity_probe_needs_a_certified_bound(monkeypatch):
         return replace(sol, primal_obj=0.5, dual_infeas=1.0)
 
     monkeypatch.setattr(sdp, "solve_with_restarts", uncertified)
-    out = driver.positivity_at_infinity_probe(cubic_unbounded(), 3)
-    assert out["verdict"] is False and out["bound"] is None
-    assert statuses[0] in out["diagnosis"]
+    rep = driver.minimizers_at_infinity(cubic_unbounded(), 3)
+    assert rep.positive is False and rep.records[0].f_k is None
+    assert rep.diagnosis == f"no certified bound ({statuses[0]}); verdict unavailable"
 
 
 def test_positivity_probe_gives_no_verdict_from_a_capped_value(monkeypatch):
@@ -342,18 +330,33 @@ def test_positivity_probe_gives_no_verdict_from_a_capped_value(monkeypatch):
                        moment_converged=True, dual_obj=sol.primal_obj + 1e-3)
 
     monkeypatch.setattr(sdp, "solve_with_restarts", raised_dual)
-    out = driver.positivity_at_infinity_probe(cubic_unbounded(), 3)
-    assert out == {"bound": None, "verdict": False,
-                   "diagnosis": "no certified bound (numerical_trouble); "
-                                "verdict unavailable"}
+    rep = driver.minimizers_at_infinity(cubic_unbounded(), 3)
+    rec, = rep.records
+    assert rec.f_k == rec.f_k_prime
+    assert rep.positive is False
+    assert rep.diagnosis == "no certified bound (numerical_trouble); verdict unavailable"
 
 
 def test_positivity_probe_empty_directions():
     a, b = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
     prob = PopProblem(2, a + b, (a**2 + b**2 + 1,), ())
-    out = driver.positivity_at_infinity_probe(prob, 2)
-    assert out["verdict"] is True
-    assert "vacuously" in out["diagnosis"]
+    rep = driver.minimizers_at_infinity(prob, 2)
+    assert rep.positive is True and rep.records[0].f_k is None
+    assert rep.diagnosis == "no feasible directions at infinity; positivity holds vacuously"
+
+
+def test_infinity_report_solves_the_sphere_problem_once(monkeypatch):
+    # the directions and the verdict come from the same solve
+    solve, calls = sdp.solve_with_restarts, []
+
+    def counted(inst, opts):
+        calls.append(inst)
+        return solve(inst, opts)
+
+    monkeypatch.setattr(sdp, "solve_with_restarts", counted)
+    rep = driver.minimizers_at_infinity(biquadratic_escape(), 3)
+    assert len(calls) == 1
+    assert len(rep.points) == 4 and rep.positive is False
 
 
 def test_no_verify_skips_optcond_gate():
@@ -614,20 +617,11 @@ def test_solve_pop_starts_at_k_max_when_it_is_below_the_first_order():
         driver.solve_pop(prob, driver.DriverOptions(k_min=2, k_max=1))
 
 
-@pytest.mark.parametrize("solve", [driver.minimizers_at_infinity,
-                                   driver.positivity_at_infinity_probe])
-def test_sphere_solves_default_to_the_first_standard_order(solve):
+def test_infinity_solve_defaults_to_the_first_standard_order():
     prob = cubic_unbounded()
     k = driver.default_k_min(driver.sphere_restriction(prob), relax.STANDARD)
     assert k == 2
-    default, explicit = solve(prob), solve(prob, k)
-    if isinstance(default, driver.InfinityReport):
-        assert default.records[0].k == k
-        default, explicit = default.to_dict(), explicit.to_dict()
-    assert default == explicit
-
-
-@pytest.mark.parametrize("k", [0, -1])
-def test_positivity_probe_rejects_orders_below_one(k):
-    with pytest.raises(ValueError, match="order must be at least 1"):
-        driver.positivity_at_infinity_probe(cubic_unbounded(), k)
+    default, explicit = driver.minimizers_at_infinity(prob), driver.minimizers_at_infinity(prob, k)
+    assert default.records[0].k == k
+    assert default.to_dict() == explicit.to_dict()
+    assert default.positive == explicit.positive

@@ -289,17 +289,25 @@ def exit_instance(c, mats, const, A=None, b=None):
                                                  np.asarray(const, float))])
 
 
+def ill_conditioned_equalities():
+    """[[1, 1], [1, 1 + 5e-10]] y = (0, 1) passes the rank test, so it has a
+    solution, but the y0 that lstsq places misses b by 5.3e-7, more than the
+    tolerance of 2e-8."""
+    return exit_instance([0, 0], [np.eye(2), np.eye(2)], np.eye(2),
+                         A=[[1, 1], [1, 1 + 5e-10]], b=[0, 1])
+
+
+ILL_CONDITIONED = "equality system A y = b is too ill-conditioned: lstsq misses b by 5.3e-07"
+
+
 # One tiny instance per exit of _reduce and _ipm that no other test reaches.
-# The y0 that lstsq places for [[1, 1], [1, 1 + 5e-10]] y = (0, 1), which
-# passes the rank test, misses b by more than the 1e-8 tolerance; a pencil
-# that vanishes leaves a moment the objective pulls on unseen; y >= 0 with
-# the objective -y; diag(y, -1 - y) >= 0, which no y meets; and
+# A consistent but ill-conditioned equality system; a pencil that vanishes
+# leaves a moment the objective pulls on unseen; y >= 0 with the objective
+# -y; diag(y, -1 - y) >= 0, which no y meets; and
 # [[y1, 10], [10, y2]] >= 0 at the objective y2, whose infimum 0 needs
 # y1 = 100 / y2 to run off.
 @pytest.mark.parametrize("inst, status, message", [
-    (exit_instance([0, 0], [np.eye(2), np.eye(2)], np.eye(2),
-                   A=[[1, 1], [1, 1 + 5e-10]], b=[0, 1]),
-     sdp.SdpStatus.PRIMAL_INFEASIBLE, "equality system A y = b is inconsistent"),
+    (ill_conditioned_equalities(), sdp.SdpStatus.NUMERICAL_TROUBLE, ILL_CONDITIONED),
     (exit_instance([1], [np.zeros((2, 2))], np.zeros((2, 2))),
      sdp.SdpStatus.DUAL_INFEASIBLE, "objective is unbounded along the pencil-free subspace"),
     (exit_instance([-1], [[[1]]], [[0]]),
@@ -316,6 +324,20 @@ def exit_instance(c, mats, const, A=None, b=None):
 def test_each_solver_exit(inst, status, message):
     sol = sdp.solve(inst)
     assert (sol.status, sol.message) == (status, message)
+
+
+def test_a_reduction_shortcut_is_not_restarted(monkeypatch):
+    # every attempt would get the same outcome of the one reduction back
+    solve, calls = sdp.solve, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(sdp, "solve", counted)
+    sol = sdp.solve_with_restarts(ill_conditioned_equalities())
+    assert len(calls) == 1
+    assert (sol.status, sol.message) == (sdp.SdpStatus.NUMERICAL_TROUBLE, ILL_CONDITIONED)
 
 
 def refuse(*args):
@@ -1132,6 +1154,36 @@ def test_copies_refused_when_verification_sees_a_coupling():
     parts = sdp._split_block(whole_block(copies_instance(0, between=1e-9)))
     assert sorted((p.g0.shape[0], p.copies) for p in parts) == [(OTHER_SIZE, 1),
                                                                 (COPIES * COPY_SIZE, 1)]
+
+
+def test_describe_blocks_reports_the_solved_blocks_per_pencil():
+    inst, _ = relax.to_sdp_instance(relax.assemble(relax.HOMOGENIZED, product_quartic(), 3))
+    sol = sdp.solve_with_restarts(inst)
+    desc = sdp.describe_blocks(inst, sol)
+    assert list(desc) == [pen.label for pen in inst.pencils]
+    for j, pen in enumerate(inst.pencils):
+        rep = desc[pen.label]
+        assert rep["size"] == pen.size
+        assert len(rep["split"]) == len(rep["copies"])
+        assert list(zip(rep["split"], rep["copies"])) == [
+            (size, copies) for i, size, copies in sol.blocks if i == j]
+        assert rep["compressed"] == sum(n * d for n, d in zip(rep["split"], rep["copies"]))
+        assert rep["compressed"] <= pen.size
+    # the moment pencil holds identical copies of a block
+    assert max(desc["moment"]["copies"]) > 1
+
+
+def test_describe_blocks_of_a_vacuous_pencil_and_a_settled_instance():
+    # on the subspace y2 = 0 the second pencil vanishes
+    inst = sdp.SdpInstance(c=np.array([1.0, 0.0]), A=np.array([[0.0, 1.0]]), b=np.zeros(1),
+                           pencils=[dense_pencil("seen", [np.eye(1), np.zeros((1, 1))]),
+                                    dense_pencil("vacuous", [np.zeros((2, 2)), np.eye(2)])])
+    desc = sdp.describe_blocks(inst, sdp.solve_with_restarts(inst))
+    assert desc["vacuous"] == {"size": 2, "compressed": 0, "split": [], "copies": []}
+    assert desc["seen"]["compressed"] == 1
+    # the equality fixes y, so no block is solved
+    settled = exit_instance([1], [[[1]]], [[0]], A=[[1]], b=[1])
+    assert sdp.describe_blocks(settled, sdp.solve_with_restarts(settled)) is None
 
 
 def test_copy_reduced_solve_matches_the_unreduced_solve(monkeypatch):

@@ -83,8 +83,11 @@ def test_report_adds_the_bounds_and_the_infinity_fields(dump):
     prob, _, _ = parse_problem((ROOT / "problems" / "unattained.pop").read_text())
     inf = driver.minimizers_at_infinity(prob)
     out = dump.report(inf, driver)
-    assert set(out) == set(inf.to_dict()) | {"bounds", "bound", "status", "points", "values"}
+    assert set(out) == set(inf.to_dict()) | {"bounds", "bound", "status", "points", "values",
+                                             "positive"}
     assert (out["bound"], out["status"]) == (inf.records[0].bound, "optimal")
+    # the escape directions keep the sphere bound from showing positivity
+    assert out["positive"] is False
     assert out["bounds"] == [out["bound"]]
     assert len(out["points"]) == len(out["values"]) == 2
     assert sorted(abs(round(p[1])) for p in out["points"]) == [1, 1]

@@ -5,8 +5,8 @@
 Runs each operation of ``ROOT/bench/workloads.py`` at each seed with the code
 of ``ROOT/src``.  Equal outputs from two checkouts mean the same bits: every
 ``to_dict()`` or CLI JSON, each record's ``bound``, an infinity report's
-``bound``, ``status``, ``points`` and ``values``, and under ``gate`` the
-labels of the benchmark gate checks the operation fails
+``bound``, ``status``, ``points``, ``values`` and ``positive``, and under
+``gate`` the labels of the benchmark gate checks the operation fails
 (``workloads.check``).
 """
 
@@ -36,7 +36,8 @@ def report(result, driver):
         out["bounds"] = [rec.bound for rec in result.records]
         if isinstance(result, driver.InfinityReport):
             out.update(bound=result.bound, status=result.status,
-                       points=result.points, values=result.values)
+                       points=result.points, values=result.values,
+                       positive=result.positive)
         return out
     return {"code": result.code, "report": result.report}
 
