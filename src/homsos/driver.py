@@ -44,9 +44,6 @@ class DriverOptions:
             sdp.check_tolerance(name, getattr(self, name))
         sdp.check_seed(self.seed)
 
-    def sdp_options(self) -> sdp.SolveOptions:
-        return sdp.SolveOptions(gap_tol=self.gap_tol, seed=self.seed)
-
 
 @dataclass
 class OrderRecord:
@@ -137,7 +134,8 @@ def _solve_order(prob, kind, k, opts, dump_path=None):
 
     This is the one place that decides the order's ``bound``: the
     certificate value ``f_k``, else the moment value ``f_k_prime`` once the
-    moment side converged, else None.  Once the moment side converged it
+    moment side converged, else None; both are None when the moment vector
+    diverged, past ``sdp.DIVERGED_NORM``.  Once the moment side converged it
     also fills ``certificate_residual`` from the solve's duals.  A solve
     that raises ``sdp.NonFiniteError`` ends the order ``numerical_trouble``
     with no bound and no ``sol``."""
@@ -158,7 +156,8 @@ def _solve_order(prob, kind, k, opts, dump_path=None):
     if dump_path:
         sdp.write_sdpa(inst, dump_path)
     try:
-        sol = relax.full_solution(rel, sdp.solve_with_restarts(inst, opts.sdp_options()))
+        sdp_opts = sdp.SolveOptions(gap_tol=opts.gap_tol, seed=opts.seed)
+        sol = relax.full_solution(rel, sdp.solve_with_restarts(inst, sdp_opts))
     except sdp.NonFiniteError as exc:
         rec.status = sdp.SdpStatus.NUMERICAL_TROUBLE.value
         rec.notes = f"the solve stopped on a non-finite array: {exc}"
@@ -170,7 +169,8 @@ def _solve_order(prob, kind, k, opts, dump_path=None):
     if sol.y is not None and np.isfinite(sol.primal_obj) \
             and sol.primal_infeas <= sdp.REPORT_TOL:
         rec.f_k_prime = float(sol.primal_obj)
-    if np.isfinite(sol.dual_obj) and sol.dual_infeas <= sdp.REPORT_TOL:
+    diverged = sol.y is not None and np.linalg.norm(sol.y) > sdp.DIVERGED_NORM
+    if np.isfinite(sol.dual_obj) and sol.dual_infeas <= sdp.REPORT_TOL and not diverged:
         rec.f_k = float(sol.dual_obj)
         # weak duality: when a solve that is not optimal leaves the moment
         # side converged, its value is the relaxation's, and a certificate
@@ -179,7 +179,7 @@ def _solve_order(prob, kind, k, opts, dump_path=None):
                 and rec.f_k_prime is not None:
             rec.f_k = min(rec.f_k, rec.f_k_prime)
     rec.bound = rec.f_k if rec.f_k is not None else (
-        rec.f_k_prime if sol.moment_converged else None)
+        rec.f_k_prime if sol.moment_converged and not diverged else None)
     if sol.moment_converged:
         try:
             rec.certificate_residual = relax.sos_certificate_from_dual(rel, sol).residual
@@ -346,6 +346,8 @@ def solve_pop(prob: PopProblem, opts: DriverOptions | None = None) -> HierarchyR
     converged = convergence_order is not None
     if converged:
         diagnosis = f"converged at order {convergence_order} with verified minimizers"
+    elif any(r.status == sdp.SdpStatus.PRIMAL_INFEASIBLE.value for r in records):
+        diagnosis = "the relaxation is infeasible, and so is the problem"
     elif any(r.flat_t is not None for r in records):
         diagnosis = ("flat truncation held but verification is incomplete; "
                      "inspect the per-order records")

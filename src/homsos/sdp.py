@@ -72,7 +72,8 @@ squares, through the factors of step 1's SVD.  One tail of ``solve`` lifts
 the duals, forms the multipliers and builds the solution, whether the
 interior-point run or y0 gave the point.  ``solve_with_restarts``
 validates and reduces the instance once and hands the reduction to each of
-its attempts, which differ only in the starting point and step fraction.
+its attempts.  Attempt i steps ``STEP_FRACS[i]`` of the way to the boundary
+from X and Z at scale 1, later ones at 10^u, u uniform on [-1, 1] by seed.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ import logging
 import math
 import numbers
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -97,8 +98,10 @@ _log = logging.getLogger(__name__)
 
 FEAS_TOL = 1e-8   # relative residual of a converged side
 NORM_CAP = 1e8    # moment norm past which convergence means an unattained optimum
+DIVERGED_NORM = 100.0 * NORM_CAP   # moment norm that ends a run as diverged
 REPORT_TOL = 1e-6    # relative residual up to which a side's value is reported
 MOMENT_BUDGET = 50   # iterations a run may take after its moment side converged
+STEP_FRACS = (0.98, 0.95, 0.9)   # fraction to the boundary of each restart attempt
 
 
 class SdpStatus(enum.Enum):
@@ -185,8 +188,6 @@ def check_seed(seed):
 class SolveOptions:
     gap_tol: float = 1e-8
     max_iter: int = 200
-    step_frac: float = 0.98
-    init_scale: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -874,8 +875,9 @@ def _joint_norm(parts, axis=None):
     return np.sqrt(sum(np.linalg.norm(p, axis=axis) ** 2 for p in parts))
 
 
-def _ipm(red: _Reduced, opts: SolveOptions):
-    """HKM Mehrotra predictor-corrector on the reduced pair.
+def _ipm(red: _Reduced, opts: SolveOptions, start: tuple):
+    """HKM Mehrotra predictor-corrector on the reduced pair from ``start``,
+    the attempt's (start scale, step fraction).
 
     Internally the certificate side is ``min <C, X> s.t. <A_l, X> = b_l`` with
     A_l = -G_l, C = G0, b = -chat; the moment side is its dual (z, Z) with
@@ -897,6 +899,7 @@ def _ipm(red: _Reduced, opts: SolveOptions):
     its ``history`` record.
     """
     blocks = red.blocks
+    scale, frac = start
     mz = red.chat.size
     bvec = -red.chat
     glins = [blk.glin for blk in blocks]                 # (mz, s, s) each
@@ -921,8 +924,8 @@ def _ipm(red: _Reduced, opts: SolveOptions):
         eta = max(10.0, math.sqrt(s), _joint_norm([cmats[i] for i in idx]),
                   float(np.max(anorm)) if mz else 0.0)
         for i in idx:
-            xs[i] = opts.init_scale * xi * np.eye(sizes[i])
-            zs[i] = opts.init_scale * eta * np.eye(sizes[i])
+            xs[i] = scale * xi * np.eye(sizes[i])
+            zs[i] = scale * eta * np.eye(sizes[i])
     z = np.zeros(mz)
     # lower Cholesky factors of the current X and Z blocks
     lxs = [np.linalg.cholesky(x) for x in xs]
@@ -991,7 +994,7 @@ def _ipm(red: _Reduced, opts: SolveOptions):
             status, message = (SdpStatus.PRIMAL_INFEASIBLE,
                                "certificate objective unbounded (moment side infeasible)")
             break
-        if znorm > 100.0 * NORM_CAP:
+        if znorm > DIVERGED_NORM:
             status, message = SdpStatus.NUMERICAL_TROUBLE, "moment iterate norm diverged"
             break
         if stall >= 6:
@@ -1066,8 +1069,8 @@ def _ipm(red: _Reduced, opts: SolveOptions):
         except np.linalg.LinAlgError as exc:
             status, message = SdpStatus.NUMERICAL_TROUBLE, f"factorization failed: {exc}"
             break
-        ap = min(1.0, opts.step_frac * ap)
-        ad = min(1.0, opts.step_frac * ad)
+        ap = min(1.0, frac * ap)
+        ad = min(1.0, frac * ad)
         # roundoff can defeat the fraction-to-boundary step; backtrack to pd.
         # The accepted factors are the next iteration's.
         xstep = _backtrack_pd(xs, dxm, ap)
@@ -1087,16 +1090,18 @@ def _ipm(red: _Reduced, opts: SolveOptions):
 
 
 def solve(inst: SdpInstance, opts: SolveOptions | None = None, *,
-          _reduced: _Reduced | SdpSolution | None = None) -> SdpSolution:
+          _reduced: _Reduced | SdpSolution | None = None,
+          _start: tuple = (1.0, STEP_FRACS[0])) -> SdpSolution:
     """Solve the instance; see the module docstring for the method.
 
     The instance is validated and reduced (``_reduce``) unless ``_reduced``
     holds that reduction already: ``solve_with_restarts`` makes it once and
-    hands it to each attempt.  A shortcut outcome of the reduction is
-    returned as it is.  Otherwise the interior-point run, or y0 where no
-    pencil sees a free moment, gives the point, the status and the
-    certificate side's last record; the Gram matrices are lifted back to
-    the pencils and the equality multipliers formed the same way for both.
+    hands it to each attempt with the attempt's ``_start`` for ``_ipm``.  A
+    shortcut outcome of the reduction is returned as it is.  Otherwise the
+    interior-point run, or y0 where no pencil sees a free moment, gives the
+    point, the status and the certificate side's last record; the Gram
+    matrices are lifted back to the pencils and the equality multipliers
+    formed the same way for both.
     """
     opts = opts or SolveOptions()
     with _one_blas_thread():
@@ -1110,7 +1115,7 @@ def solve(inst: SdpInstance, opts: SolveOptions | None = None, *,
         if red.blocks:
             try:
                 with np.errstate(over="raise"):   # an overflow ends the run as an inf would
-                    status, message, xs, z, iters, history, mom_ok = _ipm(red, opts)
+                    status, message, xs, z, iters, history, mom_ok = _ipm(red, opts, _start)
             except FloatingPointError:
                 raise NonFiniteError("array must not contain infs or NaNs") from None
             y = red.y0 + red.nullmap @ z
@@ -1169,28 +1174,21 @@ def describe_blocks(inst: SdpInstance, sol: SdpSolution) -> dict | None:
 
 
 def solve_with_restarts(inst: SdpInstance, opts: SolveOptions | None = None) -> SdpSolution:
-    """Retry with jittered initial scaling and a tighter step fraction on
-    numerical trouble; at most 3 attempts, deterministic for a fixed seed.
+    """Restart on numerical trouble from the next attempt's start (see the
+    module docstring); at most 3 attempts, deterministic for a fixed seed.
 
-    A restart changes only the starting point and the step fraction, so the
-    instance is validated and reduced once, here, and every attempt is a
-    ``solve`` handed that reduction.  A shortcut outcome of the reduction
-    is the same for every attempt, so it is returned after the first."""
+    The instance is validated and reduced once, here, and every attempt is
+    a ``solve`` handed that reduction; a shortcut outcome of the reduction
+    is returned after the first."""
     opts = opts or SolveOptions()
     rng = np.random.default_rng(opts.seed)
-    fracs = [opts.step_frac, 0.95, 0.9]
     stalled = []
     with _one_blas_thread():
         inst.validate()
         red = _reduce(inst)
-        for attempt in range(3):
-            if attempt == 0:
-                cur = opts
-            else:
-                cur = replace(opts,
-                              init_scale=opts.init_scale * 10.0 ** rng.uniform(-1.0, 1.0),
-                              step_frac=fracs[attempt])
-            sol = solve(inst, cur, _reduced=red)
+        for attempt, frac in enumerate(STEP_FRACS):
+            scale = 10.0 ** rng.uniform(-1.0, 1.0) if attempt else 1.0
+            sol = solve(inst, opts, _reduced=red, _start=(scale, frac))
             if sol is red:
                 return sol
             if attempt:

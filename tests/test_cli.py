@@ -540,6 +540,34 @@ def test_an_overflow_in_the_solve_ends_the_order_with_a_record(tmp_path, text):
     assert json.loads(out)["final"]["best_bound"] is None
 
 
+# (status, start of the solver message, whether f_k is reported) per record
+@pytest.mark.parametrize("text, args, records, final", [
+    ("vars: x\nminimize: x\n", ["--max-order", "3"],
+     [("numerical_trouble", "moment iterate norm diverged", False)] * 3,
+     {"best_bound": None, "diagnosis": "no usable bound was produced at any order"}),
+    ("vars: x\nminimize: x^2\nsubject_to:\n-1 >= 0\n", [],
+     [("primal_infeasible", "certificate objective unbounded", True)],
+     {"diagnosis": "the relaxation is infeasible, and so is the problem"})],
+    ids=["unbounded", "infeasible"])
+def test_standard_kind_claims_no_bound_or_optimum_it_lacks(tmp_path, text, args, records,
+                                                          final):
+    # the unbounded problem reported f_k -1.95e5, -273 and -42 at k = 1, 2,
+    # 3 from diverged moment iterates, and best_bound -42; the infeasible
+    # one was diagnosed as an unattained optimum
+    path = tmp_path / "p.pop"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli([str(path), "--kind", "standard"] + args)
+    assert (code, err) == (3, "")
+    report = json.loads(out)
+    assert len(report["records"]) == len(records)
+    for rec, (status, message, reported) in zip(report["records"], records):
+        assert rec["status"] == status and rec["solver_message"].startswith(message)
+        assert (rec["f_k"] is not None) == reported
+    assert {key: report["final"][key] for key in final} == final
+
+
 E8 = Fraction("1e-8")
 
 

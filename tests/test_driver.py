@@ -86,6 +86,24 @@ def test_unconverged_moment_side_gives_no_bound(monkeypatch):
     assert rep.records[0].bound is None and rep.best_bound is None
 
 
+def test_diverged_moment_vector_gives_no_bound_once_converged(monkeypatch):
+    # a diverged moment vector gives no bound even where its moment side
+    # converged (test_cli has a real run whose moment side did not)
+    a = Polynomial.variable(1, 0)
+    solve = sdp.solve_with_restarts
+
+    def diverged(inst, opts):
+        sol = solve(inst, opts)
+        return replace(sol, status=sdp.SdpStatus.NUMERICAL_TROUBLE, moment_converged=True,
+                       y=np.full_like(sol.y, sdp.DIVERGED_NORM))
+
+    monkeypatch.setattr(sdp, "solve_with_restarts", diverged)
+    rec, _, sol = driver._solve_order(PopProblem(1, a**2 - 2 * a), relax.STANDARD,
+                                      1, driver.DriverOptions())
+    assert rec.f_k is None and rec.f_k_prime == sol.primal_obj
+    assert rec.bound is None
+
+
 def test_infinity_bound_is_the_certificate_value():
     prob, _, _ = cli.parse_problem((PROBLEMS / "escape_directions.pop").read_text())
     rep = driver.minimizers_at_infinity(prob, 3)

@@ -193,9 +193,9 @@ def test_ipm_runs_on_one_blas_thread(blas_threads, monkeypatch):
     seen = []
     ipm = sdp._ipm
 
-    def probe(red, opts):
+    def probe(red, opts, start):
         seen.append(blas_threads())
-        return ipm(red, opts)
+        return ipm(red, opts, start)
 
     monkeypatch.setattr(sdp, "_ipm", probe)
     sdp.solve(random_strictly_feasible(np.random.default_rng(2)))
@@ -235,7 +235,7 @@ def test_restarts_validate_and_reduce_once(monkeypatch):
 
     def recorded_solve(inst, opts, **kwargs):
         sol = solve(inst, opts, **kwargs)
-        attempts.append((opts, sol))
+        attempts.append((opts, kwargs["_start"], sol))
         return sol
 
     monkeypatch.setattr(sdp, "_reduce", counted_reduce)
@@ -248,11 +248,35 @@ def test_restarts_validate_and_reduce_once(monkeypatch):
     # lstsq places y0
     assert sorted(factored) == [("lstsq", "A"), ("svd", "A")]
     # a shared reduction gives every attempt the numbers of a fresh solve
-    for opts, sol in attempts:
-        fresh = solve(inst, opts)
+    for opts, start, sol in attempts:
+        fresh = solve(inst, opts, _start=start)
         assert fresh.status is sol.status
         assert np.array_equal(fresh.y, sol.y)
         assert fresh.dual_obj == sol.dual_obj
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_restart_attempts_start_as_the_policy_says(monkeypatch, seed):
+    # unattained_quartic at order 2 takes all three attempts: the first from
+    # scale 1, each later one from 10^u with u drawn from the seed's
+    # generator, at the step fractions 0.98, 0.95 and 0.9
+    inst, _ = relax.to_sdp_instance(relax.assemble(relax.HOMOGENIZED, unattained_quartic(), 2))
+    ipm = sdp._ipm
+    starts = []
+
+    def recorded(red, opts, start):
+        starts.append(start)
+        return ipm(red, opts, start)
+
+    monkeypatch.setattr(sdp, "_ipm", recorded)
+    sdp.solve_with_restarts(inst, sdp.SolveOptions(seed=seed))
+    rng = np.random.default_rng(seed)
+    u1, u2 = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+    assert starts == [(1.0, 0.98), (10.0 ** u1, 0.95), (10.0 ** u2, 0.9)]
+    # the start belongs to the attempt: the options cannot set it
+    for name in ("step_frac", "init_scale"):
+        with pytest.raises(TypeError):
+            sdp.SolveOptions(**{name: 0.9})
 
 
 def test_asymmetric_pencil_rejected():
@@ -1375,7 +1399,7 @@ def test_ipm_holds_one_b_stack():
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        assert sdp._ipm(red, sdp.SolveOptions(max_iter=5))[4] == 5
+        assert sdp._ipm(red, sdp.SolveOptions(max_iter=5), (1.0, 0.98))[4] == 5
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
