@@ -34,7 +34,7 @@ import sys
 from fractions import Fraction
 
 from . import driver, relax, sdp
-from .poly import Polynomial, PopProblem, basis_size, even_variant_refusal
+from .poly import Polynomial, PopProblem, even_variant_refusal
 
 
 class ProblemParseError(ValueError):
@@ -118,23 +118,17 @@ class _ExprParser:
                 "not allowed)", self.line, tok[2])
         return expr
 
-    def _expr(self):
-        acc = self._term()
+    def _expr(self, ops="+-"):
+        """Operands joined left to right by ``ops``: terms by + and -, and
+        each term's factors by *."""
+        acc = None
         while True:
+            right = self._factor() if ops == "*" else self._expr("*")
+            acc = right if acc is None else self._apply(tok, acc, right)
             tok = self._peek()
-            if tok is None or tok[1] not in "+-":
+            if tok is None or tok[1] not in ops:
                 return acc
             self.pos += 1
-            acc = self._apply(tok, acc, self._term())
-
-    def _term(self):
-        acc = self._factor()
-        while True:
-            tok = self._peek()
-            if tok is None or tok[1] != "*":
-                return acc
-            self.pos += 1
-            acc = self._apply(tok, acc, self._factor())
 
     def _factor(self):
         """An optionally signed power; the sign binds looser than ``^``."""
@@ -161,20 +155,16 @@ class _ExprParser:
             except ValueError:   # more digits than int() converts
                 raise ProblemParseError(f"exponent of {len(text)} digits is too large",
                                         self.line, col) from None
-            self._fits(base.degree() * exponent, caret)
+            # Refuse a power that no relaxation could hold before expanding it:
+            # order ceil(degree / 2), the first that holds it, over the declared
+            # variables (no kind has fewer)
+            degree = base.degree() * exponent
+            k = -(-degree // 2)
+            relax.check_order_fits(len(self.vars), k,
+                                   f"line {self.line}, column {caret[2]}: a power of "
+                                   f"degree {degree}, solved at order {k} or above,")
             return self._apply(caret, base, exponent)
         return base
-
-    def _fits(self, degree, tok):
-        """Raise ``sdp.ResourceError`` before a power of ``degree`` is
-        expanded when no relaxation could hold it: at order ceil(degree / 2),
-        the first that does, the QR stack of the moment matrix alone, over
-        the declared variables (no kind has fewer), exceeds physical memory.
-        That is the first check of ``relax.assemble``."""
-        k = -(-degree // 2)
-        sdp.check_memory(sdp.dense_bytes(0, 0, [basis_size(len(self.vars), k)]),
-                         f"line {self.line}, column {tok[2]}: a power of degree {degree}, "
-                         f"solved at order {k} or above,")
 
     def _base(self):
         kind, text, col = self._next()
@@ -221,7 +211,7 @@ def _parse_expression(text, variables, line_no, col_offset=0):
 def parse_problem(text: str):
     """Parse problem text into a ``PopProblem``; returns (problem, var names,
     constraint relations in file order).  Raises ``ProblemParseError``, or
-    ``sdp.ResourceError`` for a power of too high a degree (``_fits``)."""
+    ``sdp.ResourceError`` for a power of too high a degree."""
     variables = None
     objective = None
     in_constraints = False
@@ -336,6 +326,7 @@ def _seed(text):
 
 
 def _build_argparser():
+    defaults = driver.DriverOptions
     ap = _ArgumentParser(
         prog="homsos",
         description="Moment-SOS solver for polynomial optimization over "
@@ -345,14 +336,14 @@ def _build_argparser():
                     help="solve a single relaxation order")
     ap.add_argument("--max-order", type=int, default=None,
                     help="run the hierarchy up to this order")
-    ap.add_argument("--kind", type=_parse_kind, default=relax.HOMOGENIZED,
+    ap.add_argument("--kind", type=_parse_kind, default=defaults.kind,
                     help="relaxation kind: homog|even|denom|power:L|standard")
     ap.add_argument("--infinity", action="store_true",
                     help="solve for minimizers at infinity instead; the "
                          "diagnosis is the verdict on positivity at infinity")
-    ap.add_argument("--tol-gap", type=_tolerance, default=1e-8)
-    ap.add_argument("--tol-rank", type=_tolerance, default=1e-6)
-    ap.add_argument("--tol-atom", type=_tolerance, default=1e-4)
+    ap.add_argument("--tol-gap", type=_tolerance, default=defaults.gap_tol)
+    ap.add_argument("--tol-rank", type=_tolerance, default=defaults.rank_tol)
+    ap.add_argument("--tol-atom", type=_tolerance, default=defaults.atom_tol)
     fmt = ap.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", default=True,
                      help="emit the JSON report (default)")
@@ -361,7 +352,7 @@ def _build_argparser():
     ap.add_argument("--dump-sdpa", metavar="PATH", default=None,
                     help="write the solved SDP in SDPA sparse format "
                          "(PATH.kK for each order K when several run)")
-    ap.add_argument("--seed", type=_seed, default=0)
+    ap.add_argument("--seed", type=_seed, default=defaults.seed)
     ap.add_argument("--no-verify", action="store_true",
                     help="skip optimality-condition gating of early stops")
     return ap

@@ -31,12 +31,12 @@ class DriverOptions:
     kind: relax.HierarchyKind = relax.HOMOGENIZED
     k_min: int | None = None
     k_max: int | None = None
-    gap_tol: float = 1e-8
+    gap_tol: float = sdp.SolveOptions.gap_tol
     rank_tol: float = 1e-6
     extract_tol: float = 1e-5
     atom_tol: float = 1e-4       # x0 test of classify; admission and activity in optcond
     verify: bool = True
-    seed: int = 0
+    seed: int = sdp.SolveOptions.seed
     dump_sdpa: str | None = None
 
     def __post_init__(self):

@@ -182,11 +182,9 @@ def assemble(kind: HierarchyKind, prob: PopProblem, k: int, *,
     anything that grows with the order where the moment matrix alone
     would."""
     what = f"the order-{k} relaxation"
-    # The estimate holds at least the QR stack of the moment matrix, however
-    # few moments the group's orbits leave.  Refuse on that first, before the
-    # denominator kind's (1+|x|^2)^m and the group's monomial maps.
-    moment_size = basis_size(prob.nvars + 1 if kind.has_x0 else prob.nvars, k)
-    sdp.check_memory(sdp.dense_bytes(0, 0, [moment_size]), what)
+    # refuse on the moment matrix first, before the denominator kind's
+    # (1+|x|^2)^m and the group's monomial maps
+    check_order_fits(prob.nvars + 1 if kind.has_x0 else prob.nvars, k, what)
     theta, nu, eqs, ineqs, nv = _relaxed_space(kind, prob, k)
     two_k = 2 * k
     for p in (theta, nu, *eqs, *ineqs):
@@ -219,6 +217,13 @@ def assemble(kind: HierarchyKind, prob: PopProblem, k: int, *,
         psd_pencils=pencils,
         symmetry=None if group is None
         else _symmetry_of(group, orbits, eqs, nv, k, shifts, pencils))
+
+
+def check_order_fits(nvars: int, k: int, what: str):
+    """Raise ``sdp.ResourceError`` for ``what`` when the QR stack of the
+    order-k moment matrix in nvars variables, which every relaxation of that
+    order holds however few orbits its group leaves, exceeds physical memory."""
+    sdp.check_memory(sdp.dense_bytes(0, 0, [basis_size(nvars, k)]), what)
 
 
 def _dense_bytes(nv: int, k: int, eqs, ineqs, orbits: int | None = None) -> int:

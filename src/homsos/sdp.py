@@ -56,13 +56,16 @@ feasible; NUMERICAL_TROUBLE when it converges only with a diverging moment
 vector, when one side converged and the other stalled, when the moment
 iterate diverges, when the step lengths collapse, or when a factorization
 fails or no positive definite step is found; and ITER_LIMIT when it spends
-either iteration budget: ``SolveOptions.max_iter`` iterations in all, or
+either iteration budget: ``MAX_ITER`` iterations in all, or
 ``MOMENT_BUDGET`` iterations after its moment side first converged.  The
 second budget ends runs whose certificate side is not attained: their
 moment side converges, and the steps after it change neither the gap nor
 the residuals nor the value.  If the certificate residual was within
 ``REPORT_TOL`` at some iterate since the moment side converged, such a run
-goes on past the budget until it is again.
+goes on past the budget until it is again.  A certificate side that runs
+off is a ray whose residual grows with it by rounding, so
+PRIMAL_INFEASIBLE measures the residual against the ray's own objective,
+as SDPT3 does: ||rp|| <= FEAS_TOL (1 + ||b|| + |pobj|).
 
 Solutions are reported in the original y coordinates with duals lifted back
 accordingly; a block solved for d copies has X' = d X_M, since
@@ -100,18 +103,20 @@ FEAS_TOL = 1e-8   # relative residual of a converged side
 NORM_CAP = 1e8    # moment norm past which convergence means an unattained optimum
 DIVERGED_NORM = 100.0 * NORM_CAP   # moment norm that ends a run as diverged
 REPORT_TOL = 1e-6    # relative residual up to which a side's value is reported
+MAX_ITER = 200       # iterations a run may take in all
 MOMENT_BUDGET = 50   # iterations a run may take after its moment side converged
 STEP_FRACS = (0.98, 0.95, 0.9)   # fraction to the boundary of each restart attempt
 
 
 class SdpStatus(enum.Enum):
     """How a solve ended (see the module docstring).  ITER_LIMIT covers both
-    iteration budgets: ``SolveOptions.max_iter`` iterations in all, with the
-    message ``iteration limit reached``, and ``MOMENT_BUDGET`` iterations
-    after the moment side converged, with the message ``iteration limit
-    reached: <N> iterations since the moment side converged``.  Either way
-    the moment side may have converged (``SdpSolution.moment_converged``),
-    and ``solve_with_restarts`` does not restart."""
+    iteration budgets: ``MAX_ITER`` iterations in all, with the message
+    ``iteration limit reached``, and ``MOMENT_BUDGET`` iterations after the
+    moment side converged, with the message ``iteration limit reached: <N>
+    iterations since the moment side converged``.  Either way the moment
+    side may have converged (``SdpSolution.moment_converged``), and
+    ``solve_with_restarts`` does not restart.  PRIMAL_INFEASIBLE measures
+    the certificate ray's residual against its own objective."""
 
     OPTIMAL = "optimal"
     PRIMAL_INFEASIBLE = "primal_infeasible"
@@ -187,12 +192,9 @@ def check_seed(seed):
 @dataclass
 class SolveOptions:
     gap_tol: float = 1e-8
-    max_iter: int = 200
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iter < 0:
-            raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
         check_tolerance("gap_tol", self.gap_tol)
         check_seed(self.seed)
 
@@ -937,8 +939,8 @@ def _ipm(red: _Reduced, opts: SolveOptions, start: tuple):
     stall = 0
     mom_first = None   # first iteration at which the moment side converged
     cert_seen = False  # a reportable certificate side since then
-    # every run ends at a break: at the latest when it == opts.max_iter
-    for it in range(opts.max_iter + 1):
+    # every run ends at a break: at the latest when it == MAX_ITER
+    for it in range(MAX_ITER + 1):
         rp = bvec.copy()
         for g_f, x in zip(gflat, xs):
             rp += g_f @ x.reshape(-1)
@@ -990,7 +992,8 @@ def _ipm(red: _Reduced, opts: SolveOptions, start: tuple):
             status, message = (SdpStatus.DUAL_INFEASIBLE,
                                "moment objective unbounded below (certificate side infeasible)")
             break
-        if pobj < -1e10 * (1.0 + abs(dobj)) and rp_rel <= FEAS_TOL:
+        # the ray rule: ||rp|| <= FEAS_TOL (1 + ||b|| + |pobj|)
+        if pobj < -1e10 * (1.0 + abs(dobj)) and rp_rel <= FEAS_TOL * (1.0 + abs(pobj) / bnorm):
             status, message = (SdpStatus.PRIMAL_INFEASIBLE,
                                "certificate objective unbounded (moment side infeasible)")
             break
@@ -1000,7 +1003,7 @@ def _ipm(red: _Reduced, opts: SolveOptions, start: tuple):
         if stall >= 6:
             status, message = SdpStatus.NUMERICAL_TROUBLE, "step lengths collapsed"
             break
-        if it == opts.max_iter:
+        if it == MAX_ITER:
             status, message = SdpStatus.ITER_LIMIT, "iteration limit reached"
             break
         # An unattained certificate leaves the run idling once the moment

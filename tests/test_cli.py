@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from homsos import cli, driver, poly, sdp
+from homsos import cli, driver, poly, relax, sdp
 from homsos.cli import ProblemParseError, format_problem, parse_problem
 from homsos.poly import Polynomial, PopProblem
 
@@ -431,6 +431,31 @@ def test_a_power_no_relaxation_holds_is_refused_before_it_is_expanded(tmp_path):
         parse_problem("vars: x\nminimize: x^1" + "0" * 200 + "\n")
 
 
+@pytest.mark.parametrize("n, k", [(1, 40), (3, 6), (6, 3)])
+def test_the_power_guard_refuses_where_assemble_does(monkeypatch, n, k):
+    """A power of degree 2k in n declared variables is refused exactly where
+    ``relax.assemble`` refuses the standard order-k relaxation on its moment
+    matrix alone (``relax.check_order_fits``)."""
+    text = f"vars: {' '.join(f'x{i}' for i in range(n))}\nminimize: x0^{2 * k}\n"
+    prob, _, _ = parse_problem(text)
+    stack = sdp.dense_bytes(0, 0, [poly.basis_size(n, k)])
+    monkeypatch.setattr(sdp, "physical_memory", lambda: stack - 1)
+    with pytest.raises(sdp.ResourceError) as parsed:
+        parse_problem(text)
+    with pytest.raises(sdp.ResourceError) as assembled:
+        relax.assemble(relax.STANDARD, prob, k, _symmetry=False)
+    assert parsed.value.needed == assembled.value.needed == stack
+    assert str(parsed.value).startswith(f"line 2, column 13: a power of degree {2 * k}, "
+                                        f"solved at order {k} or above, needs about")
+    # one byte more: the parser expands the power, and assemble refuses only
+    # on its estimate of the whole solve
+    monkeypatch.setattr(sdp, "physical_memory", lambda: stack)
+    assert parse_problem(text)[0].objective.terms == prob.objective.terms
+    with pytest.raises(sdp.ResourceError) as assembled:
+        relax.assemble(relax.STANDARD, prob, k, _symmetry=False)
+    assert assembled.value.needed == relax._dense_bytes(n, k, (), ()) > stack
+
+
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                     reason="int() converts any number of digits")
 def test_an_exponent_past_int_conversion_is_a_parse_error():
@@ -523,12 +548,11 @@ def test_a_nonfinite_iterate_ends_the_order_with_a_record(tmp_path):
 
 @pytest.mark.parametrize("text", [
     "vars: x\nminimize: 1e160*x^2 + x\n",
-    "vars: x\nminimize: 1e200*x^2 + x\n",
-    "vars: x\nminimize: x^2\nsubject_to:\n-1 >= 0\n"],
-    ids=["1e160", "1e200", "infeasible"])
+    "vars: x\nminimize: 1e200*x^2 + x\n"],
+    ids=["1e160", "1e200"])
 def test_an_overflow_in_the_solve_ends_the_order_with_a_record(tmp_path, text):
-    # the first two ended optimal with meaningless values (f_k -1.43e151 and
-    # 0.0), all three with overflow RuntimeWarnings
+    # both ended optimal with meaningless values (f_k -1.43e151 and 0.0),
+    # with overflow RuntimeWarnings
     path = tmp_path / "p.pop"
     path.write_text(text)
     with warnings.catch_warnings():
@@ -540,12 +564,34 @@ def test_an_overflow_in_the_solve_ends_the_order_with_a_record(tmp_path, text):
     assert json.loads(out)["final"]["best_bound"] is None
 
 
+INFEASIBLE_TEXT = "vars: x\nminimize: x^2\nsubject_to:\n-1 >= 0\n"
+
+
+@pytest.mark.parametrize("kind", ["homog", "even", "denom"])
+def test_an_infeasible_problem_is_diagnosed_infeasible(tmp_path, kind):
+    # the lifted problem has feasible points at infinity only; under homog
+    # the certificate ray's residual overflowed before the absolute residual
+    # test let it prove the relaxation infeasible, and the order ended
+    # numerical_trouble with "no usable bound was produced at any order"
+    path = tmp_path / "p.pop"
+    path.write_text(INFEASIBLE_TEXT)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli([str(path), "--kind", kind, "--order", "1"])
+    assert (code, err) == (3, "")
+    report = json.loads(out)
+    rec, = report["records"]
+    assert rec["status"] == "primal_infeasible"
+    assert rec["solver_message"] == "certificate objective unbounded (moment side infeasible)"
+    assert report["final"]["diagnosis"] == "the relaxation is infeasible, and so is the problem"
+
+
 # (status, start of the solver message, whether f_k is reported) per record
 @pytest.mark.parametrize("text, args, records, final", [
     ("vars: x\nminimize: x\n", ["--max-order", "3"],
      [("numerical_trouble", "moment iterate norm diverged", False)] * 3,
      {"best_bound": None, "diagnosis": "no usable bound was produced at any order"}),
-    ("vars: x\nminimize: x^2\nsubject_to:\n-1 >= 0\n", [],
+    (INFEASIBLE_TEXT, [],
      [("primal_infeasible", "certificate objective unbounded", True)],
      {"diagnosis": "the relaxation is infeasible, and so is the problem"})],
     ids=["unbounded", "infeasible"])

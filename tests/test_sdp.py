@@ -273,8 +273,9 @@ def test_restart_attempts_start_as_the_policy_says(monkeypatch, seed):
     rng = np.random.default_rng(seed)
     u1, u2 = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
     assert starts == [(1.0, 0.98), (10.0 ** u1, 0.95), (10.0 ** u2, 0.9)]
-    # the start belongs to the attempt: the options cannot set it
-    for name in ("step_frac", "init_scale"):
+    # the start belongs to the attempt, and the budget to the module
+    # (MAX_ITER): the options cannot set them
+    for name in ("step_frac", "init_scale", "max_iter"):
         with pytest.raises(TypeError):
             sdp.SolveOptions(**{name: 0.9})
 
@@ -348,6 +349,26 @@ ILL_CONDITIONED = "equality system A y = b is too ill-conditioned: lstsq misses 
 def test_each_solver_exit(inst, status, message):
     sol = sdp.solve(inst)
     assert (sol.status, sol.message) == (status, message)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-12, 2.0, 0.5])
+@pytest.mark.parametrize("c", [0.0, 1.0])
+@pytest.mark.parametrize("lin, const", [([[-2, 1], [1, 0]], [[1, -1], [-1, -1]]),
+                                        (np.diag([1, -1]), np.diag([0, -1]))],
+                         ids=["skew", "diag"])
+def test_an_infeasible_pencil_is_proved_infeasible_at_the_first_attempt(lin, const, c,
+                                                                        scale):
+    """No y makes [[1 - 2y, y - 1], [y - 1, -1]] or diag(y, -1 - y) psd.
+    Rounding grows the residual of the certificate ray with its objective,
+    so an absolute residual test missed the ray: at scale 1 + 1e-12 both
+    raised NonFiniteError, and at scale 1 with c = 0 the first one's first
+    attempt ended "certificate side converged but the moment side stalled"."""
+    inst = exit_instance([scale * c], [scale * np.asarray(lin, float)],
+                         scale * np.asarray(const, float))
+    sol = sdp.solve_with_restarts(inst)
+    # no " (attempt N)" suffix: the first attempt ended it
+    assert (sol.status, sol.message) == (
+        sdp.SdpStatus.PRIMAL_INFEASIBLE, "certificate objective unbounded (moment side infeasible)")
 
 
 def test_a_reduction_shortcut_is_not_restarted(monkeypatch):
@@ -435,12 +456,6 @@ def test_unattained_instance_never_reports_clean_optimum():
 
 
 
-def test_negative_max_iter_is_rejected():
-    with pytest.raises(ValueError, match="max_iter"):
-        sdp.SolveOptions(max_iter=-1)
-    assert sdp.SolveOptions(max_iter=0).max_iter == 0
-
-
 @pytest.mark.parametrize("field, value", [("gap_tol", -1.0), ("gap_tol", 0.0),
                                           ("gap_tol", float("nan")), ("gap_tol", float("inf")),
                                           ("seed", -5), ("seed", 1.5)])
@@ -470,7 +485,7 @@ def test_idle_run_stops_within_the_moment_budget(monkeypatch):
     idle = re.fullmatch(r"iteration limit reached: (\d+) iterations since "
                         r"the moment side converged", sol.message)
     assert idle, sol.message
-    assert sol.iterations < sdp.SolveOptions().max_iter
+    assert sol.iterations < sdp.MAX_ITER
     # past the budget the run goes on only while its certificate side is
     # not reportable, since the idle phase had a reportable one
     first = sol.iterations - int(idle.group(1))
@@ -868,9 +883,9 @@ def test_nonfinite_iterates_raise_value_error(monkeypatch, name, spoil, call):
 def test_iteration_calls_no_scipy_wrapper_or_tensordot(monkeypatch):
     rel = relax.assemble(relax.HOMOGENIZED, chain_with_product(), 2)
     inst, _ = relax.to_sdp_instance(rel)
-    opts = sdp.SolveOptions(max_iter=15)
+    monkeypatch.setattr(sdp, "MAX_ITER", 15)
     red = sdp._reduce(inst)
-    ref = sdp.solve(inst, opts, _reduced=red)
+    ref = sdp.solve(inst, _reduced=red)
     assert len(red.blocks) > 1
     assert len({blk.g0.shape[0] for blk in red.blocks}) > 1
 
@@ -880,7 +895,7 @@ def test_iteration_calls_no_scipy_wrapper_or_tensordot(monkeypatch):
     for name in ("solve_triangular", "eigvalsh", "cho_factor", "cho_solve"):
         monkeypatch.setattr(scipy.linalg, name, forbidden)
     monkeypatch.setattr(np, "tensordot", forbidden)
-    sol = sdp.solve(inst, opts, _reduced=red)
+    sol = sdp.solve(inst, _reduced=red)
     assert sol.iterations == ref.iterations == 15
     assert sol.status is ref.status
     assert np.array_equal(sol.y, ref.y)
@@ -1083,16 +1098,16 @@ def test_product_quartic_splits_into_isotypic_blocks(monkeypatch):
 
 def test_unsplit_solve_keeps_its_bits(monkeypatch):
     # neither the copy reduction nor the split touches these pencils
-    opts = sdp.SolveOptions(max_iter=30)
+    monkeypatch.setattr(sdp, "MAX_ITER", 30)
     for prob, k in ((chain_with_product, 2), (norm_over_hyperbolas, 3)):
         inst, _ = relax.to_sdp_instance(relax.assemble(relax.HOMOGENIZED, prob(), k))
-        ref = sdp.solve(inst, opts)
+        ref = sdp.solve(inst)
         assert len(ref.blocks) == len(inst.pencils)
         with monkeypatch.context() as patch:
             for name, off in (("_copy_basis", lambda *args: None),
                               ("_split_block", lambda blk: [blk])):
                 patch.setattr(sdp, name, off)
-                sol = sdp.solve(inst, opts)
+                sol = sdp.solve(inst)
                 assert ref.blocks == sol.blocks
                 assert np.array_equal(ref.y, sol.y)
                 assert ref.history == sol.history
@@ -1384,7 +1399,7 @@ def test_reduce_peaks_at_the_qr_stack_and_one_chunk(monkeypatch):
     assert peak - held[0] <= stack + raw + (1 << 18)
 
 
-def test_ipm_holds_one_b_stack():
+def test_ipm_holds_one_b_stack(monkeypatch):
     """chain_with_product at order 2 (mz = 181, largest block 27): the
     interior-point loop holds one (mz, 27, 27) B stack, one chunk of left
     products and, while it factors, the Schur matrix and its jittered copy,
@@ -1393,13 +1408,14 @@ def test_ipm_holds_one_b_stack():
     to 3.15 times the stack."""
     inst, _ = relax.to_sdp_instance(relax.assemble(relax.HOMOGENIZED, chain_with_product(), 2))
     red = sdp._reduce(inst)
+    monkeypatch.setattr(sdp, "MAX_ITER", 5)
     mz, s_max = red.chat.size, max(blk.g0.shape[0] for blk in red.blocks)
     assert (mz, s_max) == (181, 27)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        assert sdp._ipm(red, sdp.SolveOptions(max_iter=5), (1.0, 0.98))[4] == 5
+        assert sdp._ipm(red, sdp.SolveOptions(), (1.0, 0.98))[4] == 5
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
