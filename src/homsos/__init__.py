@@ -13,7 +13,7 @@ from .sdp import SdpInstance, SdpSolution, SdpStatus, SolveOptions, solve, \
 from .extract import Atom, AtomSet, classify, extract_atoms, flat_truncation, \
     numerical_rank
 from .optcond import (OptCondReport, check_at_infinity, check_at_infinity_even,
-                      check_regular, equivalence_probe)
+                      check_regular)
 from .driver import DriverOptions, HierarchyReport, minimizers_at_infinity, solve_pop
 from .cli import parse_problem, run
 

@@ -428,15 +428,14 @@ def run(argv, out=None, err=None) -> int:
         print(f"error: --kind even: {why}", file=err)
         return 2
 
-    k_max = args.order if args.max_order is None else args.max_order
     opts = driver.DriverOptions(
         kind=args.kind, gap_tol=args.tol_gap, rank_tol=args.tol_rank,
         atom_tol=args.tol_atom, verify=not args.no_verify, seed=args.seed,
-        dump_sdpa=args.dump_sdpa, k_min=args.order, k_max=k_max)
+        dump_sdpa=args.dump_sdpa, k_min=args.order, k_max=args.max_order)
 
     try:
         if args.infinity:
-            result = driver.minimizers_at_infinity(prob, k_max, opts)
+            result = driver.minimizers_at_infinity(prob, opts=opts)
         else:
             result = driver.solve_pop(prob, opts)
     except sdp.ResourceError as exc:

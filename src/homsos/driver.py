@@ -4,6 +4,11 @@ Also provides the dedicated sphere-constrained solve for minimizers at
 infinity (the top-degree parts of all problem data restricted to the unit
 sphere); its report also carries the verdict on positivity at infinity
 that the same solve gives.
+
+``DriverOptions`` is an ``sdp.SolveOptions`` and goes to the solver as it
+is.  The reports serialize through ``optcond.report_dict``; a record's
+``bound`` and ``atom_set`` and an infinity report's ``values`` and
+``positive`` are Python-only.
 """
 
 from __future__ import annotations
@@ -27,22 +32,22 @@ MERGE_TOL = 1e-6           # relative distance of atoms merged by the even kind
 
 
 @dataclass
-class DriverOptions:
+class DriverOptions(sdp.SolveOptions):
+    """The solver's ``gap_tol`` and ``seed``, and the hierarchy's settings."""
+
     kind: relax.HierarchyKind = relax.HOMOGENIZED
     k_min: int | None = None
     k_max: int | None = None
-    gap_tol: float = sdp.SolveOptions.gap_tol
     rank_tol: float = 1e-6
     extract_tol: float = 1e-5
     atom_tol: float = 1e-4       # x0 test of classify; admission and activity in optcond
     verify: bool = True
-    seed: int = sdp.SolveOptions.seed
     dump_sdpa: str | None = None
 
     def __post_init__(self):
-        for name in ("gap_tol", "rank_tol", "extract_tol", "atom_tol"):
+        super().__post_init__()
+        for name in ("rank_tol", "extract_tol", "atom_tol"):
             sdp.check_tolerance(name, getattr(self, name))
-        sdp.check_seed(self.seed)
 
 
 @dataclass
@@ -52,10 +57,10 @@ class OrderRecord:
     status: str
     f_k: float | None            # certificate-side bound
     f_k_prime: float | None      # moment-side value
-    bound: float | None = None   # the order's bound, decided by _solve_order
+    bound: float | None = field(default=None, metadata=optcond.PYTHON_ONLY)  # see _solve_order
     flat_t: int | None = None
     flat_gap: int | None = None
-    atom_set: extract.AtomSet | None = None
+    atom_set: extract.AtomSet | None = field(default=None, metadata=optcond.PYTHON_ONLY)
     minimizers: list = field(default_factory=list)        # (point, value)
     minimizers_at_infinity: list = field(default_factory=list)  # points
     optcond: list = field(default_factory=list)
@@ -67,27 +72,9 @@ class OrderRecord:
     blocks: dict | None = None      # sdp.describe_blocks of the solve
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "kind": self.kind,
-            "status": self.status,
-            "f_k": None if self.f_k is None else float(self.f_k),
-            "f_k_prime": None if self.f_k_prime is None else float(self.f_k_prime),
-            "flat_t": self.flat_t,
-            "flat_gap": self.flat_gap,
-            "minimizers": [{"point": [float(v) for v in pt], "value": float(val)}
-                           for pt, val in self.minimizers],
-            "minimizers_at_infinity": [{"point": [float(v) for v in pt]}
-                                       for pt in self.minimizers_at_infinity],
-            "optcond": [r.to_dict() for r in self.optcond],
-            "certificate_residual": None if self.certificate_residual is None
-            else float(self.certificate_residual),
-            "iterations": self.iterations,
-            "solver_message": self.solver_message,
-            "notes": self.notes,
-            "symmetry": self.symmetry,
-            "blocks": self.blocks,
-        }
+        return optcond.report_dict(
+            self, minimizers=[{"point": pt, "value": val} for pt, val in self.minimizers],
+            minimizers_at_infinity=[{"point": pt} for pt in self.minimizers_at_infinity])
 
 
 @dataclass
@@ -99,15 +86,8 @@ class HierarchyReport:
     diagnosis: str
 
     def to_dict(self) -> dict:
-        return {
-            "records": [r.to_dict() for r in self.records],
-            "final": {
-                "best_bound": None if self.best_bound is None else float(self.best_bound),
-                "converged": bool(self.converged),
-                "convergence_order": self.convergence_order,
-                "diagnosis": self.diagnosis,
-            },
-        }
+        final = optcond.report_dict(self)
+        return {"records": final.pop("records"), "final": final}
 
 
 def default_k_min(prob: PopProblem, kind: relax.HierarchyKind) -> int:
@@ -156,8 +136,7 @@ def _solve_order(prob, kind, k, opts, dump_path=None):
     if dump_path:
         sdp.write_sdpa(inst, dump_path)
     try:
-        sdp_opts = sdp.SolveOptions(gap_tol=opts.gap_tol, seed=opts.seed)
-        sol = relax.full_solution(rel, sdp.solve_with_restarts(inst, sdp_opts))
+        sol = relax.full_solution(rel, sdp.solve_with_restarts(inst, opts))
     except sdp.NonFiniteError as exc:
         rec.status = sdp.SdpStatus.NUMERICAL_TROUBLE.value
         rec.notes = f"the solve stopped on a non-finite array: {exc}"
@@ -379,8 +358,8 @@ class InfinityReport(HierarchyReport):
     ``positive`` is the verdict on positivity at infinity, which
     ``diagnosis`` explains; the bound behind it is the record's ``f_k``."""
 
-    values: list = field(default_factory=list)
-    positive: bool = False
+    values: list = field(default_factory=list, metadata=optcond.PYTHON_ONLY)
+    positive: bool = field(default=False, metadata=optcond.PYTHON_ONLY)
 
     @property
     def bound(self):
@@ -425,13 +404,16 @@ def minimizers_at_infinity(prob: PopProblem, k: int | None = None,
     ``opts.atom_tol``, and is otherwise dropped with a note.  ``values`` are
     the top-degree objective at the reported directions.  The same solve
     gives the verdict on positivity at infinity: ``positive``, and in
-    ``diagnosis`` its reason.  The order ``k`` defaults to the sphere
-    problem's first standard order, and the solve is dumped to
+    ``diagnosis`` its reason.  The order ``k`` defaults to the last order
+    ``solve_pop`` would run: ``opts.k_max``, else ``opts.k_min``, else the
+    sphere problem's first standard order.  The solve is dumped to
     ``opts.dump_sdpa`` when that is set.
     """
+    opts = opts or DriverOptions()
+    if k is None:
+        k = opts.k_min if opts.k_max is None else opts.k_max
     if k is not None and k < 1:
         raise ValueError(f"order must be at least 1, got {k}")
-    opts = opts or DriverOptions()
     with sdp._one_blas_thread():
         sph = sphere_restriction(prob)
         k = default_k_min(sph, relax.STANDARD) if k is None else k

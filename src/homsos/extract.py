@@ -110,7 +110,6 @@ def extract_atoms(y: np.ndarray, nvars: int, k: int, t: int,
             f"no well-conditioned low-degree basis (condition ~ {cond:.2e})")
     pivots = sorted(piv[:r].tolist())
     base = fac[pivots]                           # (r, r)
-    cond = np.linalg.cond(base)
 
     piv_exps = exponent_array(nvars, t)[pivots]
     mults = []
@@ -127,7 +126,7 @@ def extract_atoms(y: np.ndarray, nvars: int, k: int, t: int,
     if sub.size and np.max(sub) > 1e-6 * (1.0 + np.max(np.abs(tmat))):
         raise AtomExtractionError(
             f"complex eigenvalue cluster in multiplication matrix "
-            f"(condition ~ {cond:.2e})")
+            f"(condition ~ {np.linalg.cond(base):.2e})")
 
     points = np.empty((r, nvars))
     for v, n_v in enumerate(mults):
@@ -152,7 +151,7 @@ def extract_atoms(y: np.ndarray, nvars: int, k: int, t: int,
     if resid > extract_tol * scale:
         raise AtomExtractionError(
             f"atomic rebuild residual {resid:.2e} exceeds tolerance "
-            f"(condition ~ {cond:.2e})")
+            f"(condition ~ {np.linalg.cond(base):.2e})")
     if np.min(weights) < -extract_tol * scale:
         raise AtomExtractionError(f"negative atom weight {np.min(weights):.2e}")
     return [Atom(weight=float(a), point=points[i].copy())

@@ -19,12 +19,15 @@ the sphere.  Their rows still count in LICQ, ``licq_min_sv`` and SOSC.
 
 One SVD of the active gradients decides LICQ and gives the least-squares
 multipliers and the tangent space on which SOSC is tested.
+
+``report_dict`` is the JSON form of every report, here and in ``driver``:
+its declared fields in order, except those marked ``PYTHON_ONLY``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 import scipy.linalg
@@ -33,6 +36,32 @@ from .poly import Polynomial, PopProblem, build_homogenized
 
 SCC_TOL = 1e-6    # strict complementarity; dual feasibility of inequality multipliers
 FEAS_TOL = 1e-6   # constraint violation of a regular point, relative
+PYTHON_ONLY = {"json": False}   # field metadata: the field stays out of report_dict
+
+
+def _jsonable(value):
+    """``value`` in JSON types: an array as a list of floats, a numpy scalar
+    as a Python number, a report as its ``to_dict``, lists and dicts
+    element by element."""
+    if isinstance(value, np.ndarray):
+        return [float(v) for v in value]
+    if isinstance(value, np.generic):
+        return value.item()
+    if isinstance(value, list):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    if is_dataclass(value):
+        return value.to_dict()
+    return value
+
+
+def report_dict(report, **reshaped) -> dict:
+    """The JSON dict of the dataclass ``report``: each declared field not
+    marked ``PYTHON_ONLY``, in declaration order, through ``_jsonable``; a
+    field named in ``reshaped`` is written from the value given there."""
+    return {f.name: _jsonable(reshaped.get(f.name, getattr(report, f.name)))
+            for f in fields(report) if f.metadata.get("json", True)}
 
 
 @dataclass
@@ -58,24 +87,10 @@ class OptCondReport:
         return self.licq and self.fooc_ok and self.scc and self.sosc
 
     def to_dict(self) -> dict:
-        return {
-            "location_kind": self.location_kind,
-            "point": [float(v) for v in self.point],
-            "active_set": list(self.active_set),
-            "licq": bool(self.licq),
-            "licq_min_sv": float(self.licq_min_sv),
-            "multipliers": {k: float(v) for k, v in self.multipliers.items()},
-            "fooc_ok": bool(self.fooc_ok),
-            "fooc_residual": float(self.fooc_residual),
-            "scc": bool(self.scc),
-            "scc_margin": float(self.scc_margin),
-            "sosc": bool(self.sosc),
-            "sosc_margin": float(self.sosc_margin),
-            "lambda0": None if self.lambda0 is None else float(self.lambda0),
-            "lambda_bar": None if self.lambda_bar is None else float(self.lambda_bar),
-            "passed": bool(self.passed),
-            "notes": self.notes,
-        }
+        out = report_dict(self)
+        out["passed"] = bool(self.passed)
+        out["notes"] = out.pop("notes")
+        return out
 
 
 def _active_constraints(prob: PopProblem, cvals_in, active_tol: float) -> list:

@@ -248,6 +248,30 @@ def test_infinity_record_follows_order_schema(tmp_path):
         f"positivity not shown at order 3: bound {rec['f_k']:.3g} is not above 1e-06")
 
 
+@pytest.mark.parametrize("argv, points, point_keys", [
+    (["corner_cubic.pop", "--order", "2"], "minimizers", ["point", "value"]),
+    (["unattained.pop", "--infinity"], "minimizers_at_infinity", ["point"])])
+def test_json_schema_is_exactly_the_declared_fields(argv, points, point_keys):
+    code, out, _ = run_cli([str(PROBLEMS / argv[0])] + argv[1:])
+    assert code == 0
+    rep = json.loads(out)
+    assert list(rep) == ["problem_echo", "records", "final"]
+    rec = rep["records"][0]
+    assert list(rec) == ["k", "kind", "status", "f_k", "f_k_prime", "flat_t", "flat_gap",
+                         "minimizers", "minimizers_at_infinity", "optcond",
+                         "certificate_residual", "iterations", "solver_message", "notes",
+                         "symmetry", "blocks"]
+    assert list(rec[points][0]) == point_keys
+    assert list(rec["optcond"][0]) == [
+        "location_kind", "point", "active_set", "licq", "licq_min_sv", "multipliers",
+        "fooc_ok", "fooc_residual", "scc", "scc_margin", "sosc", "sosc_margin",
+        "lambda0", "lambda_bar", "passed", "notes"]
+    assert list(rep["final"]) == ["best_bound", "converged", "convergence_order", "diagnosis"]
+    # the Python-only fields of the records and of the infinity report
+    for key in ("bound", "atom_set", "values", "positive"):
+        assert f'"{key}"' not in out
+
+
 def test_infinity_dump_sdpa_writes_the_sphere_solve(tmp_path):
     path = tmp_path / "p.pop"
     path.write_text("vars: x1 x2\nminimize: x2^2 + (2*x2^2 + 2*x1*x2 + 1)^2\n")

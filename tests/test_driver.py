@@ -643,3 +643,19 @@ def test_infinity_solve_defaults_to_the_first_standard_order():
     assert default.records[0].k == k
     assert default.to_dict() == explicit.to_dict()
     assert default.positive == explicit.positive
+
+
+def test_infinity_solve_reads_its_order_from_the_options():
+    # without k, the last order solve_pop would run: k_max, else k_min
+    prob = cubic_unbounded()
+    at_3 = driver.minimizers_at_infinity(prob, 3)
+    for opts in (driver.DriverOptions(k_max=3), driver.DriverOptions(k_min=3),
+                 driver.DriverOptions(k_min=2, k_max=3)):
+        rep = driver.minimizers_at_infinity(prob, opts=opts)
+        assert rep.records[0].k == 3
+        assert rep.to_dict() == at_3.to_dict()
+    # an explicit order wins
+    rep = driver.minimizers_at_infinity(prob, 2, driver.DriverOptions(k_max=3))
+    assert rep.records[0].k == 2
+    with pytest.raises(ValueError, match="order must be at least 1, got 0"):
+        driver.minimizers_at_infinity(prob, opts=driver.DriverOptions(k_max=0))
