@@ -216,7 +216,7 @@ def assemble(kind: HierarchyKind, prob: PopProblem, k: int, *,
         kind=kind, order=k, theta=theta, nu=nu, eq_A=eq_A, eq_shifts=shifts,
         psd_pencils=pencils,
         symmetry=None if group is None
-        else _symmetry_of(group, orbits, eqs, nv, k, shifts, pencils))
+        else _symmetry_of(group, orbits))
 
 
 def check_order_fits(nvars: int, k: int, what: str):
@@ -371,24 +371,15 @@ class Symmetry:
     y = P z, where column o of the sparse ``orbit_map`` P holds the signs
     of the monomials of orbit o relative to its first monomial, so z_o is
     the moment of that monomial.  An orbit that the group maps to its own
-    negative forces its moments to 0 and has no column.  ``gram_orbits``
-    (over the stacked entries of all pencil matrices) and ``row_orbits``
-    (over the rows of ``eq_A``) average a certificate of the reduced
-    instance over the group."""
+    negative forces its moments to 0 and has no column.  ``images`` keeps,
+    per generator, what ``_group`` found: the images of the equalities and
+    of the inequalities and the map of the monomials.  ``group_average``
+    builds from them the orbits of the Gram entries and of the equality
+    rows, for the certificate alone."""
 
     generators: list       # SignedPermutation
     orbit_map: object      # scipy.sparse.csr_matrix, (tms_dim, orbits)
-    gram_orbits: tuple     # (root, sign), see _orbits
-    row_orbits: tuple
-
-    def average_grams(self, grams: list) -> list:
-        flat = _orbit_average(self.gram_orbits,
-                              np.concatenate([g.reshape(-1) for g in grams]))
-        out, start = [], 0
-        for g in grams:
-            out.append(flat[start:start + g.size].reshape(g.shape))
-            start += g.size
-        return out
+    images: list           # (eq_image, ineq_image, (image, sign)) per generator
 
 
 def _group(theta, nu, eqs, ineqs, nv, k):
@@ -418,17 +409,33 @@ def _live(orbits: tuple) -> np.ndarray:
     return np.flatnonzero((root == np.arange(root.size)) & (sign != 0))
 
 
-def _symmetry_of(group, orbits, eqs, nv, k, shifts, pencils):
-    """The ``Symmetry`` of the relaxation from its ``_group``, the monomial
-    orbits the group generates and the ``eq_shifts`` of its rows."""
-    sizes = [pen.size for pen in pencils]
+def _symmetry_of(group, orbits):
+    """The ``Symmetry`` of the relaxation from its ``_group`` and the
+    monomial orbits the group generates."""
+    root, sign = orbits
+    cols = _live(orbits)
+    live = np.flatnonzero(sign)
+    orbit_map = scipy.sparse.csr_matrix(
+        (sign[live], (live, np.searchsorted(cols, root[live]))),
+        shape=(root.size, cols.size))
+    return Symmetry(generators=[g for g, *_ in group], orbit_map=orbit_map,
+                    images=[(eq, ineq, mono) for _g, eq, ineq, mono in group])
+
+
+def group_average(rel: MomentRelaxation, lam: np.ndarray, grams: list) -> tuple:
+    """The multipliers ``lam`` of the rows of ``eq_A`` and the Gram matrices
+    ``grams`` of the pencils, averaged over the relaxation's group: each
+    entry becomes the signed mean of its orbit (``_orbit_average``).  The
+    orbits of the stacked Gram entries and of the rows are built here from
+    the generators' ``images``, so only a certificate holds them."""
+    sizes = [pen.size for pen in rel.psd_pencils]
     offsets = np.cumsum([0] + [s * s for s in sizes])
-    rows = len(shifts) + 1
-    eq_start = {}
-    for row, (i, _g) in enumerate(shifts):
-        eq_start.setdefault(i, row)
+    rows = lam.size
+    eq_rows = {}   # equality index -> [first row, row count]
+    for row, (i, _g) in enumerate(rel.eq_shifts):
+        eq_rows.setdefault(i, [row, 0])[1] += 1
     gram_maps, row_maps = [], []
-    for g, eq_image, ineq_image, (image, sg) in group:
+    for eq_image, ineq_image, (image, sg) in rel.symmetry.images:
         # pencil j + 1 localizes inequality j; the moment pencil is fixed
         targets = [0] + [j + 1 for j, _ in ineq_image]
         g_image, g_sign = [], []
@@ -438,22 +445,17 @@ def _symmetry_of(group, orbits, eqs, nv, k, shifts, pencils):
             g_sign.append(np.outer(sg[:s], sg[:s]).reshape(-1))
         gram_maps.append((np.concatenate(g_image), np.concatenate(g_sign)))
         r_image, r_sign = np.arange(rows), np.ones(rows)
-        for i, start in eq_start.items():
+        for i, (start, count) in eq_rows.items():
             j, eps = eq_image[i]
-            stop = start + len(monomial_basis(nv, 2 * k - eqs[i].degree()))
-            r_image[start:stop] = eq_start[j] + image[:stop - start]
-            r_sign[start:stop] = eps * sg[:stop - start]
+            r_image[start:start + count] = eq_rows[j][0] + image[:count]
+            r_sign[start:start + count] = eps * sg[:count]
         row_maps.append((r_image, r_sign))
 
-    root, sign = orbits
-    cols = _live(orbits)
-    live = np.flatnonzero(sign)
-    orbit_map = scipy.sparse.csr_matrix(
-        (sign[live], (live, np.searchsorted(cols, root[live]))),
-        shape=(root.size, cols.size))
-    return Symmetry(generators=[g for g, *_ in group], orbit_map=orbit_map,
-                    gram_orbits=_orbits(int(offsets[-1]), gram_maps),
-                    row_orbits=_orbits(rows, row_maps))
+    flat = _orbit_average(_orbits(int(offsets[-1]), gram_maps),
+                          np.concatenate([g.reshape(-1) for g in grams]))
+    out = [flat[start:stop].reshape(g.shape)
+           for g, start, stop in zip(grams, offsets, offsets[1:])]
+    return _orbit_average(_orbits(rows, row_maps), lam), out
 
 
 def describe_symmetry(rel: MomentRelaxation, inst) -> dict | None:
@@ -571,7 +573,9 @@ def sos_certificate_from_dual(rel: MomentRelaxation, sol) -> SosCertificate:
 
     A solution in orbit coordinates only makes the orbit sums of the
     identity's residual vanish; its Gram matrices and multipliers are
-    averaged over the group first, after which the whole residual does."""
+    averaged over the group first (``group_average``, which builds the
+    orbits of the Gram entries and of the rows for this call alone), after
+    which the whole residual does."""
     if sol.pencil_duals is None:
         raise ValueError(f"no dual information available (status {sol.status})")
     _, kept = to_sdp_instance(rel)
@@ -580,8 +584,7 @@ def sos_certificate_from_dual(rel: MomentRelaxation, sol) -> SosCertificate:
     lam[kept] = sol.eq_duals / norms[kept]  # duals of the unit-scaled rows
     pencil_duals = sol.pencil_duals
     if rel.symmetry is not None:
-        lam = _orbit_average(rel.symmetry.row_orbits, lam)
-        pencil_duals = rel.symmetry.average_grams(pencil_duals)
+        lam, pencil_duals = group_average(rel, lam, pencil_duals)
 
     resid = rel.theta.coefficient_vector(2 * rel.order)
     grams = []

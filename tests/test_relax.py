@@ -615,8 +615,7 @@ def dense_certificate(rel, sol):
     lam[kept] = sol.eq_duals / norms[kept]
     grams = sol.pencil_duals
     if rel.symmetry is not None:
-        lam = relax._orbit_average(rel.symmetry.row_orbits, lam)
-        grams = rel.symmetry.average_grams(grams)
+        lam, grams = relax.group_average(rel, lam, grams)
     resid = rel.theta.coefficient_vector(2 * rel.order)
     for pen, gram in zip(rel.psd_pencils, grams):
         resid -= pen.coeffs.T @ gram.reshape(-1)
@@ -657,6 +656,19 @@ def test_sparse_rows_keep_assembly_below_the_dense_rows():
     finally:
         tracemalloc.stop()
     assert peak < 8 * rel.eq_A.shape[0] * rel.tms_dim
+
+
+def test_assembly_leaves_the_certificate_orbits_to_the_certificate():
+    """product_quartic at order 4: assembly that also built the orbits of
+    every Gram entry and every equality row peaked at about 5 MiB."""
+    tracemalloc.start()
+    try:
+        rel = relax.assemble(relax.HOMOGENIZED, product_quartic(), 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rel.symmetry is not None
+    assert peak < 3.5 * 2**20
 
 
 @pytest.mark.parametrize("prob", [product_quartic, sextic_on_line])

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from homsos import driver
+from homsos import driver, relax, sdp
 from homsos.cli import parse_problem
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -95,3 +95,22 @@ def test_report_adds_the_bounds_and_the_infinity_fields(dump):
 
     cli_result = SimpleNamespace(code=3, report={"final": {"best_bound": None}})
     assert dump.report(cli_result, driver) == {"code": 3, "report": cli_result.report}
+
+
+def test_memory_layers_shows_each_layer_and_restores_it(capsys):
+    layers = load("memory_layers")
+    wrapped = [(sdp, "_reduce"), (relax, "assemble"), (sdp.SdpInstance, "validate")]
+    before = [owner.__dict__[attr] for owner, attr in wrapped]
+    layers.main(str(ROOT), "large_sdp", "1")
+    assert [owner.__dict__[attr] for owner, attr in wrapped] == before
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["call", *layers.FIELDS]
+    rows = [line.rsplit(maxsplit=3) for line in lines[1:]]
+    names = [name.strip() for name, *_ in rows]
+    assert names[0] == "set-up" and names[-1] == "product_quartic_k4: failures []"
+    for name in ("relax.assemble", "sdp._reduce", "sdp._stack_factor", "sdp._ipm",
+                 "relax.sos_certificate_from_dual", "driver.solve_pop"):
+        assert name in names
+    hwm = [float(h) for _, h, _, _ in rows]
+    assert hwm == sorted(hwm)
+    assert all(float(anon) > 0 and float(file) > 0 for _, _, anon, file in rows)
