@@ -33,7 +33,7 @@ MERGE_TOL = 1e-6           # relative distance of atoms merged by the even kind
 
 @dataclass
 class DriverOptions(sdp.SolveOptions):
-    """The solver's ``gap_tol`` and ``seed``, and the hierarchy's settings."""
+    """The solver's ``gap_tol`` and ``seed``, and the hierarchy's settings, checked when built."""
 
     kind: relax.HierarchyKind = relax.HOMOGENIZED
     k_min: int | None = None
@@ -48,6 +48,12 @@ class DriverOptions(sdp.SolveOptions):
         super().__post_init__()
         for name in ("rank_tol", "extract_tol", "atom_tol"):
             sdp.check_tolerance(name, getattr(self, name))
+        for name in ("k_min", "k_max"):
+            k = getattr(self, name)
+            if k is not None and k < 1:
+                raise ValueError(f"{name} must be at least 1, got {k}")
+        if self.k_min is not None and self.k_max is not None and self.k_max < self.k_min:
+            raise ValueError("k_max must be at least k_min")
 
 
 @dataclass
@@ -188,8 +194,7 @@ def _attempt_extraction(rec, rel, sol, prob, opts):
     rec.flat_t = flat_t
     rec.flat_gap = used_gap
     # the atomic rebuild can only be as accurate as the moment solve
-    err = max(v if np.isfinite(v) else 0.0
-              for v in (sol.gap, sol.primal_infeas, sol.dual_infeas))
+    err = max(sol.gap, sol.primal_infeas, sol.dual_infeas)
     rebuild_tol = max(opts.extract_tol, min(1e-2, 100.0 * err))
     try:
         atoms = extract.extract_atoms(y, nv, k, flat_t, rank_tol=opts.rank_tol,
@@ -286,15 +291,10 @@ def solve_pop(prob: PopProblem, opts: DriverOptions | None = None) -> HierarchyR
     record reports, and ``notes`` name the directions that were dropped."""
     opts = opts or DriverOptions()
     kind = opts.kind
-    for name, k in (("k_min", opts.k_min), ("k_max", opts.k_max)):
-        if k is not None and k < 1:
-            raise ValueError(f"{name} must be at least 1, got {k}")
     k_lo = default_k_min(prob, kind) if opts.k_min is None else opts.k_min
     if opts.k_min is None and opts.k_max is not None:
         k_lo = min(k_lo, opts.k_max)
     k_hi = k_lo if opts.k_max is None else opts.k_max
-    if k_hi < k_lo:
-        raise ValueError("k_max must be at least k_min")
 
     records = []
     best_bound = None
@@ -410,10 +410,9 @@ def minimizers_at_infinity(prob: PopProblem, k: int | None = None,
     ``opts.dump_sdpa`` when that is set.
     """
     opts = opts or DriverOptions()
-    if k is None:
-        k = opts.k_min if opts.k_max is None else opts.k_max
     if k is not None and k < 1:
         raise ValueError(f"order must be at least 1, got {k}")
+    k = k or opts.k_max or opts.k_min
     with sdp._one_blas_thread():
         sph = sphere_restriction(prob)
         k = default_k_min(sph, relax.STANDARD) if k is None else k

@@ -53,10 +53,10 @@ The interior-point run ends OPTIMAL when both sides have converged (gap,
 primal and dual residuals within tolerance); PRIMAL_INFEASIBLE or
 DUAL_INFEASIBLE when one side's objective runs off with the other side
 feasible; NUMERICAL_TROUBLE when it converges only with a diverging moment
-vector, when one side converged and the other stalled, when the moment
-iterate diverges, when the step lengths collapse, or when a factorization
-fails or no positive definite step is found; and ITER_LIMIT when it spends
-either iteration budget: ``MAX_ITER`` iterations in all, or
+vector, when the moment side converged and the certificate side stalled,
+when the moment iterate diverges, when the step lengths collapse, or when a
+factorization fails or no positive definite step is found; and ITER_LIMIT
+when it spends either iteration budget: ``MAX_ITER`` iterations in all, or
 ``MOMENT_BUDGET`` iterations after its moment side first converged.  The
 second budget ends runs whose certificate side is not attained: their
 moment side converges, and the steps after it change neither the gap nor
@@ -592,12 +592,12 @@ def _reduce(inst: SdpInstance):
     direction left after the coverage step): the instance is then settled
     at y0, and ``solve`` gives it its status from the pencils at y0.
 
-    One SVD of A (the call ``null_space`` makes, and its rank cutoff) gives
-    the full-row-rank test, the null-space basis and ``eq_pinv``.  y0 is
-    placed by ``lstsq``, whose rounding the interior-point run depends on.
-    Once A has full row rank, A y = b has a solution, so a y0 that misses b
-    is rounding on a nearly singular A, and the outcome is NUMERICAL_TROUBLE."""
-    p, m = inst.A.shape
+    One SVD of A gives the one rank test of A, the null-space basis and
+    ``eq_pinv``: each singular value past the test clears ``null_space``'s
+    cutoff.  y0 is placed by ``lstsq``, whose rounding the interior-point
+    run depends on.  Once A has full row rank, A y = b has a solution, so a
+    y0 that misses b is rounding on a nearly singular A: NUMERICAL_TROUBLE."""
+    p = inst.A.shape[0]
     u, sv, vt = scipy.linalg.svd(inst.A)
     if p and sv[-1] <= 1e-10 * max(1.0, sv[0]):
         raise ValueError("equality system A is rank deficient; "
@@ -608,9 +608,8 @@ def _reduce(inst: SdpInstance):
         return _no_point(SdpStatus.NUMERICAL_TROUBLE,
                          "equality system A y = b is too ill-conditioned: "
                          f"lstsq misses b by {miss:.2g}", np.nan, miss)
-    rank = int(np.sum(sv > np.finfo(float).eps * max(p, m) * np.amax(sv, initial=0.0)))
-    nullmap = vt[rank:].T
-    eq_pinv = (u[:, :rank] / sv[:rank], vt[:rank])
+    nullmap = vt[sv.size:].T
+    eq_pinv = (u[:, :sv.size] / sv, vt[:sv.size])
     mz = nullmap.shape[1]
     red = _Reduced(y0=y0, nullmap=nullmap, eq_pinv=eq_pinv, chat=nullmap.T @ inst.c,
                    cy0=float(inst.c @ y0), blocks=[])
@@ -921,10 +920,8 @@ def _ipm(red: _Reduced, opts: SolveOptions, start: tuple):
     for idx in members.values():
         s = sum(sizes[i] for i in idx)
         anorm = _joint_norm([gflat[i] for i in idx], axis=1)
-        xi = max(10.0, math.sqrt(s),
-                 s * np.max((1.0 + np.abs(bvec)) / (1.0 + anorm)) if mz else 10.0)
-        eta = max(10.0, math.sqrt(s), _joint_norm([cmats[i] for i in idx]),
-                  float(np.max(anorm)) if mz else 0.0)
+        xi = max(10.0, math.sqrt(s), s * np.max((1.0 + np.abs(bvec)) / (1.0 + anorm)))
+        eta = max(10.0, math.sqrt(s), _joint_norm([cmats[i] for i in idx]), float(np.max(anorm)))
         for i in idx:
             xs[i] = scale * xi * np.eye(sizes[i])
             zs[i] = scale * eta * np.eye(sizes[i])
@@ -973,21 +970,13 @@ def _ipm(red: _Reduced, opts: SolveOptions, start: tuple):
             else:
                 status, message = SdpStatus.OPTIMAL, ""
             break
-        # One side can converge while the other stalls (unattained optimum
-        # on the stalled side); detect it and stop instead of grinding on.
-        if mu_rel <= 1e-2 * opts.gap_tol and len(history) >= 5:
-            prev = history[-5]
-            if rd_rel <= FEAS_TOL and rp_rel > FEAS_TOL \
-                    and rp_rel > 0.5 * prev["rp"]:
-                status, message = (SdpStatus.NUMERICAL_TROUBLE,
-                                   "moment side converged but the certificate side "
-                                   "stalled (certificate likely unattained)")
-                break
-            if rp_rel <= FEAS_TOL and rd_rel > FEAS_TOL \
-                    and rd_rel > 0.5 * prev["rd"]:
-                status, message = (SdpStatus.NUMERICAL_TROUBLE,
-                                   "certificate side converged but the moment side stalled")
-                break
+        # The moment side can converge while the certificate side stalls
+        # (unattained certificate); detect it and stop instead of grinding on.
+        if mu_rel <= 1e-2 * opts.gap_tol and len(history) >= 5 and rd_rel <= FEAS_TOL \
+                and rp_rel > FEAS_TOL and rp_rel > 0.5 * history[-5]["rp"]:
+            status, message = (SdpStatus.NUMERICAL_TROUBLE, "moment side converged but the "
+                               "certificate side stalled (certificate likely unattained)")
+            break
         if dobj > 1e10 * (1.0 + abs(pobj)) and rd_rel <= FEAS_TOL:
             status, message = (SdpStatus.DUAL_INFEASIBLE,
                                "moment objective unbounded below (certificate side infeasible)")
@@ -1024,7 +1013,7 @@ def _ipm(red: _Reduced, opts: SolveOptions, start: tuple):
             zinvs = [q @ q.T for q in qs]
             schur = _schur(glins, lxs, qs, work)
             chol = None
-            scale = np.trace(schur) / mz if mz else 1.0
+            scale = np.trace(schur) / mz
             for jit in (0.0, 1e-13, 1e-10, 1e-7):
                 try:
                     chol = _cho_factor(_finite(_shift_diagonal(schur, jit * scale)))
@@ -1056,8 +1045,8 @@ def _ipm(red: _Reduced, opts: SolveOptions, start: tuple):
             dz_aff, dx_aff, dzm_aff = solve_direction(rcs_aff)
             for lx in lxs:
                 _finite(lx)
-            ap_aff = min((_max_step(lx, dx) for lx, dx in zip(lxs, dx_aff)), default=np.inf)
-            ad_aff = min((_max_step(lz, dw) for lz, dw in zip(lzs, dzm_aff)), default=np.inf)
+            ap_aff = min(_max_step(lx, dx) for lx, dx in zip(lxs, dx_aff))
+            ad_aff = min(_max_step(lz, dw) for lz, dw in zip(lzs, dzm_aff))
             ap_aff, ad_aff = min(1.0, ap_aff), min(1.0, ad_aff)
             mu_aff = sum(_inner(x + ap_aff * dx, w + ad_aff * dw)
                          for x, dx, w, dw in zip(xs, dx_aff, zs, dzm_aff)) / sdim
@@ -1067,8 +1056,8 @@ def _ipm(red: _Reduced, opts: SolveOptions, start: tuple):
             rcs = [sigma * mu * zi - x - dx @ dw @ zi
                    for x, zi, dx, dw in zip(xs, zinvs, dx_aff, dzm_aff)]
             dz, dxm, dzm = solve_direction(rcs)
-            ap = min((_max_step(lx, dx) for lx, dx in zip(lxs, dxm)), default=np.inf)
-            ad = min((_max_step(lz, dw) for lz, dw in zip(lzs, dzm)), default=np.inf)
+            ap = min(_max_step(lx, dx) for lx, dx in zip(lxs, dxm))
+            ad = min(_max_step(lz, dw) for lz, dw in zip(lzs, dzm))
         except np.linalg.LinAlgError as exc:
             status, message = SdpStatus.NUMERICAL_TROUBLE, f"factorization failed: {exc}"
             break
@@ -1199,8 +1188,8 @@ def solve_with_restarts(inst: SdpInstance, opts: SolveOptions | None = None) -> 
             if sol.status is not SdpStatus.NUMERICAL_TROUBLE:
                 return sol
             stalled.append(sol)
-    # the first stalled attempt with the smallest finite gap
-    return min(stalled, key=lambda s: s.gap if np.isfinite(s.gap) else np.inf)
+    # the first stalled attempt with the smallest gap
+    return min(stalled, key=lambda s: s.gap)
 
 
 def write_sdpa(inst: SdpInstance, path: str):

@@ -152,9 +152,9 @@ def test_run_rejects_orders_below_one(tmp_path, flag, value, infinity):
 
 @pytest.mark.parametrize("k_min, k_max", [(0, None), (None, 0), (0, 2), (-1, None)])
 def test_solve_pop_rejects_orders_below_one(k_min, k_max):
-    opts = driver.DriverOptions(k_min=k_min, k_max=k_max)
     with pytest.raises(ValueError, match="at least 1"):
-        driver.solve_pop(parse_problem(CUBIC_TEXT)[0], opts)
+        driver.solve_pop(parse_problem(CUBIC_TEXT)[0],
+                         driver.DriverOptions(k_min=k_min, k_max=k_max))
 
 
 @pytest.mark.parametrize("k", [0, -1])
@@ -363,6 +363,20 @@ def test_shipped_examples_give_their_documented_answers(name, bound, order, poin
     assert final["best_bound"] == pytest.approx(bound, abs=1e-4)
     assert rec["k"] == order
     assert [m["point"] for m in rec["minimizers"]] == [pytest.approx(point, abs=1e-4)]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_a_margin_no_constraint_bounds_is_written_null():
+    # corner_cubic's minimizer has both inequalities active in two
+    # variables: the tangent space is empty, and sosc_margin is infinite
+    code, out, err = run_cli([str(PROBLEMS / "corner_cubic.pop")])
+    assert (code, err) == (0, "")
+    rep = json.loads(out, parse_constant=_refuse_constant)
+    margins = [oc["sosc_margin"] for rec in rep["records"] for oc in rec["optcond"]]
+    assert None in margins
 
 
 @pytest.mark.parametrize("text, odd", [

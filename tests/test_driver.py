@@ -657,5 +657,16 @@ def test_infinity_solve_reads_its_order_from_the_options():
     # an explicit order wins
     rep = driver.minimizers_at_infinity(prob, 2, driver.DriverOptions(k_max=3))
     assert rep.records[0].k == 2
-    with pytest.raises(ValueError, match="order must be at least 1, got 0"):
+    with pytest.raises(ValueError, match="k_max must be at least 1, got 0"):
         driver.minimizers_at_infinity(prob, opts=driver.DriverOptions(k_max=0))
+
+
+@pytest.mark.parametrize("k_min, k_max, message", [
+    (3, 2, "k_max must be at least k_min"), (0, 3, "k_min must be at least 1, got 0")])
+def test_both_entry_points_refuse_bad_order_options(k_min, k_max, message):
+    # the options refuse them when built, so neither entry point runs a solve
+    prob = cubic_unbounded()
+    with pytest.raises(ValueError, match=message):
+        driver.solve_pop(prob, driver.DriverOptions(k_min=k_min, k_max=k_max))
+    with pytest.raises(ValueError, match=message):
+        driver.minimizers_at_infinity(prob, opts=driver.DriverOptions(k_min=k_min, k_max=k_max))

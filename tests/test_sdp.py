@@ -371,6 +371,21 @@ def test_an_infeasible_pencil_is_proved_infeasible_at_the_first_attempt(lin, con
         sdp.SdpStatus.PRIMAL_INFEASIBLE, "certificate objective unbounded (moment side infeasible)")
 
 
+@pytest.mark.xfail(strict=True, reason="facial reduction does not see that the pencil's "
+                   "zero diagonal entry forces its off-diagonal entries to 0")
+def test_a_weakly_feasible_pencil_is_not_proved_infeasible():
+    """y = (1/2, -1, 0) meets 2 y1 - y2 - y3 = 2 and makes the pencil
+    diag(0, 6), so the instance is feasible, with an objective unbounded
+    below.  The reduction rounds the (1, 1) entry, 0 on the whole fiber, to
+    -8.9e-16, and the ray rule then proves the instance infeasible."""
+    inst = exit_instance([2, 0, 0], [-4 * np.eye(2), [[2, -1], [-1, -4]], [[2, -2], [-2, -2]]],
+                         [[4, -1], [-1, 4]], A=[[2, -1, -1]], b=[2])
+    y = np.array([0.5, -1.0, 0.0])
+    assert inst.A @ y == inst.b
+    assert np.array_equal(inst.pencils[0].evaluate(y), np.diag([0.0, 6.0]))
+    assert sdp.solve(inst).status is not sdp.SdpStatus.PRIMAL_INFEASIBLE
+
+
 def test_a_reduction_shortcut_is_not_restarted(monkeypatch):
     # every attempt would get the same outcome of the one reduction back
     solve, calls = sdp.solve, []
