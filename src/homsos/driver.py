@@ -151,8 +151,7 @@ def _solve_order(prob, kind, k, opts, dump_path=None):
     rec.status = sol.status.value
     rec.iterations = sol.iterations
     rec.solver_message = sol.message
-    if sol.y is not None and np.isfinite(sol.primal_obj) \
-            and sol.primal_infeas <= sdp.REPORT_TOL:
+    if sol.y is not None and sol.primal_infeas <= sdp.REPORT_TOL:
         rec.f_k_prime = float(sol.primal_obj)
     diverged = sol.y is not None and np.linalg.norm(sol.y) > sdp.DIVERGED_NORM
     if np.isfinite(sol.dual_obj) and sol.dual_infeas <= sdp.REPORT_TOL and not diverged:

@@ -23,7 +23,7 @@ dsyevr, dpotrf or dpotrs call that scipy.linalg's ``solve_triangular``,
 and so returns the same bits.  What those wrappers validated is checked once
 per array, after it was last written: a NaN or an inf raises
 ``NonFiniteError``, a ValueError with the message of scipy's
-``check_finite``, and so does an overflow in the interior-point run.
+``check_finite``, and so does an overflow anywhere in a solve.
 Contractions with the pencil stack are the single ``np.dot`` that
 ``np.tensordot`` would make.
 
@@ -48,6 +48,12 @@ every pencil is psd there within ``FEAS_TOL``, else PRIMAL_INFEASIBLE); else by
      extra blocks (``_split_block``), and solving one copy of a part that
      holds d identical copies of one irreducible block, I_d (x) M (the
      second stage of Murota, Kanno, Kojima & Kojima 2010).
+
+The reduction returns the C heap's free pages to the OS when it starts and
+when it ends (glibc's ``malloc_trim``; see ``_reduce`` for why there): its
+QR stacks are the largest arrays of a solve, and the heap freed on either
+side of them would otherwise stay resident.  Nothing is trimmed inside the
+interior-point loop, and no arithmetic changes.
 
 The interior-point run ends OPTIMAL when both sides have converged (gap,
 primal and dual residuals within tolerance); PRIMAL_INFEASIBLE or
@@ -350,6 +356,38 @@ def _one_blas_thread():
             set_threads(count)
 
 
+@functools.cache
+def _malloc_trim():
+    """The C library's ``malloc_trim``, found once; None where it has none
+    (macOS, musl) or where no C library opens by name (Windows)."""
+    try:
+        trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+    except (OSError, TypeError):
+        return None
+    if trim is not None:
+        trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
+def _trim_heap():
+    """Return the free pages of the C heap to the OS: ``malloc_trim(0)``,
+    a no-op where there is no ``malloc_trim``.  No array changes."""
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
+
+
+@contextlib.contextmanager
+def _overflow_raises():
+    """Run the body with numpy overflows raising ``NonFiniteError``, the
+    error of the inf they would make."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError:
+        raise NonFiniteError("array must not contain infs or NaNs") from None
+
+
 def _sym(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
@@ -592,14 +630,34 @@ def _reduce(inst: SdpInstance):
     direction left after the coverage step): the instance is then settled
     at y0, and ``solve`` gives it its status from the pencils at y0.
 
+    The free pages of the C heap go back to the OS (``_trim_heap``) when
+    the reduction starts and however it ends.  At the start they are what
+    the assembly and ``validate`` freed, which would otherwise sit under
+    the QR stack, the largest array of a solve.  At the end they are
+    glibc's: freeing the stack by munmap raises its dynamic mmap threshold
+    to the stack's size, so the compressed stacks and the split's
+    temporaries come from the brk heap, and it keeps their pages once they
+    are freed.  No arithmetic changes."""
+    _trim_heap()
+    try:
+        return _eliminate_and_compress(inst)
+    finally:
+        _trim_heap()
+
+
+def _eliminate_and_compress(inst: SdpInstance):
+    """``_reduce`` without its heap trims.
+
     One SVD of A gives the one rank test of A, the null-space basis and
-    ``eq_pinv``: each singular value past the test clears ``null_space``'s
-    cutoff.  y0 is placed by ``lstsq``, whose rounding the interior-point
-    run depends on.  Once A has full row rank, A y = b has a solution, so a
-    y0 that misses b is rounding on a nearly singular A: NUMERICAL_TROUBLE."""
+    ``eq_pinv``: A has full row rank when it has no more rows than columns
+    and its last singular value clears the test, and each singular value
+    past the test clears ``null_space``'s cutoff.  y0 is placed by
+    ``lstsq``, whose rounding the interior-point run depends on.  Once A
+    has full row rank, A y = b has a solution, so a y0 that misses b is
+    rounding on a nearly singular A: NUMERICAL_TROUBLE."""
     p = inst.A.shape[0]
     u, sv, vt = scipy.linalg.svd(inst.A)
-    if p and sv[-1] <= 1e-10 * max(1.0, sv[0]):
+    if p and (p > sv.size or sv[-1] <= 1e-10 * max(1.0, sv[0])):
         raise ValueError("equality system A is rank deficient; "
                          "remove redundant rows before solving")
     y0, *_ = np.linalg.lstsq(inst.A, inst.b, rcond=None)
@@ -1050,7 +1108,8 @@ def _ipm(red: _Reduced, opts: SolveOptions, start: tuple):
             ap_aff, ad_aff = min(1.0, ap_aff), min(1.0, ad_aff)
             mu_aff = sum(_inner(x + ap_aff * dx, w + ad_aff * dw)
                          for x, dx, w, dw in zip(xs, dx_aff, zs, dzm_aff)) / sdim
-            sigma = min(1.0, max((max(mu_aff, 0.0) / mu) ** 3, 1e-10))
+            # (mu_aff / mu) ** 3 grows without bound as mu falls to 0
+            sigma = min(1.0, max((max(mu_aff, 0.0) / mu) ** 3, 1e-10)) if mu else 1.0
 
             # corrector
             rcs = [sigma * mu * zi - x - dx @ dw @ zi
@@ -1093,10 +1152,11 @@ def solve(inst: SdpInstance, opts: SolveOptions | None = None, *,
     interior-point run, or y0 where no pencil sees a free moment, gives the
     point, the status and the certificate side's last record; the Gram
     matrices are lifted back to the pencils and the equality multipliers
-    formed the same way for both.
+    formed the same way for both.  An overflow anywhere in the solve raises
+    ``NonFiniteError``.
     """
     opts = opts or SolveOptions()
-    with _one_blas_thread():
+    with _one_blas_thread(), _overflow_raises():
         red = _reduced
         if red is None:
             inst.validate()
@@ -1105,11 +1165,7 @@ def solve(inst: SdpInstance, opts: SolveOptions | None = None, *,
             return red
 
         if red.blocks:
-            try:
-                with np.errstate(over="raise"):   # an overflow ends the run as an inf would
-                    status, message, xs, z, iters, history, mom_ok = _ipm(red, opts, _start)
-            except FloatingPointError:
-                raise NonFiniteError("array must not contain infs or NaNs") from None
+            status, message, xs, z, iters, history, mom_ok = _ipm(red, opts, _start)
             y = red.y0 + red.nullmap @ z
             last = history[-1]
             dual_obj, gap, primal_infeas, dual_infeas = (
@@ -1175,7 +1231,7 @@ def solve_with_restarts(inst: SdpInstance, opts: SolveOptions | None = None) -> 
     opts = opts or SolveOptions()
     rng = np.random.default_rng(opts.seed)
     stalled = []
-    with _one_blas_thread():
+    with _one_blas_thread(), _overflow_raises():
         inst.validate()
         red = _reduce(inst)
         for attempt, frac in enumerate(STEP_FRACS):

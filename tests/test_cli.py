@@ -559,8 +559,8 @@ def test_an_unwritable_dump_path_is_a_usage_error(tmp_path, target):
 NONFINITE_TEXT = "vars: x\nminimize: 1e250*x^2 + x\n"
 
 
-def assert_nonfinite_record(rec):
-    assert (rec["k"], rec["status"]) == (1, "numerical_trouble")
+def assert_nonfinite_record(rec, k=1):
+    assert (rec["k"], rec["status"]) == (k, "numerical_trouble")
     assert rec["f_k"] is None and rec["f_k_prime"] is None
     assert rec["notes"] == ("the solve stopped on a non-finite array: "
                             "array must not contain infs or NaNs")
@@ -600,6 +600,27 @@ def test_an_overflow_in_the_solve_ends_the_order_with_a_record(tmp_path, text):
     rec, = json.loads(out)["records"]
     assert_nonfinite_record(rec)
     assert json.loads(out)["final"]["best_bound"] is None
+
+
+OVERFLOWING_OBJECTIVE = "vars: x\nminimize: 1.7e308*x + 1.7e308*x^2\nsubject_to:\nx - 1 == 0\n"
+
+
+@pytest.mark.parametrize("kind", [[], ["--kind", "standard"]], ids=["default", "standard"])
+def test_an_overflow_in_the_reduction_ends_the_order_with_a_record(tmp_path, kind):
+    # the equalities fix every moment, and c . y0 overflows in sdp._reduce:
+    # a RuntimeWarning, or else an optimal solve with primal_obj inf and a
+    # TypeError in the extraction
+    path = tmp_path / "p.pop"
+    path.write_text(OVERFLOWING_OBJECTIVE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli([str(path), "--order", "2", *kind])
+    assert (code, err) == (3, "")
+    report = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in the report"))
+    rec, = report["records"]
+    assert_nonfinite_record(rec, k=2)
+    assert report["final"]["best_bound"] is None
+    assert report["final"]["diagnosis"] == "no usable bound was produced at any order"
 
 
 INFEASIBLE_TEXT = "vars: x\nminimize: x^2\nsubject_to:\n-1 >= 0\n"

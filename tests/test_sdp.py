@@ -176,6 +176,57 @@ def test_rank_deficient_equalities_rejected():
         sdp.solve(rank_deficient_instance())
 
 
+@pytest.mark.parametrize("b", [(1, 1), (1, 2)])
+def test_more_equality_rows_than_moments_are_rejected(b):
+    # A has one singular value for its two rows; the rank test read it alone,
+    # and these ended "objective constant on the fiber" and "lstsq misses b"
+    with pytest.raises(ValueError, match="rank deficient"):
+        sdp.solve(exit_instance([1], [[[1]]], [[0]], A=[[1], [1]], b=b))
+
+
+# Where _reduce returns the heap, each of its three exits: a reduction, a
+# shortcut outcome and a refused A.
+@pytest.mark.parametrize("make, outcome", [
+    (lambda: random_strictly_feasible(np.random.default_rng(2)), sdp._Reduced),
+    (lambda: ill_conditioned_equalities(), sdp.SdpSolution),
+    (rank_deficient_instance, ValueError)],
+    ids=["reduction", "shortcut", "raise"])
+def test_reduce_trims_the_heap_when_it_starts_and_ends(monkeypatch, make, outcome):
+    inst, events = make(), []
+    body = sdp._eliminate_and_compress
+
+    def logged_body(inst):
+        events.append("reduce")
+        return body(inst)
+
+    monkeypatch.setattr(sdp, "_trim_heap", lambda: events.append("trim"))
+    monkeypatch.setattr(sdp, "_eliminate_and_compress", logged_body)
+    try:
+        result = sdp._reduce(inst)
+    except ValueError as exc:
+        result = exc
+    assert isinstance(result, outcome)
+    assert events == ["trim", "reduce", "trim"]
+
+
+def no_c_library(name):
+    raise TypeError("expected str, bytes or os.PathLike object, not NoneType")
+
+
+# a C library without malloc_trim (macOS, musl), and none to open (Windows)
+@pytest.mark.parametrize("cdll", [lambda name: object(), no_c_library],
+                         ids=["no_malloc_trim", "no_c_library"])
+def test_trim_heap_is_a_no_op_without_malloc_trim(monkeypatch, cdll):
+    monkeypatch.setattr(sdp.ctypes, "CDLL", cdll)
+    sdp._malloc_trim.cache_clear()
+    try:
+        assert sdp._malloc_trim() is None
+        sdp._trim_heap()
+    finally:
+        monkeypatch.undo()
+        sdp._malloc_trim.cache_clear()
+
+
 def test_solves_restore_blas_threads(blas_threads):
     before = blas_threads()
     inst = random_strictly_feasible(np.random.default_rng(2))
@@ -734,6 +785,20 @@ def test_history_records_step_lengths_and_centering():
         assert 0.0 < rec["ap"] <= 1.0
         assert 0.0 < rec["ad"] <= 1.0
         assert 0.0 < rec["sigma"] <= 1.0
+
+
+def test_a_zero_mu_centers_fully_without_dividing_by_it():
+    """This random tiny instance reaches mu = 0 at the centering step, which
+    divided by it with a "divide by zero" and an "invalid value"
+    RuntimeWarning; the suite turns either into an error."""
+    inst = exit_instance([-0.1, 0.002], [[[0.2, -0.1], [-0.1, 0]],
+                                         [[-0.001, 0.002], [0.002, 0.002]]],
+                         [[2, -2], [-2, 2]], A=[[0, -0.002]], b=[0])
+    sol = sdp.solve(inst)
+    assert (sol.status, sol.message, sol.iterations) == (
+        sdp.SdpStatus.NUMERICAL_TROUBLE,
+        "moment side converged but the certificate side stalled (certificate likely "
+        "unattained)", 34)
 
 
 def test_reduce_compression_matches_tall_svd():
