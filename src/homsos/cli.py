@@ -366,16 +366,6 @@ def _echo(prob, varnames):
             "constraints": cons}
 
 
-def _json_value(value):
-    """``value`` with each non-finite float, such as an ``optcond`` margin
-    that no constraint bounds, as None: strict JSON writes it null."""
-    if isinstance(value, dict):
-        return {k: _json_value(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_value(v) for v in value]
-    return None if isinstance(value, float) and not math.isfinite(value) else value
-
-
 def _pretty_report(report: dict, out):
     print("records:", file=out)
     for rec in report["records"]:
@@ -461,7 +451,7 @@ def run(argv, out=None, err=None) -> int:
     if args.pretty:
         _pretty_report(report, out)
     else:
-        json.dump(_json_value(report), out, indent=2, allow_nan=False)
+        json.dump(report, out, indent=2, allow_nan=False)
         out.write("\n")
     return code
 

@@ -21,7 +21,9 @@ One SVD of the active gradients decides LICQ and gives the least-squares
 multipliers and the tangent space on which SOSC is tested.
 
 ``report_dict`` is the JSON form of every report, here and in ``driver``:
-its declared fields in order, except those marked ``PYTHON_ONLY``.
+its declared fields in order, except those marked ``PYTHON_ONLY``, with
+each non-finite number as None, so that ``json.dumps`` writes strict JSON
+(``null``).  An unbounded margin stays infinite on the report itself.
 """
 
 from __future__ import annotations
@@ -40,13 +42,15 @@ PYTHON_ONLY = {"json": False}   # field metadata: the field stays out of report_
 
 
 def _jsonable(value):
-    """``value`` in JSON types: an array as a list of floats, a numpy scalar
-    as a Python number, a report as its ``to_dict``, lists and dicts
-    element by element."""
+    """``value`` in strict JSON types: an array as a list of floats, a numpy
+    scalar as a Python number, a non-finite float as None, a report as its
+    ``to_dict``, lists and dicts element by element."""
     if isinstance(value, np.ndarray):
-        return [float(v) for v in value]
+        return [_jsonable(float(v)) for v in value]
     if isinstance(value, np.generic):
-        return value.item()
+        value = value.item()
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
     if isinstance(value, list):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
@@ -58,8 +62,9 @@ def _jsonable(value):
 
 def report_dict(report, **reshaped) -> dict:
     """The JSON dict of the dataclass ``report``: each declared field not
-    marked ``PYTHON_ONLY``, in declaration order, through ``_jsonable``; a
-    field named in ``reshaped`` is written from the value given there."""
+    marked ``PYTHON_ONLY``, in declaration order, through ``_jsonable``, so
+    a non-finite number is None; a field named in ``reshaped`` is written
+    from the value given there."""
     return {f.name: _jsonable(reshaped.get(f.name, getattr(report, f.name)))
             for f in fields(report) if f.metadata.get("json", True)}
 

@@ -190,6 +190,14 @@ def test_run_pretty_output(tmp_path):
     assert "minimizer (" in out
 
 
+def test_pretty_output_lists_the_minimizers_at_infinity():
+    code, out, err = run_cli([str(PROBLEMS / "escape_directions.pop"), "--infinity",
+                              "--order", "3", "--pretty"])
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert sum(line.startswith("    minimizer at infinity (") for line in lines) == 4
+
+
 def test_run_solver_failure_exit_code(tmp_path):
     path = tmp_path / "p.pop"
     path.write_text("vars: x1 x2\nminimize: x1^4 + (x1*x2 - 1)^2\n")
@@ -514,6 +522,21 @@ def test_bad_options_are_usage_errors(flag, value, expected):
     code, out, err = run_cli([str(PROBLEMS / "cubic_unbounded.pop"), flag, value])
     assert (code, out) == (2, "")
     assert err == f"error: argument {flag}: expected {expected}, got {value!r}\n"
+
+
+def test_valid_tolerance_and_seed_flags_reach_the_driver_options(monkeypatch):
+    seen = []
+
+    def solve_pop(prob, opts):
+        seen.append(opts)
+        return driver.HierarchyReport(records=[], best_bound=None, converged=False,
+                                      convergence_order=None, diagnosis="")
+
+    monkeypatch.setattr(driver, "solve_pop", solve_pop)
+    code, _, err = run_cli([str(PROBLEMS / "cubic_unbounded.pop"), "--tol-gap", "1e-7",
+                            "--tol-rank", "1e-5", "--tol-atom", "1e-3", "--seed", "3"])
+    assert (code, err) == (3, "")
+    assert seen == [driver.DriverOptions(gap_tol=1e-7, rank_tol=1e-5, atom_tol=1e-3, seed=3)]
 
 
 def test_other_command_line_errors_take_one_line():

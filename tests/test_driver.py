@@ -1,3 +1,5 @@
+import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -389,6 +391,24 @@ def test_order_too_small_recorded_and_skipped():
     rep = driver.solve_pop(prob, driver.DriverOptions(k_min=1, k_max=3))
     assert rep.records[0].status == "order_too_small"
     assert rep.converged
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: driver.solve_pop(cli.parse_problem((PROBLEMS / "corner_cubic.pop").read_text())[0]),
+    lambda: driver.minimizers_at_infinity(chain_with_product(), 2)],
+    ids=["solve_pop", "minimizers_at_infinity"])
+def test_to_dict_is_strict_json_with_an_unbounded_margin_as_null(solve):
+    # corner_cubic's minimizer and chain_with_product's direction at
+    # infinity have an empty tangent space: sosc_margin is infinite
+    rep = solve()
+    blob = json.loads(json.dumps(rep.to_dict(), allow_nan=False))
+    pairs = [(oc, oc_dict) for rec, rec_dict in zip(rep.records, blob["records"])
+             for oc, oc_dict in zip(rec.optcond, rec_dict["optcond"])]
+    assert any(oc.sosc_margin == math.inf for oc, _ in pairs)
+    for oc, oc_dict in pairs:
+        for key in ("licq_min_sv", "scc_margin", "sosc_margin"):
+            value = getattr(oc, key)
+            assert oc_dict[key] == (value if math.isfinite(value) else None)
 
 
 def test_report_serialization_round_trip():

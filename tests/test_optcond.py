@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -192,6 +193,22 @@ def test_report_serialization():
     assert d["passed"] is True
     assert isinstance(d["licq"], bool)
     assert isinstance(d["multipliers"]["ineq0"], float)
+
+
+def test_report_dict_writes_each_nonfinite_number_as_none():
+    rep = optcond.OptCondReport(
+        location_kind="regular", point=np.array([1.0, np.inf, np.nan]), active_set=[],
+        licq=np.bool_(True), licq_min_sv=np.float64(np.inf), multipliers={"ineq0": -np.inf},
+        fooc_ok=True, fooc_residual=0.0, scc=True, scc_margin=math.inf,
+        sosc=True, sosc_margin=np.float64(2.0), lambda0=math.nan)
+    d = rep.to_dict()
+    assert d["point"] == [1.0, None, None]
+    assert d["licq_min_sv"] is d["scc_margin"] is d["lambda0"] is None
+    assert d["multipliers"] == {"ineq0": None}
+    assert d["licq"] is True and type(d["sosc_margin"]) is float
+    assert json.loads(json.dumps(d, allow_nan=False)) == d
+    # the report itself keeps its values
+    assert rep.scc_margin == math.inf and rep.licq_min_sv == np.inf
 
 
 def test_infinity_even_precondition_filters_candidates():

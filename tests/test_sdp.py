@@ -73,22 +73,29 @@ def random_strictly_feasible(rng, m=4, s=3, box=4.0):
 
 def subgradient_upper_value(inst, rho=60.0, iters=6000, step=2.0):
     """Exact-penalty subgradient descent; any iterate value upper-bounds the
-    optimum, and the best iterate converges to it (independent oracle)."""
+    optimum, and the best iterate converges to it (independent oracle).
+    The pencils of each size are stacked once, so a step takes one batched
+    eigendecomposition and one contraction per size."""
     m = inst.dim
+    stacks = []
+    for s in sorted({pen.size for pen in inst.pencils}):
+        pens = [pen for pen in inst.pencils if pen.size == s]
+        coeffs = np.stack([np.asarray(pen.coeffs).reshape(s, s, m) for pen in pens])
+        const = np.stack([np.zeros((s, s)) if pen.const is None else pen.const
+                          for pen in pens])
+        stacks.append((coeffs, const))
 
     def value_and_subgradient(y):
         val = float(inst.c @ y)
         grad = inst.c.copy()
-        for pen in inst.pencils:
-            mat = 0.5 * (pen.evaluate(y) + pen.evaluate(y).T)
-            w, v = scipy.linalg.eigh(mat)
-            if w[0] < 0.0:
-                val += -rho * w[0]
-                vec = v[:, 0]
-                contrib = np.array([
-                    float(vec @ pen.coeffs[:, i].reshape(pen.size, pen.size) @ vec)
-                    for i in range(m)])
-                grad -= rho * contrib
+        for coeffs, const in stacks:
+            mats = coeffs @ y + const
+            w, v = np.linalg.eigh(0.5 * (mats + mats.transpose(0, 2, 1)))
+            neg = w[:, 0] < 0.0
+            if neg.any():
+                val -= rho * float(w[neg, 0].sum())
+                vecs = v[neg, :, 0]
+                grad -= rho * np.einsum("pi,pijk,pj->k", vecs, coeffs[neg], vecs)
         return val, grad
 
     y = np.zeros(m)
